@@ -123,6 +123,8 @@ def cmd_ordering_for(args: argparse.Namespace) -> int:
 def cmd_misreport(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     ordering = _load_ordering(args, instance)
+    if args.applicant not in instance.applicants:
+        raise CamatchError(f"unknown applicant {args.applicant!r}")
     search = find_beneficial_misreport(
         instance, ordering, args.applicant, search_limit=args.limit)
     for line in search.to_lines():
@@ -208,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchLimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CamatchError as exc:

@@ -20,12 +20,14 @@ from .matching import (
     ImprovingCoalition,
     Matching,
     _sequence_error,
+    _strictly_prefers_course,
     coalition_error,
     is_exposed_applicant,
     is_exposed_course,
     require_feasible,
     satisfy_coalition,
 )
+from .scc import strongly_connected_components
 
 # Nodes are tagged tuples: ("a", applicant), ("c", course), ("p", applicant, course).
 Node = tuple
@@ -98,47 +100,37 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
 
 
 def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
-    """Label-correcting search for a negative-cost cycle.
+    """Find a negative-cost cycle from the strongly connected components.
 
-    Labels start at 0 everywhere (a virtual source with 0-arcs to all nodes),
-    arcs relax in canonical order, and a relaxation that still fires after
-    |V| full rounds betrays a cycle, recovered by walking predecessors.
-    Deterministic: the same graph always yields the same witness.
+    Arcs weigh 0 or -1, so a negative cycle exists exactly when some -1 arc
+    has both ends in one component. The first such arc in canonical order is
+    closed by a breadth-first shortest path inside its component, from head
+    back to tail, scanning successors in canonical order. The witness starts
+    at the arc's tail and is simple and deterministic. Runs in O(V + E).
     """
-    nodes = graph.nodes
-    if not nodes:
+    succ: dict[Node, list[Node]] = {v: [] for v in graph.nodes}
+    for u, v, _ in graph.arcs:
+        succ[u].append(v)
+    components = strongly_connected_components(graph.nodes, succ)
+    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
+    for tail, head, w in graph.arcs:
+        if w < 0 and comp_of[tail] == comp_of[head]:
+            break
+    else:
         return None
-    dist: dict[Node, int] = {v: 0 for v in nodes}
-    pred: dict[Node, Node | None] = {v: None for v in nodes}
-
-    last_improved: Node | None = None
-    for _ in range(len(nodes)):
-        last_improved = None
-        for u, v, w in graph.arcs:
-            if dist[u] + w < dist[v]:
-                dist[v] = dist[u] + w
-                pred[v] = u
-                last_improved = v
-        if last_improved is None:
-            return None
-
-    # Walk |V| predecessor steps to land inside the cycle, then read it off.
-    x = last_improved
-    for _ in range(len(nodes)):
-        x = pred[x]  # type: ignore[assignment]
-    cycle = [x]
-    v = pred[x]
-    while v != x:
-        cycle.append(v)
-        v = pred[v]  # type: ignore[assignment]
-    cycle.reverse()
-
+    parent: dict[Node, Node] = {head: head}
+    queue = [head]
+    for x in queue:  # breadth-first: the loop also visits appended nodes
+        for y in succ[x]:
+            if y not in parent and comp_of[y] == comp_of[head]:
+                parent[y] = x
+                queue.append(y)
+    back = [tail]  # the BFS path read backwards, tail to head
+    while back[-1] != head:
+        back.append(parent[back[-1]])
+    cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent
     weights = graph.weights()
-    total = sum(
-        weights[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-    )
-    if total >= 0:  # pragma: no cover - label correcting guarantees this
-        raise AssertionError("recovered cycle is not negative")
+    total = sum(weights[arc] for arc in zip(cycle, cycle[1:] + cycle[:1]))
     return CycleWitness(tuple(cycle), total)
 
 
@@ -209,9 +201,6 @@ def reduce_pseudocoalition(
     kind = pseudo.kind
     elements = pseudo.elements()
 
-    def strictly_prefers(a: str, c_new: str, c_old: str) -> bool:
-        return instance.tie_of(a, c_new) < instance.tie_of(a, c_old)
-
     rounds = len(elements)  # every repair strictly shortens the sequence
     while True:
         repeat = _first_repeat(elements)
@@ -240,7 +229,7 @@ def reduce_pseudocoalition(
             else:
                 c_after_x = elements[x + 1][1]
                 c_before_y = elements[y - 1][1]
-                if strictly_prefers(a, c_after_x, c_before_y):
+                if _strictly_prefers_course(instance, a, c_after_x, c_before_y):
                     # The stretch between the occurrences closes into a cycle
                     # entered at the course before the second occurrence.
                     elements = [elements[y - 1]] + elements[x:y - 1]
@@ -321,20 +310,25 @@ def extract_improving_coalition(
 ) -> ImprovingCoalition:
     """Turn a negative-cycle witness into a valid improving coalition."""
     graph = build_envy_graph(instance, matching)
+    return _coalition_from_witness(instance, matching, graph, witness)
+
+
+def _coalition_from_witness(
+    instance: Instance, matching: Matching, graph: EnvyGraph, witness: CycleWitness
+) -> ImprovingCoalition:
+    """Validate the witness against ``graph``, then unroll and reduce it."""
     weights = graph.weights()
-    n = len(witness.nodes)
-    if n == 0:
+    cycle = list(witness.nodes)
+    if not cycle:
         raise CoalitionError("empty witness cycle")
-    total = 0
-    for i in range(n):
-        key = (witness.nodes[i], witness.nodes[(i + 1) % n])
-        if key not in weights:
-            raise CoalitionError(f"witness uses a non-arc {key[0]} -> {key[1]}")
-        total += weights[key]
-    if total >= 0:
+    arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+    for u, v in arcs:
+        if (u, v) not in weights:
+            raise CoalitionError(f"witness uses a non-arc {u} -> {v}")
+    if sum(weights[arc] for arc in arcs) >= 0:
         raise CoalitionError("witness cycle is not negative")
 
-    pseudo = _unroll_cycle(instance, matching, list(witness.nodes), weights)
+    pseudo = _unroll_cycle(instance, matching, cycle, weights)
     error = pseudocoalition_error(instance, matching, pseudo)
     if error is not None:  # pragma: no cover - unrolling preserves the conditions
         raise CoalitionError(f"unrolled sequence is not a pseudocoalition: {error}")
@@ -356,10 +350,10 @@ class ParetoCheck:
 def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     """Decide Pareto optimality; on failure ship an improving coalition and
     the strictly dominating matching obtained by satisfying it."""
-    require_feasible(instance, matching)
-    witness = find_negative_cycle(build_envy_graph(instance, matching))
+    graph = build_envy_graph(instance, matching)
+    witness = find_negative_cycle(graph)
     if witness is None:
         return ParetoCheck(True)
-    coalition = extract_improving_coalition(instance, matching, witness)
+    coalition = _coalition_from_witness(instance, matching, graph, witness)
     dominating = satisfy_coalition(instance, matching, coalition)
     return ParetoCheck(False, coalition, dominating)

@@ -16,6 +16,7 @@ from typing import Sequence
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
 from .matching import Matching, Pair
+from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
@@ -161,7 +162,6 @@ class GsdtState:
     instance: Instance
     network: FlowNetwork
     curr: dict[str, int]
-    stage: int = 0
     searches: int = 0
     arc_visits: list[int] = field(default_factory=list)
 
@@ -321,7 +321,6 @@ def run_gsdt(
     stages: list[StageRecord] = []
 
     for i, a in enumerate(ordering, start=1):
-        state.stage = i
         net = state.network
         net.cap_src[a] += 1
         counts[a] += 1
@@ -423,52 +422,8 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
             if instance.tie_of(a, c2) <= own_tie:
                 adj[(a, c)].append((a2, c2))
 
-    # Iterative Tarjan; components complete only after everything they can
-    # reach, so the emission order is exactly sinks-first.
-    index: dict[Pair, int] = {}
-    low: dict[Pair, int] = {}
-    on_stack: set[Pair] = set()
-    stack: list[Pair] = []
-    components: list[list[Pair]] = []
-    counter = 0
-
-    for root in pairs:
-        if root in index:
-            continue
-        work: list[tuple[Pair, int]] = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for k in range(ei, len(adj[node])):
-                nxt = adj[node][k]
-                if nxt not in index:
-                    work.append((node, k + 1))
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    return [p for comp in components for p in comp]
+    components = strongly_connected_components(pairs, adj)
+    return [p for comp in components for p in sorted(comp)]
 
 
 def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:

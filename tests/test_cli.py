@@ -222,3 +222,25 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "enumerate", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+def test_directory_as_instance_is_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "enumerate", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_non_utf8_instance_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("courses: c\xe9=1\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "enumerate", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_misreport_unknown_applicant_is_usage_error(capsys, ex1_path):
+    code, out, err = run_cli(
+        capsys, "misreport", ex1_path, "zz", "--ordering", "a1 a2 a1")
+    assert code == 2
+    assert out == ""
+    assert "unknown applicant 'zz'" in err
