@@ -51,7 +51,10 @@ def render_node(node: Node) -> str:
 class FlowNetwork:
     """Mutable flow state. Tie-to-course arcs have capacity 1 and course-to-
     sink arcs capacity q(c); source and tie arc capacities evolve with the
-    stages."""
+    stages. ``holders[c]`` is the one record of tie-course flow: the arc
+    from tie ``(a, t)`` to course ``c`` carries a unit exactly when
+    ``(a, t)`` is in ``holders[c]``; matched pairs and residual arcs are
+    read off it."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -63,22 +66,13 @@ class FlowNetwork:
             for t in range(len(instance.prefs[a]))
         }
         self.flow_tie = dict.fromkeys(self.cap_tie, 0)
-        self.flow_course_arc = {
-            (a, t, c): 0
-            for a in instance.applicants
-            for t, tie in enumerate(instance.prefs[a])
-            for c in sorted(tie)
-        }
+        self.holders: dict[str, set[tuple[str, int]]] = {
+            c: set() for c in instance.courses}
         self.flow_snk = {c: 0 for c in instance.courses}
-        # Courses nobody lists can never lie on an augmenting path.
-        self.listed_courses = sorted(
-            {c for a in instance.applicants for tie in instance.prefs[a] for c in tie}
-        )
 
     def matching(self) -> Matching:
         return Matching(
-            (a, c) for (a, t, c), f in self.flow_course_arc.items() if f
-        )
+            (a, c) for c, held in self.holders.items() for a, _ in held)
 
     def augment(self, path: Sequence[Node]) -> tuple[list[Pair], list[Pair]]:
         """Push one unit along a source-sink path; tie-course arcs on the
@@ -90,15 +84,13 @@ class FlowNetwork:
         added: list[Pair] = []
         removed: list[Pair] = []
         for u, v in zip(path[2:], path[3:]):
-            if u[0] == "tie" and v[0] == "crs":
-                key = (u[1], u[2], v[1])
-                assert self.flow_course_arc[key] == 0
-                self.flow_course_arc[key] = 1
+            if u[0] == "tie":
+                held = self.holders[v[1]]
+                assert (u[1], u[2]) not in held
+                held.add((u[1], u[2]))
                 added.append((u[1], v[1]))
-            elif u[0] == "crs" and v[0] == "tie":
-                key = (v[1], v[2], u[1])
-                assert self.flow_course_arc[key] == 1
-                self.flow_course_arc[key] = 0
+            elif v[0] == "tie":
+                self.holders[u[1]].remove((v[1], v[2]))
                 removed.append((v[1], u[1]))
         self.flow_snk[path[-2][1]] += 1
         return added, removed
@@ -111,25 +103,18 @@ class FlowNetwork:
         saturate on success and roll the capacity back on failure).
         """
         inst = self.instance
-        for a in inst.applicants:
-            assert 0 <= self.flow_src[a] <= self.cap_src[a]
-            out = sum(
-                self.flow_tie[(a, t)] for t in range(len(inst.prefs[a]))
-            )
-            assert self.flow_src[a] == out
+        into_tie = dict.fromkeys(self.flow_tie, 0)
+        for c, held in self.holders.items():
+            assert len(held) == self.flow_snk[c] <= inst.capacity[c]
+            for a, t in held:
+                assert c in inst.prefs[a][t]
+                into_tie[(a, t)] += 1
+        out = dict.fromkeys(self.flow_src, 0)
         for (a, t), f in self.flow_tie.items():
-            assert f == self.cap_tie[(a, t)]
-            out = sum(
-                self.flow_course_arc[(a, t, c)] for c in inst.prefs[a][t]
-            )
-            assert f == out
-        into_course: dict[str, int] = {c: 0 for c in inst.courses}
-        for (a, t, c), f in self.flow_course_arc.items():
-            assert f in (0, 1)
-            into_course[c] += f
-        for c in inst.courses:
-            assert into_course[c] == self.flow_snk[c]
-            assert 0 <= self.flow_snk[c] <= inst.capacity[c]
+            assert f == self.cap_tie[(a, t)] == into_tie[(a, t)]
+            out[a] += f
+        for a, f in self.flow_src.items():
+            assert 0 <= f == out[a] <= self.cap_src[a]
 
 
 # ----------------------------------------------------------------------
@@ -177,12 +162,19 @@ def find_augmenting_path(
     applicant's probed tie.
 
     Any augmenting path must enter through the only unsaturated source and
-    tie arcs, so the search starts at the tie node and explores forward
-    tie-course arcs, backward matched arcs, and course-sink arcs only. Arc
-    inspections are counted into the state's work counters.
+    tie arcs, so the search starts at the tie node. It first collects the
+    region reachable from there over residual arcs: unmatched tie-course
+    arcs, course-sink arcs with a free seat, and backward arcs from a course
+    to the ties that hold it. If the sink lies outside the region the probe
+    fails at once. The region is closed under successors, so the distances
+    to the sink found inside it equal those in the whole network, and the
+    path is the lexicographically least shortest one of the whole network.
+    Arc inspections inside the region are counted into the state's work
+    counters.
     """
     net = state.network
     inst = state.instance
+    holders = net.holders
     visits = 0
 
     def finish(path: list[Node] | None) -> list[Node] | None:
@@ -191,43 +183,52 @@ def find_augmenting_path(
         return path
 
     if isinstance(policy, GuidedToward) and guided_order is not None:
-        held = net.matching().of_applicant(applicant)
+        # Every candidate lies in the probed tie, so only that tie can hold it.
+        probed = inst.prefs[applicant][tie]
         for c in guided_order.get(applicant, ()):
             visits += 1
             if (
-                c in inst.prefs[applicant][tie]
-                and c not in held
+                c in probed
+                and (applicant, tie) not in holders[c]
                 and net.flow_snk[c] < inst.capacity[c]
             ):
                 return finish([SRC, _app(applicant), _tie(applicant, tie), _crs(c), SNK])
 
-    # Residual adjacency over tie nodes, course nodes and the sink.
-    succ: dict[Node, list[Node]] = {}
-    for (a, t), _ in net.cap_tie.items():
-        outs = []
-        for c in sorted(inst.prefs[a][t]):
-            visits += 1
-            if net.flow_course_arc[(a, t, c)] == 0:
-                outs.append(_crs(c))
-        succ[_tie(a, t)] = outs
-    for c in net.listed_courses:
-        outs = []
-        visits += 1
-        if net.flow_snk[c] < inst.capacity[c]:
-            outs.append(SNK)
-        succ[_crs(c)] = outs
-    for (a, t, c), f in net.flow_course_arc.items():
-        visits += 1
-        if f == 1:
-            succ[_crs(c)].append(_tie(a, t))
-
+    # Residual adjacency of the region reachable from the probed tie.
     start = _tie(applicant, tie)
-    # Distance-to-sink by reverse breadth-first search.
-    pred: dict[Node, list[Node]] = {SNK: []}
-    for u, outs in succ.items():
-        pred.setdefault(u, [])
+    succ: dict[Node, list[Node]] = {}
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        outs = []
+        if u[0] == "tie":
+            a, t = u[1], u[2]
+            for c in inst.prefs[a][t]:
+                visits += 1
+                if (a, t) not in holders[c]:
+                    outs.append(_crs(c))
+        elif u[0] == "crs":
+            c = u[1]
+            visits += 1
+            if net.flow_snk[c] < inst.capacity[c]:
+                outs.append(SNK)
+            for a, t in holders[c]:
+                visits += 1
+                outs.append(_tie(a, t))
+        succ[u] = outs
         for v in outs:
-            pred.setdefault(v, []).append(u)
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    if SNK not in seen:
+        return finish(None)
+
+    # Distance-to-sink by reverse breadth-first search inside the region.
+    pred: dict[Node, list[Node]] = {u: [] for u in succ}
+    for u, outs in succ.items():
+        for v in outs:
+            pred[v].append(u)
     dist = {SNK: 0}
     frontier = [SNK]
     while frontier:
@@ -239,8 +240,6 @@ def find_augmenting_path(
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
-    if start not in dist:
-        return finish(None)
 
     # Greedy walk: among successors one step closer to the sink, always take
     # the least node key, giving the lexicographically least shortest path.

@@ -80,28 +80,29 @@ def enumerate_feasible_matchings(
             raise SearchLimitExceeded(
                 f"feasible-matching space exceeds {limit}")
 
-    results: list[Matching] = []
+    applicants = instance.applicants
+    results: list[Matching] = [] if applicants else [Matching()]
     usage = {c: 0 for c in instance.courses}
-    chosen: list[tuple[str, tuple[str, ...]]] = []
-
-    def walk(idx: int) -> None:
-        if idx == len(instance.applicants):
-            results.append(
-                Matching((a, c) for a, combo in chosen for c in combo))
-            return
-        a = instance.applicants[idx]
-        for combo in _applicant_choices(instance, a):
-            if any(usage[c] + 1 > instance.capacity[c] for c in combo):
-                continue
+    chosen: list[tuple[str, ...]] = []
+    # Depth-first over applicants with an explicit stack: one iterator over
+    # the remaining choices of each applicant on the current branch.
+    frames = [iter(_applicant_choices(instance, a)) for a in applicants[:1]]
+    while frames:
+        if len(chosen) == len(frames):  # retract this applicant's last choice
+            for c in chosen.pop():
+                usage[c] -= 1
+        combo = next(frames[-1], None)
+        if combo is None:
+            frames.pop()
+        elif all(usage[c] < instance.capacity[c] for c in combo):
             for c in combo:
                 usage[c] += 1
-            chosen.append((a, combo))
-            walk(idx + 1)
-            chosen.pop()
-            for c in combo:
-                usage[c] -= 1
-
-    walk(0)
+            chosen.append(combo)
+            if len(chosen) == len(applicants):
+                results.append(Matching(
+                    (a, c) for a, held in zip(applicants, chosen) for c in held))
+            else:
+                frames.append(iter(_applicant_choices(instance, applicants[len(chosen)])))
     results.sort(key=lambda m: tuple(m.canonical_pairs()))
     return results
 
@@ -188,25 +189,24 @@ def consecutive_orderings(instance: Instance) -> Iterator[PriorityOrdering]:
 
 
 def distinct_orderings(instance: Instance) -> Iterator[PriorityOrdering]:
-    """All distinct priority multisequences, lexicographically."""
-    remaining = {a: instance.quota[a] for a in sorted(instance.applicants)}
-    total = sum(remaining.values())
-    prefix: list[str] = []
+    """All distinct priority multisequences, lexicographically.
 
-    def walk() -> Iterator[PriorityOrdering]:
-        if len(prefix) == total:
-            yield tuple(prefix)
+    Steps from the sorted multisequence by next permutation: find the last
+    ascent, swap its head with the last larger element, reverse the tail.
+    """
+    seq = sorted(a for a in instance.applicants for _ in range(instance.quota[a]))
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for a in sorted(remaining):
-            if remaining[a] == 0:
-                continue
-            remaining[a] -= 1
-            prefix.append(a)
-            yield from walk()
-            prefix.pop()
-            remaining[a] += 1
-
-    yield from walk()
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
 
 
 # ----------------------------------------------------------------------

@@ -226,6 +226,17 @@ def test_flow_network_check_catches_corruption(t1):
         net.check()
 
 
+def test_flow_network_check_catches_lost_holder(t1):
+    net = FlowNetwork(t1)
+    net.cap_src["a1"] = 1
+    net.cap_tie[("a1", 0)] = 1
+    net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
+    net.check()
+    net.holders["c1"].discard(("a1", 0))  # the unit at c1 no longer comes from a tie
+    with pytest.raises(AssertionError):
+        net.check()
+
+
 # ----------------------------------------------------------------------
 # Ordering derivation and guided replay.
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Brute-force enumeration, reachability, misreports, impossibility."""
 
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,12 @@ def test_enumerate_feasible_manipulation(ex1):
 
 def test_enumerate_feasible_no_acceptables():
     inst = Instance.build([("c1", 1)], [("a1", 2, [])])
+    assert enumerate_feasible_matchings(inst) == [Matching()]
+
+
+def test_enumerate_feasible_deeper_than_recursion_limit():
+    # one applicant per level of the search: 1500 levels, a single matching
+    inst = Instance.build([("c1", 1)], [(f"a{i}", 1, []) for i in range(1500)])
     assert enumerate_feasible_matchings(inst) == [Matching()]
 
 
@@ -197,6 +204,17 @@ def test_consecutive_orderings_shape(t1):
 def test_distinct_orderings_count(ex1):
     # 3 slots, a1 twice and a2 once: 3 distinct sequences
     assert len(list(distinct_orderings(ex1))) == 3
+
+
+def test_distinct_orderings_lexicographic_without_repeats(t1):
+    units = [a for a in t1.applicants for _ in range(t1.quota[a])]
+    assert list(distinct_orderings(t1)) == sorted(set(itertools.permutations(units)))
+
+
+def test_distinct_orderings_deeper_than_recursion_limit():
+    # one quota unit per level of the search
+    inst = Instance.build([("c1", 1)], [("a1", 1200, [])])
+    assert next(distinct_orderings(inst)) == ("a1",) * 1200
 
 
 def test_reports_have_csv_renderings(ex1):
