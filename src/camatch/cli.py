@@ -14,6 +14,7 @@ from pathlib import Path
 from .envy import is_pareto_optimal
 from .errors import (
     CamatchError,
+    FeasibilityError,
     SearchLimitExceeded,
 )
 from .gsdt import CANONICAL, GuidedToward, derive_ordering, render_trace, run_gsdt
@@ -59,7 +60,11 @@ def _load_ordering(args: argparse.Namespace, instance: Instance) -> tuple[str, .
 
 
 def _load_matching(path: str, instance: Instance) -> Matching:
-    return Matching(parse_matching_pairs(_read(path), instance))
+    matching = Matching(parse_matching_pairs(_read(path), instance))
+    violation = is_feasible(instance, matching)
+    if violation is not None:
+        raise FeasibilityError(f"infeasible matching: {violation}")
+    return matching
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -79,10 +84,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching, instance)
-    violation = is_feasible(instance, matching)
-    if violation is not None:
-        print(f"infeasible matching: {violation}", file=sys.stderr)
-        return EXIT_USAGE
     check = is_pareto_optimal(instance, matching)
     if check:
         print("PARETO-OPTIMAL")
@@ -107,10 +108,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_ordering_for(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching, instance)
-    violation = is_feasible(instance, matching)
-    if violation is not None:
-        print(f"infeasible matching: {violation}", file=sys.stderr)
-        return EXIT_USAGE
     check = is_pareto_optimal(instance, matching)
     if not check:
         print("NOT-PARETO-OPTIMAL")

@@ -26,6 +26,7 @@ from .matching import (
     is_exposed_course,
     require_feasible,
     satisfy_coalition,
+    weakly_envied,
 )
 from .scc import strongly_connected_components
 
@@ -81,16 +82,10 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
             if c2 in wanted and a2 != a
         )
 
-    # A pair node ac reaches any course the applicant weakly prefers to c
-    # and does not hold; cost 0 within the same tie, -1 above it.
+    # A pair node ac reaches each course it weakly envies, and the pairs
+    # holding it; cost 0 within the same tie, -1 above it.
     for a, c in pair_list:
-        own_tie = instance.tie_of(a, c)
-        held = matching.of_applicant(a)
-        for c2 in instance.acceptable(a) - held:
-            tie2 = instance.tie_of(a, c2)
-            if tie2 > own_tie:
-                continue
-            w = 0 if tie2 == own_tie else -1
+        for c2, w in weakly_envied(instance, matching, a, c):
             arcs.append((("p", a, c), ("c", c2), w))
             arcs.extend(
                 (("p", a, c), ("p", a2, c2), w) for a2 in sorted(matching.of_course(c2))
@@ -329,9 +324,6 @@ def _coalition_from_witness(
         raise CoalitionError("witness cycle is not negative")
 
     pseudo = _unroll_cycle(instance, matching, cycle, weights)
-    error = pseudocoalition_error(instance, matching, pseudo)
-    if error is not None:  # pragma: no cover - unrolling preserves the conditions
-        raise CoalitionError(f"unrolled sequence is not a pseudocoalition: {error}")
     return reduce_pseudocoalition(instance, matching, pseudo)
 
 

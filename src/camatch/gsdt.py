@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
-from .matching import Matching, Pair
+from .matching import Matching, Pair, _weakly_prefers_course, weakly_envied
 from .scc import strongly_connected_components
 
 SRC = ("src",)
@@ -74,26 +74,21 @@ class FlowNetwork:
         return Matching(
             (a, c) for c, held in self.holders.items() for a, _ in held)
 
-    def augment(self, path: Sequence[Node]) -> tuple[list[Pair], list[Pair]]:
+    def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
         path toggle, which adds and removes matched pairs."""
         a = path[1][1]
         t = path[2][2]
         self.flow_src[a] += 1
         self.flow_tie[(a, t)] += 1
-        added: list[Pair] = []
-        removed: list[Pair] = []
         for u, v in zip(path[2:], path[3:]):
             if u[0] == "tie":
                 held = self.holders[v[1]]
                 assert (u[1], u[2]) not in held
                 held.add((u[1], u[2]))
-                added.append((u[1], v[1]))
             elif v[0] == "tie":
                 self.holders[u[1]].remove((v[1], v[2]))
-                removed.append((v[1], u[1]))
         self.flow_snk[path[-2][1]] += 1
-        return added, removed
 
     def check(self) -> None:
         """Exact conservation and capacity bounds at every node and arc.
@@ -273,9 +268,6 @@ class StageRecord:
     applicant: str
     probes: tuple[ProbeRecord, ...]
     added: Pair | None
-    pairs_added: tuple[Pair, ...]
-    pairs_removed: tuple[Pair, ...]
-    capacities: tuple[int, ...]
     matching: Matching
     curr_after: tuple[tuple[str, int], ...]
 
@@ -315,14 +307,12 @@ def run_gsdt(
         for a, c in order:
             guided_order.setdefault(a, []).append(c)
 
-    counts = {a: 0 for a in instance.applicants}
-    capacities = [tuple(counts[a] for a in instance.applicants)]
+    net = state.network
+    capacities = [tuple(net.cap_src.values())]
     stages: list[StageRecord] = []
 
     for i, a in enumerate(ordering, start=1):
-        net = state.network
         net.cap_src[a] += 1
-        counts[a] += 1
         probes: list[ProbeRecord] = []
         path: list[Node] | None = None
         while path is None and state.curr[a] < len(instance.prefs[a]):
@@ -334,29 +324,22 @@ def run_gsdt(
                 net.cap_tie[(a, t)] -= 1
                 state.curr[a] += 1
         if path is not None:
-            added, removed = net.augment(path)
-            stage_added: Pair | None = (a, path[3][1])
-        else:
-            added, removed = [], []
-            stage_added = None
+            net.augment(path)
         net.check()
         stages.append(
             StageRecord(
                 stage=i,
                 applicant=a,
                 probes=tuple(probes),
-                added=stage_added,
-                pairs_added=tuple(sorted(added)),
-                pairs_removed=tuple(sorted(removed)),
-                capacities=tuple(counts[x] for x in instance.applicants),
+                added=(a, path[3][1]) if path is not None else None,
                 matching=net.matching(),
                 curr_after=tuple(sorted(state.curr.items())),
             )
         )
-        capacities.append(stages[-1].capacities)
+        capacities.append(tuple(net.cap_src.values()))
 
     return GsdtResult(
-        matching=state.network.matching(),
+        matching=stages[-1].matching if stages else Matching(),
         stages=tuple(stages),
         capacity_history=tuple(capacities),
         searches=state.searches,
@@ -401,25 +384,23 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
     weakly envies.
 
     Build the digraph on matched pairs with an arc from ac to a'c' whenever
-    the course c' is one that a weakly prefers to c and does not hold, or a
-    later seat of a herself (same applicant, weakly better course): without
+    ac weakly envies c' (``weakly_envied``, the verifier's relation), or a'c'
+    is another seat of a herself (same applicant, weakly better course): without
     the same-applicant arcs, a seat served too early can absorb capacity an
     earlier-priority pair still needs. Contract strongly connected
     components; lay the components out sinks first; sort pairs inside a
     component for determinism.
     """
     pairs = matching.canonical_pairs()
-    adj: dict[Pair, list[Pair]] = {p: [] for p in pairs}
+    adj: dict[Pair, list[Pair]] = {}
     for a, c in pairs:
-        own_tie = instance.tie_of(a, c)
-        held = matching.of_applicant(a)
-        for a2, c2 in pairs:
-            if (a2, c2) == (a, c):
-                continue
-            if a2 != a and (c2 in held or c2 not in instance.acceptable(a)):
-                continue
-            if instance.tie_of(a, c2) <= own_tie:
-                adj[(a, c)].append((a2, c2))
+        succ = [
+            (a, c2) for c2 in matching.of_applicant(a)
+            if c2 != c and _weakly_prefers_course(instance, a, c2, c)
+        ]
+        for c2, _ in weakly_envied(instance, matching, a, c):
+            succ.extend((a2, c2) for a2 in matching.of_course(c2))
+        adj[(a, c)] = sorted(succ)
 
     components = strongly_connected_components(pairs, adj)
     return [p for comp in components for p in sorted(comp)]

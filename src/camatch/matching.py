@@ -138,6 +138,19 @@ def _strictly_prefers_course(instance: Instance, a: str, c_new: str, c_old: str)
     return instance.tie_of(a, c_new) < instance.tie_of(a, c_old)
 
 
+def weakly_envied(
+    instance: Instance, matching: Matching, a: str, c: str
+) -> Iterator[tuple[str, int]]:
+    """The weak-envy relation of a matched pair ``ac``: each course ``a``
+    does not hold and ranks at least as high as ``c``, with weight 0 in
+    ``c``'s tie and -1 above it."""
+    own_tie = instance.tie_of(a, c)
+    held = matching.of_applicant(a)
+    for t, tie in enumerate(instance.prefs[a][:own_tie + 1]):
+        for c2 in tie - held:
+            yield c2, (0 if t == own_tie else -1)
+
+
 def pareto_dominates(instance: Instance, mu_prime: Matching, mu: Matching) -> bool:
     """True iff ``mu_prime`` leaves no applicant worse off and some applicant
     strictly better off. Both matchings must be feasible."""

@@ -148,9 +148,7 @@ class PomCatalog:
     examined: int
 
 
-def enumerate_poms(
-    instance: Instance, limit: int = DEFAULT_LIMIT, cross_check: bool = True
-) -> PomCatalog:
+def enumerate_poms(instance: Instance, limit: int = DEFAULT_LIMIT) -> PomCatalog:
     """Catalog of all Pareto optimal matchings by pairwise dominance.
 
     Each entry is additionally re-verified with the envy-graph test; a
@@ -167,11 +165,10 @@ def enumerate_poms(
             if j != i
         )
     ]
-    if cross_check:
-        for m in poms:
-            if not envy.is_pareto_optimal(instance, m):
-                raise AssertionError(
-                    f"dominance filter and envy-graph verifier disagree on {m}")
+    for m in poms:
+        if not envy.is_pareto_optimal(instance, m):
+            raise AssertionError(
+                f"dominance filter and envy-graph verifier disagree on {m}")
     return PomCatalog(instance.fingerprint(), tuple(poms), len(pool))
 
 

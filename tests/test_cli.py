@@ -98,6 +98,21 @@ def test_verify_infeasible_names_constraint(capsys, t1_path, tmp_path):
     assert "|mu(c2)| = 2 exceeds quota 1" in err
 
 
+@pytest.mark.parametrize("target, constraint", [
+    ("a2 c2\n", "course c2 is not acceptable to a2"),
+    ("a1 c1\na2 c1\n", "|mu(c1)| = 2 exceeds quota 1"),
+], ids=["unacceptable", "over-capacity"])
+def test_solve_guided_infeasible_target_is_usage_error(
+        capsys, ex1_path, tmp_path, target, constraint):
+    matching = tmp_path / "m.txt"
+    matching.write_text(target)
+    code, out, err = run_cli(
+        capsys, "solve", ex1_path, "--ordering", "a1 a2 a1", "--guided", str(matching))
+    assert code == 2
+    assert out == ""
+    assert f"infeasible matching: {constraint}" in err
+
+
 def test_enumerate_impossibility_family(capsys, impossibility_path):
     code, out, _ = run_cli(capsys, "enumerate", impossibility_path(1))
     assert code == 0
