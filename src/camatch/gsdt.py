@@ -11,11 +11,13 @@ trades down, and every stage output is Pareto optimal for the stage quotas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
-from .matching import Matching, Pair, _weakly_prefers_course, weakly_envied
+from .matching import (
+    Matching, Pair, _weakly_prefers_course, require_feasible, weakly_envied)
 from .scc import strongly_connected_components
 
 SRC = ("src",)
@@ -90,26 +92,34 @@ class FlowNetwork:
                 self.holders[u[1]].remove((v[1], v[2]))
         self.flow_snk[path[-2][1]] += 1
 
-    def check(self) -> None:
-        """Exact conservation and capacity bounds at every node and arc.
+    def check(
+        self,
+        applicants: Iterable[str] | None = None,
+        courses: Iterable[str] | None = None,
+    ) -> None:
+        """Exact conservation and capacity bounds, node by node.
 
+        Each invariant involves one node and its own arcs, so a check can be
+        scoped: ``applicants`` (each with all her ties) and ``courses`` name
+        the nodes to check, and either left as ``None`` means all of them.
         Meant for the quiescent state between stages, where additionally
         every applicant-to-tie arc must sit exactly at its capacity (probes
         saturate on success and roll the capacity back on failure).
         """
         inst = self.instance
-        into_tie = dict.fromkeys(self.flow_tie, 0)
-        for c, held in self.holders.items():
+        for c in inst.courses if courses is None else courses:
+            held = self.holders[c]
             assert len(held) == self.flow_snk[c] <= inst.capacity[c]
             for a, t in held:
                 assert c in inst.prefs[a][t]
-                into_tie[(a, t)] += 1
-        out = dict.fromkeys(self.flow_src, 0)
-        for (a, t), f in self.flow_tie.items():
-            assert f == self.cap_tie[(a, t)] == into_tie[(a, t)]
-            out[a] += f
-        for a, f in self.flow_src.items():
-            assert 0 <= f == out[a] <= self.cap_src[a]
+        for a in inst.applicants if applicants is None else applicants:
+            out = 0
+            for t, tie in enumerate(inst.prefs[a]):
+                f = self.flow_tie[(a, t)]
+                held = sum((a, t) in self.holders[c] for c in tie)
+                assert f == self.cap_tie[(a, t)] == held
+                out += f
+            assert 0 <= self.flow_src[a] == out <= self.cap_src[a]
 
 
 # ----------------------------------------------------------------------
@@ -274,11 +284,58 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class GsdtResult:
+    """The final matching and work counters of a run, plus what the run
+    recorded to explain itself: each stage's probes.
+
+    ``stages`` and ``capacity_history`` are built on first read and cached.
+    ``stages`` replays the recorded probes on a fresh network, running the
+    full ``FlowNetwork.check`` after every stage; ``capacity_history`` holds
+    the source-arc capacities before the first stage and after each one.
+    """
+
+    instance: Instance
+    ordering: PriorityOrdering
     matching: Matching
-    stages: tuple[StageRecord, ...]
-    capacity_history: tuple[tuple[int, ...], ...]
+    stage_probes: tuple[tuple[ProbeRecord, ...], ...]
     searches: int
     arc_visits: tuple[int, ...]
+
+    @cached_property
+    def stages(self) -> tuple[StageRecord, ...]:
+        net = FlowNetwork(self.instance)
+        curr = {a: 0 for a in self.instance.applicants}
+        stages = []
+        for i, (a, probes) in enumerate(zip(self.ordering, self.stage_probes), start=1):
+            net.cap_src[a] += 1
+            for probe in probes:
+                net.cap_tie[(a, probe.tie)] += 1
+                if probe.path is None:
+                    net.cap_tie[(a, probe.tie)] -= 1
+                    curr[a] += 1
+                else:
+                    net.augment(probe.path)
+            net.check()
+            path = probes[-1].path if probes else None
+            stages.append(
+                StageRecord(
+                    stage=i,
+                    applicant=a,
+                    probes=probes,
+                    added=(a, path[3][1]) if path is not None else None,
+                    matching=net.matching(),
+                    curr_after=tuple(sorted(curr.items())),
+                )
+            )
+        return tuple(stages)
+
+    @cached_property
+    def capacity_history(self) -> tuple[tuple[int, ...], ...]:
+        counts = {a: 0 for a in self.instance.applicants}
+        history = [tuple(counts.values())]
+        for a in self.ordering:
+            counts[a] += 1
+            history.append(tuple(counts.values()))
+        return tuple(history)
 
 
 def run_gsdt(
@@ -290,9 +347,15 @@ def run_gsdt(
 
     Per stage: raise the served applicant's capacity, probe her ties from the
     active one onward (the active tie only advances on failed probes), and on
-    success augment the flow and read the new matching off the tie-course
-    arcs. Returns the final matching plus a full per-stage trace and work
-    counters.
+    success augment the flow. After each stage ``FlowNetwork.check`` runs on
+    the nodes the stage could change: the served applicant and, on success,
+    the applicant of every tie and every course on the augmenting path. One
+    full check runs before the final matching is read off the tie-course
+    arcs. The live loop records only each stage's probes; the per-stage
+    trace is replayed from them when ``GsdtResult.stages`` is first read.
+
+    A guided target must be a feasible matching; otherwise
+    ``FeasibilityError`` is raised before any stage runs.
     """
     validate_ordering(instance, ordering)
     state = GsdtState(
@@ -302,16 +365,16 @@ def run_gsdt(
     )
     guided_order = None
     if isinstance(policy, GuidedToward):
+        require_feasible(instance, policy.target)
         order = _pair_priority_order(instance, policy.target)
         guided_order = {}
         for a, c in order:
             guided_order.setdefault(a, []).append(c)
 
     net = state.network
-    capacities = [tuple(net.cap_src.values())]
-    stages: list[StageRecord] = []
+    stage_probes: list[tuple[ProbeRecord, ...]] = []
 
-    for i, a in enumerate(ordering, start=1):
+    for a in ordering:
         net.cap_src[a] += 1
         probes: list[ProbeRecord] = []
         path: list[Node] | None = None
@@ -325,23 +388,19 @@ def run_gsdt(
                 state.curr[a] += 1
         if path is not None:
             net.augment(path)
-        net.check()
-        stages.append(
-            StageRecord(
-                stage=i,
-                applicant=a,
-                probes=tuple(probes),
-                added=(a, path[3][1]) if path is not None else None,
-                matching=net.matching(),
-                curr_after=tuple(sorted(state.curr.items())),
-            )
+        changed = path or ()
+        net.check(
+            applicants={a, *(u[1] for u in changed if u[0] == "tie")},
+            courses={u[1] for u in changed if u[0] == "crs"},
         )
-        capacities.append(tuple(net.cap_src.values()))
+        stage_probes.append(tuple(probes))
 
+    net.check()
     return GsdtResult(
-        matching=stages[-1].matching if stages else Matching(),
-        stages=tuple(stages),
-        capacity_history=tuple(capacities),
+        instance=instance,
+        ordering=tuple(ordering),
+        matching=net.matching(),
+        stage_probes=tuple(stage_probes),
         searches=state.searches,
         arc_visits=tuple(state.arc_visits),
     )

@@ -7,6 +7,7 @@ import pytest
 
 from camatch import (
     CANONICAL,
+    FeasibilityError,
     GuidedToward,
     Instance,
     Matching,
@@ -237,6 +238,46 @@ def test_flow_network_check_catches_lost_holder(t1):
         net.check()
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda net: net.flow_snk.__setitem__("c1", 0),
+    lambda net: net.holders["c1"].discard(("a1", 0)),
+], ids=["conservation", "lost-holder"])
+def test_scoped_check_catches_corruption_at_its_course(t1, corrupt):
+    net = FlowNetwork(t1)
+    net.cap_src["a1"] = 1
+    net.cap_tie[("a1", 0)] = 1
+    net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
+    corrupt(net)
+    net.check(applicants=(), courses=("c2", "c3"))  # outside the scope
+    with pytest.raises(AssertionError):
+        net.check(applicants=(), courses=("c1",))
+
+
+def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
+    # An augment that loses the sink unit breaks conservation at the path's
+    # course; the check after that very stage must catch it, before the
+    # next probe and before anyone reads the stage trace.
+    from camatch import gsdt
+
+    augment = FlowNetwork.augment
+    search = gsdt.find_augmenting_path
+    probes = []
+
+    def augment_losing_sink_unit(self, path):
+        augment(self, path)
+        self.flow_snk[path[-2][1]] -= 1
+
+    def counted_search(*args, **kwargs):
+        probes.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "augment", augment_losing_sink_unit)
+    monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
+    with pytest.raises(AssertionError):
+        run_gsdt(t1, WALKTHROUGH_ORDERING)
+    assert probes == [("a1", 0)]
+
+
 # ----------------------------------------------------------------------
 # Ordering derivation and guided replay.
 # ----------------------------------------------------------------------
@@ -358,3 +399,18 @@ def test_pair_priority_order_respects_strict_envy(fleet):
                     if inst.tie_of(a, c2) < inst.tie_of(a, c):
                         # strict envy arcs always point at earlier pairs
                         assert position[(a2, c2)] < position[(a, c)]
+
+
+@pytest.mark.parametrize("pairs", [
+    [("a2", "c2")],
+    [("a1", "c1"), ("a2", "c1")],
+], ids=["unacceptable", "over-capacity"])
+def test_guided_target_must_be_feasible(monkeypatch, ex1, pairs):
+    from camatch import gsdt
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(gsdt, "find_augmenting_path", no_search)
+    with pytest.raises(FeasibilityError):
+        run_gsdt(ex1, ("a1", "a2", "a1"), GuidedToward(Matching(pairs)))
