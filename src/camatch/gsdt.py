@@ -56,7 +56,15 @@ class FlowNetwork:
     stages. ``holders[c]`` is the one record of tie-course flow: the arc
     from tie ``(a, t)`` to course ``c`` carries a unit exactly when
     ``(a, t)`` is in ``holders[c]``; matched pairs and residual arcs are
-    read off it."""
+    read off it.
+
+    ``dead`` holds tie and course nodes known not to reach the sink in the
+    residual network; they stay dead for the rest of the run. An
+    augmentation creates residual arcs only out of nodes on its path, all
+    of which reach the sink; its other changes only remove arcs (a full
+    course's sink arc), and source and tie capacities act on arcs the
+    search never crosses. So no arc from a dead node to a live one ever
+    appears."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -71,6 +79,7 @@ class FlowNetwork:
         self.holders: dict[str, set[tuple[str, int]]] = {
             c: set() for c in instance.courses}
         self.flow_snk = {c: 0 for c in instance.courses}
+        self.dead: set[Node] = set()
 
     def matching(self) -> Matching:
         return Matching(
@@ -174,18 +183,28 @@ def find_augmenting_path(
     fails at once. The region is closed under successors, so the distances
     to the sink found inside it equal those in the whole network, and the
     path is the lexicographically least shortest one of the whole network.
-    Arc inspections inside the region are counted into the state's work
-    counters.
+    Dead nodes (``FlowNetwork.dead``) are left out of the region, and a dead
+    probed tie fails at once; dead nodes have no distance to the sink, so
+    the path is unchanged. A failed probe adds its whole region to the dead
+    set, a successful one the region nodes its distance search did not
+    reach. Arc inspections inside the region are counted into the state's
+    work counters.
     """
     net = state.network
     inst = state.instance
     holders = net.holders
+    dead = net.dead
     visits = 0
 
     def finish(path: list[Node] | None) -> list[Node] | None:
         state.searches += 1
         state.arc_visits.append(visits)
         return path
+
+    # A dead tie has no free course to take directly either.
+    start = _tie(applicant, tie)
+    if start in dead:
+        return finish(None)
 
     if isinstance(policy, GuidedToward) and guided_order is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
@@ -197,10 +216,9 @@ def find_augmenting_path(
                 and (applicant, tie) not in holders[c]
                 and net.flow_snk[c] < inst.capacity[c]
             ):
-                return finish([SRC, _app(applicant), _tie(applicant, tie), _crs(c), SNK])
+                return finish([SRC, _app(applicant), start, _crs(c), SNK])
 
-    # Residual adjacency of the region reachable from the probed tie.
-    start = _tie(applicant, tie)
+    # Residual adjacency of the live region reachable from the probed tie.
     succ: dict[Node, list[Node]] = {}
     seen = {start}
     stack = [start]
@@ -221,12 +239,13 @@ def find_augmenting_path(
             for a, t in holders[c]:
                 visits += 1
                 outs.append(_tie(a, t))
-        succ[u] = outs
+        succ[u] = outs = [v for v in outs if v not in dead]
         for v in outs:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
     if SNK not in seen:
+        dead.update(succ)
         return finish(None)
 
     # Distance-to-sink by reverse breadth-first search inside the region.
@@ -245,6 +264,7 @@ def find_augmenting_path(
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
+    dead.update(u for u in succ if u not in dist)
 
     # Greedy walk: among successors one step closer to the sink, always take
     # the least node key, giving the lexicographically least shortest path.

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines.
 """
 
+import random
 import time
 from contextlib import contextmanager
 
@@ -20,6 +21,7 @@ from camatch import (
     enumerate_feasible_matchings,
     enumerate_poms,
     find_beneficial_misreport,
+    generate_random_instance,
     is_feasible,
     is_pareto_optimal,
     pareto_dominates,
@@ -260,3 +262,37 @@ def test_criterion_9_work_bounds():
                     v <= 8 * max(length, 1) + 8 for v in result.arc_visits)
                 runs += 1
         print(f"  {runs} runs within bounds", end="")
+
+
+def test_criterion_9_failed_probes_scan_each_node_once():
+    """A failed probe inspects only live nodes and leaves every one of them
+    dead, so over a run each tie's course arcs (|tie| inspections) and each
+    course's sink and holder arcs (at most 1 + q(c)) are scanned in at most
+    one failed probe. In a guided run a failed probe whose tie is live also
+    tries each of the applicant's target courses on the fast path; failed
+    probes of an applicant are at most her tie count, one per tie."""
+    with criterion(9, "failed probes scan each tie and course at most once", None):
+        rng = random.Random(1507)
+        for k in range(60):
+            inst = generate_random_instance(
+                rng.randint(10, 60), rng.randint(5, 15), 3, 4,
+                (0.0, 0.4, 0.9)[k % 3], 9000 + k)
+            ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
+            rng.shuffle(ordering)
+            bound = sum(
+                len(t) for a in inst.applicants for t in inst.prefs[a]
+            ) + sum(1 + inst.capacity[c] for c in inst.courses)
+            canonical = run_gsdt(inst, ordering)
+            optimum = canonical.matching
+            guided = run_gsdt(
+                inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+            fast_path = sum(
+                len(inst.prefs[a]) * len(optimum.of_applicant(a))
+                for a in inst.applicants)
+            for result, limit in ((canonical, bound), (guided, bound + fast_path)):
+                probes = [p for stage in result.stage_probes for p in stage]
+                assert len(probes) == len(result.arc_visits)
+                failed = sum(
+                    v for p, v in zip(probes, result.arc_visits) if p.path is None)
+                assert failed <= limit
+        print("  60 instances, canonical and guided, within bounds", end="")
