@@ -12,11 +12,7 @@ import sys
 from pathlib import Path
 
 from .envy import is_pareto_optimal
-from .errors import (
-    CamatchError,
-    FeasibilityError,
-    SearchLimitExceeded,
-)
+from .errors import CamatchError, FeasibilityError, NotParetoOptimalError, SearchLimitExceeded
 from .gsdt import CANONICAL, GuidedToward, derive_ordering, render_trace, run_gsdt
 from .instance import (
     Instance,
@@ -30,11 +26,7 @@ from .instance import (
     validate_ordering,
 )
 from .matching import Matching, is_feasible
-from .oracle import (
-    MisreportStatus,
-    enumerate_poms,
-    find_beneficial_misreport,
-)
+from .oracle import MisreportStatus, enumerate_poms, find_beneficial_misreport
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -108,12 +100,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_ordering_for(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching, instance)
-    check = is_pareto_optimal(instance, matching)
-    if not check:
+    try:
+        ordering = derive_ordering(instance, matching)
+    except NotParetoOptimalError as exc:
         print("NOT-PARETO-OPTIMAL")
-        print(f"coalition: {check.coalition.describe()}")
+        print(f"coalition: {exc.coalition.describe()}")
         return EXIT_NEGATIVE
-    sys.stdout.write(serialize_ordering(derive_ordering(instance, matching)))
+    sys.stdout.write(serialize_ordering(ordering))
     return EXIT_OK
 
 

@@ -32,7 +32,12 @@ class CoalitionError(CamatchError):
 
 
 class NotParetoOptimalError(CamatchError):
-    """An operation that requires a Pareto optimal matching got a dominated one."""
+    """An operation that requires a Pareto optimal matching got a dominated
+    one. Carries the improving ``coalition`` that shows it."""
+
+    def __init__(self, message: str, coalition):
+        super().__init__(message)
+        self.coalition = coalition
 
 
 class SearchLimitExceeded(CamatchError):

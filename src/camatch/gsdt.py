@@ -1,18 +1,17 @@
 """Serial dictatorship with ties, run as staged network flow.
 
-Applicants are served one quota unit at a time along a priority multisequence.
-The flow network has source -> applicant -> tie -> course -> sink layers; a
-stage raises the served applicant's source-arc capacity, then probes her ties
-from the active one outward, augmenting along a source-sink path when one
-exists. Augmenting paths reshuffle courses only within a tie, so nobody ever
-trades down, and every stage output is Pareto optimal for the stage quotas.
+Applicants are served one quota unit at a time along a priority multisequence,
+one stage each (``_stage``), in a flow network with source -> applicant -> tie
+-> course -> sink layers. Augmenting paths reshuffle courses only within a
+tie, so nobody ever trades down, and every stage output is Pareto optimal for
+the stage quotas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
@@ -292,6 +291,37 @@ class ProbeRecord:
     path: tuple[Node, ...] | None
 
 
+def _stage(net: FlowNetwork, curr: dict[str, int], a: str,
+           probe: Callable[[int], Sequence[Node] | None]) -> tuple[ProbeRecord, ...]:
+    """The stage rules, shared by the live run and the trace replay: serve
+    one quota unit of applicant ``a`` and return the stage's probes.
+
+    Raise her source capacity and probe her ties from the active one,
+    ``curr[a]``, onward; ``probe(t)`` gives an augmenting path through tie
+    ``t`` or ``None``. A failed probe rolls the tie capacity back and advances
+    ``curr[a]``; the first success augments the flow. Then ``FlowNetwork.check``
+    runs on the nodes the stage could change: ``a`` and, on success, the
+    applicant of every tie and every course on the path.
+    """
+    net.cap_src[a] += 1
+    probes: list[ProbeRecord] = []
+    path: Sequence[Node] | None = None
+    while path is None and curr[a] < len(net.instance.prefs[a]):
+        t = curr[a]
+        net.cap_tie[(a, t)] += 1
+        path = probe(t)
+        probes.append(ProbeRecord(t, tuple(path) if path else None))
+        if path is None:
+            net.cap_tie[(a, t)] -= 1
+            curr[a] += 1
+    if path is not None:
+        net.augment(path)
+    changed = path or ()
+    net.check(applicants={a, *(u[1] for u in changed if u[0] == "tie")},
+              courses={u[1] for u in changed if u[0] == "crs"})
+    return tuple(probes)
+
+
 @dataclass(frozen=True)
 class StageRecord:
     stage: int
@@ -308,8 +338,10 @@ class GsdtResult:
     recorded to explain itself: each stage's probes.
 
     ``stages`` and ``capacity_history`` are built on first read and cached.
-    ``stages`` replays the recorded probes on a fresh network, running the
-    full ``FlowNetwork.check`` after every stage; ``capacity_history`` holds
+    ``stages`` replays the recorded paths through ``_stage`` on a fresh
+    network, with the full ``FlowNetwork.check`` after every stage, and
+    asserts that the rules re-derive the recorded probes, so a record they
+    would not produce never renders as a trace. ``capacity_history`` holds
     the source-arc capacities before the first stage and after each one.
     """
 
@@ -325,27 +357,19 @@ class GsdtResult:
         net = FlowNetwork(self.instance)
         curr = {a: 0 for a in self.instance.applicants}
         stages = []
-        for i, (a, probes) in enumerate(zip(self.ordering, self.stage_probes), start=1):
-            net.cap_src[a] += 1
-            for probe in probes:
-                net.cap_tie[(a, probe.tie)] += 1
-                if probe.path is None:
-                    net.cap_tie[(a, probe.tie)] -= 1
-                    curr[a] += 1
-                else:
-                    net.augment(probe.path)
+        for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
+            probes = _stage(net, curr, a, {p.tie: p.path for p in recorded}.get)
+            assert probes == recorded, f"stage {i}: the record breaks the stage rules"
             net.check()
             path = probes[-1].path if probes else None
-            stages.append(
-                StageRecord(
-                    stage=i,
-                    applicant=a,
-                    probes=probes,
-                    added=(a, path[3][1]) if path is not None else None,
-                    matching=net.matching(),
-                    curr_after=tuple(sorted(curr.items())),
-                )
-            )
+            stages.append(StageRecord(
+                stage=i,
+                applicant=a,
+                probes=probes,
+                added=(a, path[3][1]) if path is not None else None,
+                matching=net.matching(),
+                curr_after=tuple(sorted(curr.items())),
+            ))
         return tuple(stages)
 
     @cached_property
@@ -365,14 +389,10 @@ def run_gsdt(
 ) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
-    Per stage: raise the served applicant's capacity, probe her ties from the
-    active one onward (the active tie only advances on failed probes), and on
-    success augment the flow. After each stage ``FlowNetwork.check`` runs on
-    the nodes the stage could change: the served applicant and, on success,
-    the applicant of every tie and every course on the augmenting path. One
-    full check runs before the final matching is read off the tie-course
-    arcs. The live loop records only each stage's probes; the per-stage
-    trace is replayed from them when ``GsdtResult.stages`` is first read.
+    Each entry of the ordering is one stage (``_stage``) probed by the live
+    search; one full ``FlowNetwork.check`` runs before the final matching is
+    read off. The run records only each stage's probes; ``GsdtResult.stages``
+    replays the trace from them on first read.
 
     A guided target must be a feasible matching; otherwise
     ``FeasibilityError`` is raised before any stage runs.
@@ -386,35 +406,15 @@ def run_gsdt(
     guided_order = None
     if isinstance(policy, GuidedToward):
         require_feasible(instance, policy.target)
-        order = _pair_priority_order(instance, policy.target)
         guided_order = {}
-        for a, c in order:
+        for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
     net = state.network
-    stage_probes: list[tuple[ProbeRecord, ...]] = []
-
-    for a in ordering:
-        net.cap_src[a] += 1
-        probes: list[ProbeRecord] = []
-        path: list[Node] | None = None
-        while path is None and state.curr[a] < len(instance.prefs[a]):
-            t = state.curr[a]
-            net.cap_tie[(a, t)] += 1
-            path = find_augmenting_path(state, a, t, policy, guided_order)
-            probes.append(ProbeRecord(t, tuple(path) if path else None))
-            if path is None:
-                net.cap_tie[(a, t)] -= 1
-                state.curr[a] += 1
-        if path is not None:
-            net.augment(path)
-        changed = path or ()
-        net.check(
-            applicants={a, *(u[1] for u in changed if u[0] == "tie")},
-            courses={u[1] for u in changed if u[0] == "crs"},
-        )
-        stage_probes.append(tuple(probes))
-
+    stage_probes = [
+        _stage(net, state.curr, a,
+               lambda t: find_augmenting_path(state, a, t, policy, guided_order))
+        for a in ordering]
     net.check()
     return GsdtResult(
         instance=instance,
@@ -497,7 +497,7 @@ def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
     check = is_pareto_optimal(instance, pom)
     if not check:
         raise NotParetoOptimalError(
-            "cannot derive an ordering for a dominated matching")
+            "cannot derive an ordering for a dominated matching", check.coalition)
     order = _pair_priority_order(instance, pom)
     sigma = [a for a, _ in order]
     for a in sorted(instance.applicants):

@@ -246,13 +246,6 @@ class ReachabilityReport:
             )
         return lines
 
-    def to_csv(self) -> list[str]:
-        rows = ["reproduced,ordering,matching"]
-        for e in self.entries:
-            pairs = ";".join(f"{a}:{c}" for a, c in e.pom)
-            rows.append(f"{int(e.reproduced)},{' '.join(e.ordering)},{pairs}")
-        return rows
-
 
 def check_reachability(
     instance: Instance, limit: int = DEFAULT_LIMIT, sweep_bound: int = 8
@@ -345,20 +338,6 @@ class MisreportSearch:
         else:
             lines.append(f"INCONCLUSIVE examined={self.examined}")
         return lines
-
-    def to_csv(self) -> list[str]:
-        rows = ["status,examined,applicant,fabricated,truthful,lying"]
-        if self.finding is None:
-            rows.append(f"{self.status.value},{self.examined},,,,")
-        else:
-            f = self.finding
-            rows.append(
-                f"{self.status.value},{self.examined},{f.applicant},"
-                f"{format_preference_list(f.fabricated_prefs)},"
-                f"{' '.join(sorted(f.truthful_outcome))},"
-                f"{' '.join(sorted(f.lying_outcome))}"
-            )
-        return rows
 
 
 def _ordered_partitions(
@@ -478,20 +457,6 @@ class ImpossibilityReport:
             + ("CONFIRMED" if self.confirmed else "NOT CONFIRMED"),
         ]
         return lines
-
-    def to_csv(self) -> list[str]:
-        rows = ["check,true_instance,applicant,borrowed_list,improves"]
-        for label, dev in (
-            ("i2_forced", self.forces_mu2_on_i2),
-            ("i3_forced", self.forces_mu2_on_i3),
-            ("i4_mu2_refuted", self.i4_choice_mu2_fails),
-            ("i4_mu3_refuted", self.i4_choice_mu3_fails),
-        ):
-            rows.append(
-                f"{label},{dev.true_instance},{dev.applicant},"
-                f"{dev.borrowed_list},{int(dev.improves)}"
-            )
-        return rows
 
 
 def verify_impossibility_scenario() -> ImpossibilityReport:

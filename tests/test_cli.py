@@ -2,6 +2,7 @@
 
 import pytest
 
+from camatch import envy
 from camatch.cli import main
 
 
@@ -163,6 +164,23 @@ def test_ordering_for_rejects_dominated(capsys, ex1_path, tmp_path):
     code, out, _ = run_cli(capsys, "ordering-for", ex1_path, str(matching))
     assert code == 1
     assert "NOT-PARETO-OPTIMAL" in out
+
+
+@pytest.mark.parametrize("pairs, code", [("a1 c1\na1 c2\n", 0), ("a2 c1\n", 1)])
+def test_ordering_for_builds_the_envy_graph_once(
+        capsys, monkeypatch, ex1_path, tmp_path, pairs, code):
+    builds = []
+    build = envy.build_envy_graph
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(envy, "build_envy_graph", counted_build)
+    matching = tmp_path / "matching.txt"
+    matching.write_text(pairs)
+    assert run_cli(capsys, "ordering-for", ex1_path, str(matching))[0] == code
+    assert len(builds) == 1
 
 
 def test_misreport_finding(capsys, ex1_path):

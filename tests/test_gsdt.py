@@ -1,6 +1,7 @@
 """The staged-flow mechanism: golden runs, flow/matching correspondence,
 tie-pointer monotonicity, ordering derivation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from camatch import (
     render_trace,
     run_gsdt,
 )
-from camatch.gsdt import FlowNetwork, _pair_priority_order
+from camatch.gsdt import FlowNetwork, ProbeRecord, _pair_priority_order
 from camatch.oracle import distinct_orderings, enumerate_poms, is_pom_bruteforce
 
 WALKTHROUGH_ORDERING = ("a1", "a1", "a2", "a2", "a3", "a2", "a3")
@@ -278,6 +279,22 @@ def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
     assert probes == [("a1", 0)]
 
 
+@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
+def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, probe, tie):
+    # Relabel one failed probe onto another tie of the same applicant: the
+    # replay re-derives the probed ties and must refuse the record rather
+    # than render the wrong tie.
+    result = run_gsdt(t1, WALKTHROUGH_ORDERING)
+    probes = list(result.stage_probes[stage - 1])
+    assert probes[probe].path is None and probes[probe].tie != tie
+    probes[probe] = ProbeRecord(tie, None)
+    stage_probes = list(result.stage_probes)
+    stage_probes[stage - 1] = tuple(probes)
+    forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+    with pytest.raises(AssertionError):
+        forged.stages
+
+
 # ----------------------------------------------------------------------
 # Ordering derivation and guided replay.
 # ----------------------------------------------------------------------
@@ -298,8 +315,10 @@ def test_derive_ordering_single_pair():
 
 
 def test_derive_ordering_rejects_dominated(ex1):
-    with pytest.raises(NotParetoOptimalError):
-        derive_ordering(ex1, Matching([("a2", "c1")]))
+    dominated = Matching([("a2", "c1")])
+    with pytest.raises(NotParetoOptimalError) as exc:
+        derive_ordering(ex1, dominated)
+    assert exc.value.coalition == is_pareto_optimal(ex1, dominated).coalition
 
 
 def test_derive_ordering_reproduces_every_walkthrough_pom(t1):

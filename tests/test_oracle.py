@@ -217,19 +217,6 @@ def test_distinct_orderings_deeper_than_recursion_limit():
     assert next(distinct_orderings(inst)) == ("a1",) * 1200
 
 
-def test_reports_have_csv_renderings(ex1):
-    reach = check_reachability(ex1)
-    rows = reach.to_csv()
-    assert rows[0] == "reproduced,ordering,matching"
-    assert len(rows) == 3 and all(r.startswith("1,") for r in rows[1:])
-    search = find_beneficial_misreport(ex1, ("a1", "a2", "a1"), "a1")
-    rows = search.to_csv()
-    assert rows[0].startswith("status,")
-    assert rows[1].startswith("found,")
-    rows = verify_impossibility_scenario().to_csv()
-    assert len(rows) == 5 and rows[1].endswith(",1")
-
-
 def test_impossibility_scenario():
     report = verify_impossibility_scenario()
     assert report.confirmed
