@@ -137,6 +137,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+    return int(text)
+
+
 def _add_ordering_options(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--ordering", help="inline ordering, e.g. 'a1 a2 a1'")
@@ -165,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all Pareto optimal matchings")
     p.add_argument("instance")
-    p.add_argument("--limit", type=int, default=10**6)
+    p.add_argument("--limit", type=nonnegative_int, default=10**6)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("ordering-for",
@@ -178,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("applicant")
     _add_ordering_options(p)
-    p.add_argument("--limit", type=int, default=200_000)
+    p.add_argument("--limit", type=nonnegative_int, default=200_000)
     p.set_defaults(func=cmd_misreport)
 
     p = sub.add_parser("gen", help="generate a random instance")

@@ -7,11 +7,19 @@ with weight -1; a pair node ac points at every course c' the applicant would
 weakly trade c for (and at the pairs holding c'), weight 0 on indifference
 and -1 on strict envy. The matching is Pareto optimal exactly when no
 negative-cost cycle exists.
+
+Nodes are numbered in the sort order of their tagged tuples, so comparing
+ids compares nodes. Each node keeps an ascending successor list and the set
+of its -1 heads, so walking the nodes and then their successors gives the
+arcs in canonical (sorted) order without a sort. All exposed courses share
+one fan-out list, and Tarjan runs on the int lists directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Collection, Sequence
 
 from .errors import CoalitionError
 from .instance import Instance
@@ -37,8 +45,23 @@ Arc = tuple[Node, Node, int]
 
 @dataclass(frozen=True)
 class EnvyGraph:
+    """The extended envy graph on int ids: node ``i`` is ``nodes[i]`` and
+    ``succ[i]`` lists its successors in ascending order. Arc ``i -> j``
+    weighs -1 when ``j in strict[i]`` and 0 otherwise; applicant nodes share
+    the range of all ids, since all their arcs weigh -1, and pair nodes keep
+    the set of their -1 heads. ``arcs`` and ``weights()`` are the tagged
+    view, derived on first read."""
+
     nodes: tuple[Node, ...]
-    arcs: tuple[Arc, ...]
+    succ: list[Sequence[int]]
+    strict: list[Collection[int]]
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """All arcs as (tail, head, weight), in canonical order."""
+        n = self.nodes
+        return tuple((n[u], n[v], -1 if v in self.strict[u] else 0)
+                     for u, outs in enumerate(self.succ) for v in outs)
 
     def weights(self) -> dict[tuple[Node, Node], int]:
         return {(u, v): w for u, v, w in self.arcs}
@@ -56,42 +79,53 @@ class CycleWitness:
 def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
     """Construct the extended envy graph of a feasible matching."""
     require_feasible(instance, matching)
+    applicants, courses = sorted(instance.applicants), sorted(instance.courses)
     pair_list = matching.canonical_pairs()
-    nodes = sorted(
-        [("a", a) for a in instance.applicants]
-        + [("c", c) for c in instance.courses]
-        + [("p", a, c) for a, c in pair_list]
-    )
-    arcs: list[Arc] = []
+    nodes = tuple([("a", a) for a in applicants] + [("c", c) for c in courses]
+                  + [("p", a, c) for a, c in pair_list])
+    first_pair = len(applicants) + len(courses)
+    course_id = {c: k for k, c in enumerate(courses, len(applicants))}
+    pair_heads = [(k, c) for k, (_, c) in enumerate(pair_list, first_pair)]
+    holders: dict[str, list[int]] = {c: [] for c in courses}  # ascending ids
+    for k, c in pair_heads:
+        holders[c].append(k)
+    succ: list[Sequence[int]] = [()] * len(nodes)
+    strict: list[Collection[int]] = [range(len(nodes))] * len(applicants)
+    strict += [()] * (len(nodes) - len(applicants))
 
-    # Exposed courses reach every non-course node at cost 0.
-    for c in instance.courses:
+    # Exposed courses reach every non-course node at cost 0, through one list.
+    fan = [*range(len(applicants)), *range(first_pair, len(nodes))]
+    for c in courses:
         if is_exposed_course(instance, matching, c):
-            arcs.extend((("c", c), ("a", a), 0) for a in instance.applicants)
-            arcs.extend((("c", c), ("p", a2, c2), 0) for a2, c2 in pair_list)
+            succ[course_id[c]] = fan
 
-    # Exposed applicants envy every acceptable course they do not hold.
-    for a in instance.applicants:
-        if not is_exposed_applicant(instance, matching, a):
-            continue
-        wanted = instance.acceptable(a) - matching.of_applicant(a)
-        arcs.extend((("a", a), ("c", c), -1) for c in wanted)
-        arcs.extend(
-            (("a", a), ("p", a2, c2), -1)
-            for a2, c2 in pair_list
-            if c2 in wanted and a2 != a
-        )
+    # Exposed applicants envy every acceptable course they do not hold, and
+    # the pairs holding it (never their own). Walking the courses, then the
+    # pairs, in id order appends each id to the lists of the applicants
+    # wanting its course, so every list comes out ascending.
+    wanted_by: dict[str, list[list[int]]] = {c: [] for c in courses}
+    for k, a in enumerate(applicants):
+        if is_exposed_applicant(instance, matching, a):
+            succ[k] = []
+            for c in instance.acceptable(a) - matching.of_applicant(a):
+                wanted_by[c].append(succ[k])
+    for k, c in [*enumerate(courses, len(applicants)), *pair_heads]:
+        for out in wanted_by[c]:
+            out.append(k)
 
     # A pair node ac reaches each course it weakly envies, and the pairs
     # holding it; cost 0 within the same tie, -1 above it.
-    for a, c in pair_list:
+    for k, (a, c) in enumerate(pair_list, first_pair):
+        out: list[int] = []
+        neg: set[int] = set()
         for c2, w in weakly_envied(instance, matching, a, c):
-            arcs.append((("p", a, c), ("c", c2), w))
-            arcs.extend(
-                (("p", a, c), ("p", a2, c2), w) for a2 in sorted(matching.of_course(c2))
-            )
+            heads = [course_id[c2], *holders[c2]]
+            out += heads
+            if w:
+                neg.update(heads)
+        succ[k], strict[k] = sorted(out), neg
 
-    return EnvyGraph(tuple(nodes), tuple(sorted(arcs)))
+    return EnvyGraph(nodes, succ, strict)
 
 
 def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
@@ -103,30 +137,35 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     back to tail, scanning successors in canonical order. The witness starts
     at the arc's tail and is simple and deterministic. Runs in O(V + E).
     """
-    succ: dict[Node, list[Node]] = {v: [] for v in graph.nodes}
-    for u, v, _ in graph.arcs:
-        succ[u].append(v)
-    components = strongly_connected_components(graph.nodes, succ)
-    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
-    for tail, head, w in graph.arcs:
-        if w < 0 and comp_of[tail] == comp_of[head]:
-            break
+    succ, strict = graph.succ, graph.strict
+    components = strongly_connected_components(range(len(succ)), succ)
+    comp = [0] * len(succ)
+    for i, members in enumerate(components):
+        for v in members:
+            comp[v] = i
+    for tail, outs in enumerate(succ):
+        # No arc is a loop, so a node alone in its component closes no cycle.
+        if strict[tail] and len(components[comp[tail]]) > 1:
+            inside = (v for v in outs if v in strict[tail] and comp[v] == comp[tail])
+            head = next(inside, -1)
+            if head >= 0:
+                break
     else:
         return None
-    parent: dict[Node, Node] = {head: head}
+    parent = [-1] * len(succ)
+    parent[head] = head
     queue = [head]
     for x in queue:  # breadth-first: the loop also visits appended nodes
         for y in succ[x]:
-            if y not in parent and comp_of[y] == comp_of[head]:
+            if parent[y] < 0 and comp[y] == comp[head]:
                 parent[y] = x
                 queue.append(y)
     back = [tail]  # the BFS path read backwards, tail to head
     while back[-1] != head:
         back.append(parent[back[-1]])
     cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent
-    weights = graph.weights()
-    total = sum(weights[arc] for arc in zip(cycle, cycle[1:] + cycle[:1]))
-    return CycleWitness(tuple(cycle), total)
+    total = -sum(v in strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    return CycleWitness(tuple(graph.nodes[v] for v in cycle), total)
 
 
 # ----------------------------------------------------------------------
@@ -145,28 +184,15 @@ class Pseudocoalition:
     courses: tuple[str, ...]
 
     def elements(self) -> list[Element]:
-        return list(
-            ImprovingCoalition(self.kind, self.applicants, self.courses).sequence()
-        )
+        coalition = ImprovingCoalition(self.kind, self.applicants, self.courses)
+        return list(coalition.sequence())
 
 
 def pseudocoalition_error(
     instance: Instance, matching: Matching, pseudo: Pseudocoalition
 ) -> str | None:
-    return _sequence_error(
-        instance,
-        matching,
-        pseudo.kind,
-        pseudo.applicants,
-        pseudo.courses,
-        allow_repeats=True,
-    )
-
-
-def _split_elements(elements: list[Element]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    applicants = tuple(x for role, x in elements if role == "applicant")
-    courses = tuple(x for role, x in elements if role == "course")
-    return applicants, courses
+    return _sequence_error(instance, matching, pseudo.kind, pseudo.applicants,
+                           pseudo.courses, allow_repeats=True)
 
 
 def _first_repeat(elements: list[Element]) -> tuple[int, int] | None:
@@ -238,8 +264,9 @@ def reduce_pseudocoalition(
                     # is weakly better than the one before the first.
                     elements = elements[:x + 1] + elements[y + 1:]
 
-    applicants, courses = _split_elements(elements)
-    coalition = ImprovingCoalition(kind, applicants, courses)
+    coalition = ImprovingCoalition(
+        kind, tuple(x for role, x in elements if role == "applicant"),
+        tuple(x for role, x in elements if role == "course"))
     error = coalition_error(instance, matching, coalition)
     if error is not None:  # pragma: no cover - the reduction preserves validity
         raise CoalitionError(f"reduction produced an invalid coalition: {error}")
@@ -247,43 +274,28 @@ def reduce_pseudocoalition(
 
 
 def _unroll_cycle(
-    instance: Instance, matching: Matching, cycle: list[Node], weights: dict
+    instance: Instance, matching: Matching, cycle: list[Node], weights: list[int]
 ) -> Pseudocoalition:
-    """Rewrite a negative envy-graph cycle as a pseudocoalition."""
-    n = len(cycle)
+    """Rewrite a negative envy-graph cycle as a pseudocoalition; ``weights[i]``
+    is the weight of the arc leaving ``cycle[i]``."""
+    i = weights.index(-1)  # the first strict arc
+    if not any(node[0] == "c" for node in cycle):
+        # Pure pair-node cycle: rotate the strict arc to the front and read
+        # off a cyclic sequence.
+        pairs = cycle[i:] + cycle[:i]
+        return Pseudocoalition(CoalitionKind.CYCLIC, tuple(p[1] for p in pairs),
+                               tuple(p[2] for p in pairs))
 
-    def arc_weight(i: int) -> int:
-        return weights[(cycle[i], cycle[(i + 1) % n])]
-
-    course_positions = [i for i, node in enumerate(cycle) if node[0] == "c"]
-
-    if not course_positions:
-        # Pure pair-node cycle: rotate a strict envy arc to the front and
-        # read off a cyclic sequence.
-        start = next(i for i in range(n) if arc_weight(i) == -1)
-        pairs = [cycle[(start + k) % n] for k in range(n)]
-        applicants = tuple(p[1] for p in pairs)
-        courses = tuple(p[2] for p in pairs)
-        return Pseudocoalition(CoalitionKind.CYCLIC, applicants, courses)
-
-    # Shorten around a strict arc: from the head of some -1 arc, walk to the
-    # first course node; that course is exposed, so it closes back to the
-    # tail directly. The result has exactly one course node.
-    i = next(k for k in range(n) if arc_weight(k) == -1)
+    # Shorten around the strict arc: from its head, walk to the first course
+    # node; that course is exposed, so it closes back to the tail directly.
+    # The result has exactly one course node.
     u = cycle[i]
-    segment = []
-    k = (i + 1) % n
-    while True:
-        segment.append(cycle[k])
-        if cycle[k][0] == "c":
-            break
-        k = (k + 1) % n
-    course = segment[-1][1]
-    middle = segment[:-1]  # pair nodes between the strict arc's head and the course
+    ahead = cycle[i + 1:] + cycle[:i + 1]
+    j = next(k for k, node in enumerate(ahead) if node[0] == "c")
+    course, middle = ahead[j][1], ahead[:j]  # middle: the pair nodes on the way
 
     if u[0] == "a":
-        applicant = u[1]
-        applicants = (applicant,) + tuple(p[1] for p in middle)
+        applicants = (u[1],) + tuple(p[1] for p in middle)
         courses = tuple(p[2] for p in middle) + (course,)
         return Pseudocoalition(CoalitionKind.AUGMENTING_PATH, applicants, courses)
 
@@ -312,17 +324,18 @@ def _coalition_from_witness(
     instance: Instance, matching: Matching, graph: EnvyGraph, witness: CycleWitness
 ) -> ImprovingCoalition:
     """Validate the witness against ``graph``, then unroll and reduce it."""
-    weights = graph.weights()
     cycle = list(witness.nodes)
     if not cycle:
         raise CoalitionError("empty witness cycle")
-    arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-    for u, v in arcs:
-        if (u, v) not in weights:
+    ids = {v: i for i, v in enumerate(graph.nodes)}
+    weights = []
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        i, j = ids.get(u), ids.get(v)
+        if i is None or j not in graph.succ[i]:
             raise CoalitionError(f"witness uses a non-arc {u} -> {v}")
-    if sum(weights[arc] for arc in arcs) >= 0:
+        weights.append(-1 if j in graph.strict[i] else 0)
+    if sum(weights) >= 0:
         raise CoalitionError("witness cycle is not negative")
-
     pseudo = _unroll_cycle(instance, matching, cycle, weights)
     return reduce_pseudocoalition(instance, matching, pseudo)
 

@@ -471,18 +471,19 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
     component for determinism.
     """
     pairs = matching.canonical_pairs()
-    adj: dict[Pair, list[Pair]] = {}
+    ids = {p: i for i, p in enumerate(pairs)}  # ids sort as the pairs do
+    adj: list[list[int]] = []
     for a, c in pairs:
         succ = [
-            (a, c2) for c2 in matching.of_applicant(a)
+            ids[a, c2] for c2 in matching.of_applicant(a)
             if c2 != c and _weakly_prefers_course(instance, a, c2, c)
         ]
         for c2, _ in weakly_envied(instance, matching, a, c):
-            succ.extend((a2, c2) for a2 in matching.of_course(c2))
-        adj[(a, c)] = sorted(succ)
+            succ.extend(ids[a2, c2] for a2 in matching.of_course(c2))
+        adj.append(sorted(succ))
 
-    components = strongly_connected_components(pairs, adj)
-    return [p for comp in components for p in sorted(comp)]
+    components = strongly_connected_components(range(len(pairs)), adj)
+    return [pairs[i] for comp in components for i in sorted(comp)]
 
 
 def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:

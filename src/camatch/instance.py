@@ -9,7 +9,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from .errors import (
     InstanceSemanticError,
@@ -112,9 +112,10 @@ class Instance:
             for a, ties in self.prefs.items()
         }
 
-    def acceptable(self, applicant: str) -> frozenset[str]:
-        """All courses appearing in the applicant's preference list."""
-        return frozenset(self._tie_index[applicant])
+    def acceptable(self, applicant: str) -> KeysView[str]:
+        """All courses appearing in the applicant's preference list, as a
+        read-only set-like view (``in``, ``-``, ``==`` with a set all work)."""
+        return self._tie_index[applicant].keys()
 
     def tie_of(self, applicant: str, course: str) -> int:
         """0-based indifference-class index of ``course`` for ``applicant``."""

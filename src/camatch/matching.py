@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
 from .errors import CoalitionError, FeasibilityError
@@ -202,16 +203,22 @@ class ImprovingCoalition:
             first, second = as_, cs
         else:
             first, second = cs, as_
-        seq: list[tuple[str, str]] = []
-        for i in range(max(len(first), len(second))):
-            if i < len(first):
-                seq.append(first[i])
-            if i < len(second):
-                seq.append(second[i])
-        return tuple(seq)
+        return tuple(x for step in zip_longest(first, second) for x in step if x)
 
     def describe(self) -> str:
         return f"{self.kind.value}: " + " ".join(x for _, x in self.sequence())
+
+
+def _trades(
+    kind: CoalitionKind, applicants: tuple[str, ...], courses: tuple[str, ...]
+) -> tuple[list[Pair], list[Pair]]:
+    """The pairs a coalition gives up and the pairs it takes. On an augmenting
+    path the held courses c1..c(r-1) belong to a1..a(r-1); the leading
+    applicant holds nothing in the sequence."""
+    if kind is CoalitionKind.AUGMENTING_PATH:
+        return list(zip(applicants[1:], courses)), list(zip(applicants, courses))
+    ahead = courses[1:] + (courses[:1] if kind is CoalitionKind.CYCLIC else ())
+    return list(zip(applicants, courses)), list(zip(applicants, ahead))
 
 
 def _sequence_error(
@@ -238,7 +245,6 @@ def _sequence_error(
     if kind is CoalitionKind.ALTERNATING_PATH:
         if r < 1 or len(courses) != r + 1:
             return "alternating path needs r >= 1 with r+1 courses"
-        held, gained = courses[:r], courses[1:]
         if is_exposed_applicant(instance, matching, applicants[0]):
             return f"{applicants[0]} must be full"
         if not is_exposed_course(instance, matching, courses[r]):
@@ -246,7 +252,6 @@ def _sequence_error(
     elif kind is CoalitionKind.AUGMENTING_PATH:
         if r < 1 or len(courses) != r:
             return "augmenting path needs r >= 1 with r courses"
-        held, gained = courses[: r - 1], courses
         if not is_exposed_applicant(instance, matching, applicants[0]):
             return f"{applicants[0]} must be exposed"
         if not is_exposed_course(instance, matching, courses[-1]):
@@ -254,24 +259,18 @@ def _sequence_error(
     elif kind is CoalitionKind.CYCLIC:
         if r < 2 or len(courses) != r:
             return "cyclic coalition needs r >= 2 with r courses"
-        held, gained = courses, courses[1:] + courses[:1]
     else:  # pragma: no cover
         return f"unknown kind {kind}"
 
     # Membership: each applicant holds the course before her and does not
-    # hold the course after her. On an augmenting path the held courses
-    # c1..c(r-1) belong to a1..a(r-1); the leading applicant holds nothing
-    # in the sequence.
-    if kind is CoalitionKind.AUGMENTING_PATH:
-        holders = list(zip(applicants[1:], held))
-    else:
-        holders = list(zip(applicants, held))
-    for a, c in holders:
+    # hold the course after her.
+    given_up, taken = _trades(kind, applicants, courses)
+    for a, c in given_up:
         if (a, c) not in matching:
             return f"({a}, {c}) is not in the matching"
         if c not in instance.acceptable(a):
             return f"course {c} is not acceptable to {a}"
-    for a, c in zip(applicants, gained):
+    for a, c in taken:
         if c not in instance.acceptable(a):
             return f"course {c} is not acceptable to {a}"
         if (a, c) in matching:
@@ -279,19 +278,14 @@ def _sequence_error(
 
     # Preferences: the first applicant strictly improves on a path that
     # starts at a course she holds; everyone else at least breaks even.
-    if kind is not CoalitionKind.AUGMENTING_PATH:
-        if not _strictly_prefers_course(instance, applicants[0], gained[0], held[0]):
-            return (f"{applicants[0]} must strictly prefer {gained[0]} "
-                    f"to {held[0]}")
-    for k in range(1, r):
-        if kind is CoalitionKind.AUGMENTING_PATH:
-            c_old, c_new = courses[k - 1], courses[k]
-        elif kind is CoalitionKind.ALTERNATING_PATH:
-            c_old, c_new = courses[k], courses[k + 1]
-        else:
-            c_old, c_new = courses[k], courses[(k + 1) % r]
-        if not _weakly_prefers_course(instance, applicants[k], c_new, c_old):
-            return (f"{applicants[k]} must weakly prefer {c_new} to {c_old}")
+    augmenting = kind is CoalitionKind.AUGMENTING_PATH
+    swaps = zip(given_up, taken[1:] if augmenting else taken)
+    for k, ((a, c_old), (_, c_new)) in enumerate(swaps):
+        if k == 0 and not augmenting:
+            if not _strictly_prefers_course(instance, a, c_new, c_old):
+                return f"{a} must strictly prefer {c_new} to {c_old}"
+        elif not _weakly_prefers_course(instance, a, c_new, c_old):
+            return f"{a} must weakly prefer {c_new} to {c_old}"
 
     if not allow_repeats:
         if len(set(applicants)) != len(applicants):
@@ -320,19 +314,8 @@ def satisfy_coalition(
     error = coalition_error(instance, matching, coalition)
     if error is not None:
         raise CoalitionError(error)
-    r = len(coalition.applicants)
     pairs = set(matching.pairs)
-    if coalition.kind is CoalitionKind.ALTERNATING_PATH:
-        removed = [(coalition.applicants[k], coalition.courses[k]) for k in range(r)]
-        added = [(coalition.applicants[k], coalition.courses[k + 1]) for k in range(r)]
-    elif coalition.kind is CoalitionKind.AUGMENTING_PATH:
-        removed = [(coalition.applicants[k], coalition.courses[k - 1])
-                   for k in range(1, r)]
-        added = [(coalition.applicants[k], coalition.courses[k]) for k in range(r)]
-    else:
-        removed = [(coalition.applicants[k], coalition.courses[k]) for k in range(r)]
-        added = [(coalition.applicants[k], coalition.courses[(k + 1) % r])
-                 for k in range(r)]
-    pairs.difference_update(removed)
-    pairs.update(added)
+    given_up, taken = _trades(coalition.kind, coalition.applicants, coalition.courses)
+    pairs.difference_update(given_up)
+    pairs.update(taken)
     return Matching(pairs)

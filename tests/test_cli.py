@@ -144,6 +144,13 @@ def test_enumerate_limit(capsys, tmp_path):
     assert "limit" in err
 
 
+def test_enumerate_negative_limit_is_usage_error(capsys, ex1_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", ex1_path, "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "--limit: must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_ordering_for_round_trip(capsys, ex1_path, tmp_path):
     matching = tmp_path / "mu2.txt"
     matching.write_text("a1 c1\na1 c2\n")
@@ -205,6 +212,15 @@ def test_misreport_inconclusive(capsys, ex1_path):
         "--ordering", "a1 a2 a1", "--limit", "2")
     assert code == 3
     assert "INCONCLUSIVE" in out
+
+
+def test_misreport_negative_limit_is_usage_error(capsys, ex1_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["misreport", ex1_path, "a1", "--ordering", "a1 a2 a1", "--limit", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit: must be nonnegative, got -3" in captured.err
 
 
 def test_gen_golden_and_deterministic(capsys):
