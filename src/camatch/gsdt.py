@@ -9,6 +9,7 @@ the stage quotas.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -162,6 +163,7 @@ class GsdtState:
     curr: dict[str, int]
     searches: int = 0
     arc_visits: list[int] = field(default_factory=list)
+    stage_probes: list[tuple[ProbeRecord, ...]] = field(default_factory=list)
 
 
 def find_augmenting_path(
@@ -382,27 +384,95 @@ class GsdtResult:
         return tuple(history)
 
 
+@dataclass(frozen=True)
+class GsdtSnapshot:
+    """A canonical run stopped before ``applicant``'s first stage, after the
+    stages of ``prefix``; ``run_gsdt(..., start=snapshot)`` resumes a copy of
+    it for an instance that differs from ``state.instance`` only in her list.
+
+    Sound because no prefix stage reads her list. Until she is first served
+    her source and tie capacities are 0 and she holds no course, so her tie
+    nodes are entered only as a probe start or through a backward arc from a
+    course she holds: no prefix probe reaches them, none is dead, and no
+    other node's route to the sink depends on her list. The resume asserts
+    this and rebuilds only her all-zero tie entries for the new list.
+    """
+
+    applicant: str
+    prefix: PriorityOrdering
+    state: GsdtState
+
+    def resume(self, instance: Instance, ordering: Sequence[str],
+               policy: Policy) -> GsdtState:
+        a, base, old = self.applicant, self.state, self.state.network
+        if isinstance(policy, GuidedToward):
+            raise ValueError("only canonical runs resume from a snapshot")
+        if tuple(ordering[:len(self.prefix)]) != self.prefix:
+            raise ValueError("the ordering does not start with the snapshot's prefix")
+        s = base.instance
+        if ((instance.applicants, instance.courses, instance.quota, instance.capacity)
+                != (s.applicants, s.courses, s.quota, s.capacity)
+                or {**instance.prefs, a: s.prefs[a]} != s.prefs):
+            raise ValueError(f"the instance differs from the snapshot's beyond {a}'s list")
+        assert old.cap_src[a] == 0 and not any(u[:2] == ("tie", a) for u in old.dead)
+        assert not any(b == a for held in old.holders.values() for b, _ in held)
+        net = copy.copy(old)
+        net.instance, net.dead, net.flow_snk = instance, old.dead.copy(), old.flow_snk.copy()
+        net.cap_src, net.flow_src = old.cap_src.copy(), old.flow_src.copy()
+        net.cap_tie, net.flow_tie = old.cap_tie.copy(), old.flow_tie.copy()
+        for t in range(len(base.instance.prefs[a])):
+            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0
+            del net.cap_tie[a, t], net.flow_tie[a, t]
+        for t in range(len(instance.prefs[a])):
+            net.cap_tie[a, t] = net.flow_tie[a, t] = 0
+        net.holders = {c: held.copy() for c, held in old.holders.items()}
+        return GsdtState(instance, net, base.curr.copy(), base.searches,
+                         base.arc_visits.copy(), base.stage_probes.copy())
+
+
+def _serve(state: GsdtState, stages: Sequence[str], policy: Policy,
+           guided_order: dict[str, list[str]] | None) -> None:
+    """The stage loop: one ``_stage`` per entry, probed by the live search."""
+    for a in stages:
+        state.stage_probes.append(_stage(
+            state.network, state.curr, a,
+            lambda t: find_augmenting_path(state, a, t, policy, guided_order)))
+
+
+def snapshot_before(instance: Instance, ordering: Sequence[str],
+                    applicant: str) -> GsdtSnapshot:
+    """Run the canonical stages before ``applicant``'s first entry."""
+    validate_ordering(instance, ordering)
+    k = ordering.index(applicant) if applicant in ordering else len(ordering)
+    state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
+    _serve(state, ordering[:k], CANONICAL, None)
+    return GsdtSnapshot(applicant, tuple(ordering[:k]), state)
+
+
 def run_gsdt(
     instance: Instance,
     ordering: Sequence[str],
     policy: Policy = CANONICAL,
+    start: GsdtSnapshot | None = None,
 ) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
     Each entry of the ordering is one stage (``_stage``) probed by the live
     search; one full ``FlowNetwork.check`` runs before the final matching is
     read off. The run records only each stage's probes; ``GsdtResult.stages``
-    replays the trace from them on first read.
+    replays the trace from them on first read. With ``start``, a canonical
+    run resumes from a copy of the snapshot (``GsdtSnapshot.resume``) and
+    serves only the stages after its prefix; the result, counters included,
+    equals a fresh run's.
 
     A guided target must be a feasible matching; otherwise
     ``FeasibilityError`` is raised before any stage runs.
     """
     validate_ordering(instance, ordering)
-    state = GsdtState(
-        instance=instance,
-        network=FlowNetwork(instance),
-        curr={a: 0 for a in instance.applicants},
-    )
+    if start is None:
+        state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
+    else:
+        state = start.resume(instance, ordering, policy)
     guided_order = None
     if isinstance(policy, GuidedToward):
         require_feasible(instance, policy.target)
@@ -410,20 +480,12 @@ def run_gsdt(
         for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
-    net = state.network
-    stage_probes = [
-        _stage(net, state.curr, a,
-               lambda t: find_augmenting_path(state, a, t, policy, guided_order))
-        for a in ordering]
-    net.check()
+    _serve(state, ordering[len(state.stage_probes):], policy, guided_order)
+    state.network.check()
     return GsdtResult(
-        instance=instance,
-        ordering=tuple(ordering),
-        matching=net.matching(),
-        stage_probes=tuple(stage_probes),
-        searches=state.searches,
-        arc_visits=tuple(state.arc_visits),
-    )
+        instance=instance, ordering=tuple(ordering), matching=state.network.matching(),
+        stage_probes=tuple(state.stage_probes), searches=state.searches,
+        arc_visits=tuple(state.arc_visits))
 
 
 def render_trace(result: GsdtResult) -> list[str]:

@@ -2,7 +2,8 @@
 based Pareto catalogs, reachability sweeps, and misreport search.
 
 Everything here is deliberately simple and auditable; the point is to check
-the clever machinery (envy graph, staged flow) against brute force.
+the clever machinery (envy graph, staged flow) against brute force. The one
+shortcut: misreport search shares the GSDT stages before the liar's first stage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 
 from . import envy
 from .errors import SearchLimitExceeded
-from .gsdt import CANONICAL, GuidedToward, derive_ordering, run_gsdt
+from .gsdt import CANONICAL, GuidedToward, derive_ordering, run_gsdt, snapshot_before
 from .instance import (
     Instance,
     PriorityOrdering,
@@ -375,14 +376,18 @@ def find_beneficial_misreport(
     """First fabricated preference list whose outcome the applicant strictly
     prefers, under her true preferences, to the truthful outcome.
 
+    GSDT runs once per list, the truthful one first, each run resumed from
+    one snapshot of the stages before her first stage, which never read her
+    list (``gsdt.snapshot_before``).
+
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
     """
     validate_ordering(instance, ordering)
     if applicant not in instance.quota:
         raise ValueError(f"unknown applicant {applicant!r}")
-    truthful = run_gsdt(instance, ordering, CANONICAL).matching
-    truthful_set = truthful.of_applicant(applicant)
+    start = snapshot_before(instance, ordering, applicant)
+    truthful_set = run_gsdt(instance, ordering, start=start).matching.of_applicant(applicant)
 
     examined = 0
     for fabricated in misreport_space(instance, applicant):
@@ -390,10 +395,8 @@ def find_beneficial_misreport(
             return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined)
         examined += 1
         candidate = with_prefs(instance, applicant, fabricated)
-        outcome = run_gsdt(candidate, ordering, CANONICAL).matching
-        outcome_set = outcome.of_applicant(applicant)
-        rel = compare_sets(instance, applicant, outcome_set, truthful_set)
-        if rel is SetRelation.PREFERS:
+        outcome_set = run_gsdt(candidate, ordering, start=start).matching.of_applicant(applicant)
+        if compare_sets(instance, applicant, outcome_set, truthful_set) is SetRelation.PREFERS:
             finding = MisreportFinding(
                 applicant=applicant,
                 true_prefs=instance.prefs[applicant],
@@ -482,53 +485,27 @@ def verify_impossibility_scenario() -> ImpossibilityReport:
     }
     catalogs_match = catalogs == expected
 
-    def improves(true_inst: Instance, a: str, lying: Matching, truthful: Matching) -> bool:
-        return (
-            compare_sets(
-                true_inst, a, lying.of_applicant(a), truthful.of_applicant(a)
-            )
-            is SetRelation.PREFERS
-        )
+    def deviation(true: str, a: str, borrowed: str, choice: str,
+                  truthful: Matching, lying: Matching) -> DeviationCheck:
+        before, after = truthful.of_applicant(a), lying.of_applicant(a)
+        rel = compare_sets(instances[true], a, after, before)
+        return DeviationCheck(true, a, borrowed, choice, before, after,
+                              rel is SetRelation.PREFERS)
 
     # Were the selector to answer mu3 on I2, a2 (truthful under I1, where she
     # gets c2 from mu1) profits by declaring only c1, i.e. I2's list.
-    dev_i2 = DeviationCheck(
-        "I1", "a2", "I2", "mu3",
-        truthful_outcome=mu1.of_applicant("a2"),
-        lying_outcome=mu3.of_applicant("a2"),
-        improves=improves(instances["I1"], "a2", mu3, mu1),
-    )
+    dev_i2 = deviation("I1", "a2", "I2", "mu3", mu1, mu3)
     # Given I2 -> mu2: were the selector to answer mu3 on I3, a1 (truthful
     # under I3) profits by reporting I2's list and collecting mu2.
-    dev_i3 = DeviationCheck(
-        "I3", "a1", "I2", "mu3",
-        truthful_outcome=mu3.of_applicant("a1"),
-        lying_outcome=mu2.of_applicant("a1"),
-        improves=improves(instances["I3"], "a1", mu2, mu3),
-    )
+    dev_i3 = deviation("I3", "a1", "I2", "mu3", mu3, mu2)
     # On I4: answering mu2 lets a1 under I1 profit by reporting I4's list...
-    dev_i4_mu2 = DeviationCheck(
-        "I1", "a1", "I4", "mu2",
-        truthful_outcome=mu1.of_applicant("a1"),
-        lying_outcome=mu2.of_applicant("a1"),
-        improves=improves(instances["I1"], "a1", mu2, mu1),
-    )
+    dev_i4_mu2 = deviation("I1", "a1", "I4", "mu2", mu1, mu2)
     # ... and answering mu3 lets a2 under I3 (empty-handed at mu2) profit by
     # reporting I4's list.
-    dev_i4_mu3 = DeviationCheck(
-        "I3", "a2", "I4", "mu3",
-        truthful_outcome=mu2.of_applicant("a2"),
-        lying_outcome=mu3.of_applicant("a2"),
-        improves=improves(instances["I3"], "a2", mu3, mu2),
-    )
+    dev_i4_mu3 = deviation("I3", "a2", "I4", "mu3", mu2, mu3)
 
-    confirmed = (
-        catalogs_match
-        and dev_i2.improves
-        and dev_i3.improves
-        and dev_i4_mu2.improves
-        and dev_i4_mu3.improves
-    )
+    confirmed = catalogs_match and all(
+        d.improves for d in (dev_i2, dev_i3, dev_i4_mu2, dev_i4_mu3))
     return ImpossibilityReport(
         pom_counts=tuple(
             (name, len(catalogs[name])) for name in ("I1", "I2", "I3", "I4")
