@@ -9,8 +9,8 @@ the stage quotas.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -22,6 +22,7 @@ from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
+SNAPSHOT_CAP = 64  # snapshots held by one SnapshotCache
 
 Node = tuple
 
@@ -115,19 +116,20 @@ class FlowNetwork:
         every applicant-to-tie arc must sit exactly at its capacity (probes
         saturate on success and roll the capacity back on failure).
         """
-        inst = self.instance
+        inst, holders, flow_tie, cap_tie = self.instance, self.holders, self.flow_tie, self.cap_tie
         for c in inst.courses if courses is None else courses:
-            held = self.holders[c]
+            held = holders[c]
             assert len(held) == self.flow_snk[c] <= inst.capacity[c]
             for a, t in held:
                 assert c in inst.prefs[a][t]
         for a in inst.applicants if applicants is None else applicants:
             out = 0
             for t, tie in enumerate(inst.prefs[a]):
-                f = self.flow_tie[(a, t)]
-                held = sum((a, t) in self.holders[c] for c in tie)
-                assert f == self.cap_tie[(a, t)] == held
-                out += f
+                key, held = (a, t), 0
+                for c in tie:
+                    held += key in holders[c]
+                assert flow_tie[key] == cap_tie[key] == held
+                out += held
             assert 0 <= self.flow_src[a] == out <= self.cap_src[a]
 
 
@@ -164,6 +166,14 @@ class GsdtState:
     searches: int = 0
     arc_visits: list[int] = field(default_factory=list)
     stage_probes: list[tuple[ProbeRecord, ...]] = field(default_factory=list)
+
+    def copy(self, instance: Instance) -> GsdtState:
+        old, net = self.network, object.__new__(FlowNetwork)
+        net.__dict__ = {name: getattr(old, name).copy() for name in (
+            "cap_src", "flow_src", "cap_tie", "flow_tie", "flow_snk", "dead")}
+        net.instance, net.holders = instance, {c: h.copy() for c, h in old.holders.items()}
+        return GsdtState(instance, net, self.curr.copy(), self.searches,
+                         self.arc_visits.copy(), self.stage_probes.copy())
 
 
 def find_augmenting_path(
@@ -386,57 +396,56 @@ class GsdtResult:
 
 @dataclass(frozen=True)
 class GsdtSnapshot:
-    """A canonical run stopped before ``applicant``'s first stage, after the
-    stages of ``prefix``; ``run_gsdt(..., start=snapshot)`` resumes a copy of
-    it for an instance that differs from ``state.instance`` only in her list.
-
-    Sound because no prefix stage reads her list. Until she is first served
-    her source and tie capacities are 0 and she holds no course, so her tie
-    nodes are entered only as a probe start or through a backward arc from a
-    course she holds: no prefix probe reaches them, none is dead, and no
-    other node's route to the sink depends on her list. The resume asserts
-    this and rebuilds only her all-zero tie entries for the new list.
-    """
+    """A canonical run stopped after the stages of ``prefix``, before one of
+    ``applicant``'s stages or after the last. A run reads her list only at the
+    stage loop's test ``curr[a] < len(prefs[a])``, at the probe of tie
+    ``curr[a]``, and in searches entering her ties through courses she holds,
+    which lie in ties she has probed. So every list that ``fits`` (starts with
+    ``read``, the ties she has probed, and equals it if ``exhausted``) reaches
+    this state. ``run_gsdt(..., start=snapshot)`` resumes a copy for such a
+    list after asserting that her unread ties hold zeros, no course and no
+    dead node. The defaults describe a snapshot before her first stage."""
 
     applicant: str
     prefix: PriorityOrdering
     state: GsdtState
+    read: tuple[frozenset[str], ...] = ()
+    exhausted: bool = False
 
-    def resume(self, instance: Instance, ordering: Sequence[str],
-               policy: Policy) -> GsdtState:
-        a, base, old = self.applicant, self.state, self.state.network
+    def fits(self, prefs: Sequence[frozenset[str]]) -> bool:
+        n = len(self.read)
+        return tuple(prefs[:n]) == self.read and not (self.exhausted and len(prefs) > n)
+
+    def resume(self, instance: Instance, ordering: Sequence[str], policy: Policy) -> GsdtState:
+        a, old, s = self.applicant, self.state.network, self.state.instance
         if isinstance(policy, GuidedToward):
             raise ValueError("only canonical runs resume from a snapshot")
         if tuple(ordering[:len(self.prefix)]) != self.prefix:
             raise ValueError("the ordering does not start with the snapshot's prefix")
-        s = base.instance
-        if ((instance.applicants, instance.courses, instance.quota, instance.capacity)
-                != (s.applicants, s.courses, s.quota, s.capacity)
-                or {**instance.prefs, a: s.prefs[a]} != s.prefs):
+        if replace(instance, prefs={**instance.prefs, a: s.prefs[a]}) != s:
             raise ValueError(f"the instance differs from the snapshot's beyond {a}'s list")
-        assert old.cap_src[a] == 0 and not any(u[:2] == ("tie", a) for u in old.dead)
-        assert not any(b == a for held in old.holders.values() for b, _ in held)
-        net = copy.copy(old)
-        net.instance, net.dead, net.flow_snk = instance, old.dead.copy(), old.flow_snk.copy()
-        net.cap_src, net.flow_src = old.cap_src.copy(), old.flow_src.copy()
-        net.cap_tie, net.flow_tie = old.cap_tie.copy(), old.flow_tie.copy()
-        for t in range(len(base.instance.prefs[a])):
-            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0
-            del net.cap_tie[a, t], net.flow_tie[a, t]
-        for t in range(len(instance.prefs[a])):
-            net.cap_tie[a, t] = net.flow_tie[a, t] = 0
-        net.holders = {c: held.copy() for c, held in old.holders.items()}
-        return GsdtState(instance, net, base.curr.copy(), base.searches,
-                         base.arc_visits.copy(), base.stage_probes.copy())
+        if not self.fits(instance.prefs[a]):
+            raise ValueError(f"{a}'s list does not fit the snapshot")
+        state = self.state.copy(instance)
+        for t in range(len(self.read), len(s.prefs[a])):
+            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0 and _tie(a, t) not in old.dead
+            assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
+            del state.network.cap_tie[a, t], state.network.flow_tie[a, t]
+        for t in range(len(self.read), len(instance.prefs[a])):
+            state.network.cap_tie[a, t] = state.network.flow_tie[a, t] = 0
+        return state
 
 
 def _serve(state: GsdtState, stages: Sequence[str], policy: Policy,
-           guided_order: dict[str, list[str]] | None) -> None:
-    """The stage loop: one ``_stage`` per entry, probed by the live search."""
+           guided_order: dict[str, list[str]] | None, offer: Callable = lambda _: None) -> None:
+    """The stage loop: one ``_stage`` per entry, probed by the live search.
+    ``offer`` sees the state before each stage and after the last."""
     for a in stages:
+        offer(state)
         state.stage_probes.append(_stage(
             state.network, state.curr, a,
             lambda t: find_augmenting_path(state, a, t, policy, guided_order)))
+    offer(state)
 
 
 def snapshot_before(instance: Instance, ordering: Sequence[str],
@@ -449,11 +458,44 @@ def snapshot_before(instance: Instance, ordering: Sequence[str],
     return GsdtSnapshot(applicant, tuple(ordering[:k]), state)
 
 
+class SnapshotCache:
+    """Up to ``SNAPSHOT_CAP`` snapshots for one misreport search, keyed by ``(read, exhausted)``.
+    A run resumes from the deepest that fits (the longest key: keys only grow along a run) and
+    offers its state before her stages and after the last; evicts least recent, never ``base``."""
+
+    def __init__(self, instance: Instance, ordering: Sequence[str], applicant: str):
+        self.ordering, self.base = tuple(ordering), snapshot_before(instance, ordering, applicant)
+        self.snapshots = OrderedDict({((), False): self.base})
+
+    def resume(self, instance: Instance, ordering: Sequence[str], policy: Policy) -> GsdtState:
+        if tuple(ordering) != self.ordering:
+            raise ValueError("the ordering differs from the cache's")
+        prefs = instance.prefs[self.base.applicant]
+        keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
+        best = next(k for k in keys if k in self.snapshots)
+        self.snapshots.move_to_end(best)
+        return self.snapshots[best].resume(instance, ordering, policy)
+
+    def offer(self, state: GsdtState) -> None:
+        a, depth = self.base.applicant, len(state.stage_probes)
+        if depth < len(self.ordering) and self.ordering[depth] != a:
+            return
+        prefs, t, served = state.instance.prefs[a], state.curr[a], state.network.cap_src[a] > 0
+        key = (prefs[:t + 1] if served else (), served and t == len(prefs))
+        if key not in self.snapshots or len(self.snapshots[key].prefix) < depth:
+            # A finished run never changes its state again, so that one is kept as is.
+            kept = state if depth == len(self.ordering) else state.copy(state.instance)
+            self.snapshots[key] = GsdtSnapshot(a, self.ordering[:depth], kept, *key)
+            self.snapshots.move_to_end(key)
+            if len(self.snapshots) > SNAPSHOT_CAP:
+                del self.snapshots[next(k for k in self.snapshots if k != ((), False))]
+
+
 def run_gsdt(
     instance: Instance,
     ordering: Sequence[str],
     policy: Policy = CANONICAL,
-    start: GsdtSnapshot | None = None,
+    start: GsdtSnapshot | SnapshotCache | None = None,
 ) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
@@ -461,9 +503,10 @@ def run_gsdt(
     search; one full ``FlowNetwork.check`` runs before the final matching is
     read off. The run records only each stage's probes; ``GsdtResult.stages``
     replays the trace from them on first read. With ``start``, a canonical
-    run resumes from a copy of the snapshot (``GsdtSnapshot.resume``) and
-    serves only the stages after its prefix; the result, counters included,
-    equals a fresh run's.
+    run resumes from a copy of a snapshot its list fits (``GsdtSnapshot``, or
+    the deepest in a ``SnapshotCache``), which holds every tie of the list a
+    run reads before it, and serves only the stages after its prefix, maybe
+    none; the result, counters included, equals a fresh run's.
 
     A guided target must be a feasible matching; otherwise
     ``FeasibilityError`` is raised before any stage runs.
@@ -480,7 +523,8 @@ def run_gsdt(
         for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
-    _serve(state, ordering[len(state.stage_probes):], policy, guided_order)
+    offer = start.offer if isinstance(start, SnapshotCache) else lambda _: None
+    _serve(state, ordering[len(state.stage_probes):], policy, guided_order, offer)
     state.network.check()
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=state.network.matching(),

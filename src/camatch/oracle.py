@@ -3,7 +3,7 @@ based Pareto catalogs, reachability sweeps, and misreport search.
 
 Everything here is deliberately simple and auditable; the point is to check
 the clever machinery (envy graph, staged flow) against brute force. The one
-shortcut: misreport search shares the GSDT stages before the liar's first stage.
+shortcut: misreport search resumes each list from a GSDT snapshot it shares.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from . import envy
 from .errors import SearchLimitExceeded
-from .gsdt import CANONICAL, GuidedToward, derive_ordering, run_gsdt, snapshot_before
+from .gsdt import CANONICAL, GuidedToward, SnapshotCache, derive_ordering, run_gsdt
 from .instance import (
     Instance,
     PriorityOrdering,
@@ -344,15 +344,21 @@ class MisreportSearch:
 def _ordered_partitions(
     items: tuple[str, ...]
 ) -> Iterator[tuple[frozenset[str], ...]]:
-    if not items:
-        yield ()
-        return
-    for k in range(1, len(items) + 1):
-        for block in itertools.combinations(items, k):
-            block_set = set(block)
-            rest = tuple(x for x in items if x not in block_set)
-            for tail in _ordered_partitions(rest):
-                yield (frozenset(block),) + tail
+    """Each first block, by size, then each partition of the rest; iterative."""
+    def extend(chosen: tuple[frozenset[str], ...], rest: tuple[str, ...]) -> Iterator[tuple]:
+        for k in range(1, len(rest) + 1):
+            for block in map(frozenset, itertools.combinations(rest, k)):
+                yield chosen + (block,), tuple(x for x in rest if x not in block)
+
+    stack = [iter([((), items)])]  # per level: (blocks so far, items left) choices
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif step[1]:
+            stack.append(extend(*step))
+        else:
+            yield step[0]
 
 
 def misreport_space(
@@ -376,9 +382,9 @@ def find_beneficial_misreport(
     """First fabricated preference list whose outcome the applicant strictly
     prefers, under her true preferences, to the truthful outcome.
 
-    GSDT runs once per list, the truthful one first, each run resumed from
-    one snapshot of the stages before her first stage, which never read her
-    list (``gsdt.snapshot_before``).
+    GSDT runs once per list, the truthful one first, each resumed from the
+    deepest snapshot of one ``gsdt.SnapshotCache`` that its list fits: a run
+    reads only the ties she has probed and whether she has run out of ties.
 
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
@@ -386,7 +392,7 @@ def find_beneficial_misreport(
     validate_ordering(instance, ordering)
     if applicant not in instance.quota:
         raise ValueError(f"unknown applicant {applicant!r}")
-    start = snapshot_before(instance, ordering, applicant)
+    start = SnapshotCache(instance, ordering, applicant)
     truthful_set = run_gsdt(instance, ordering, start=start).matching.of_applicant(applicant)
 
     examined = 0

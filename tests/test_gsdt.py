@@ -239,6 +239,19 @@ def test_flow_network_check_catches_lost_holder(t1):
         net.check()
 
 
+def test_flow_network_check_counts_the_courses_each_tie_holds(t1):
+    # The tie's flow and capacity and a1's source flow all agree at 0, so
+    # only the count of courses the tie holds (c1) can catch the corruption.
+    net = FlowNetwork(t1)
+    net.cap_src["a1"] = 1
+    net.cap_tie[("a1", 0)] = 1
+    net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
+    net.check(courses=())
+    net.flow_tie[("a1", 0)] = net.cap_tie[("a1", 0)] = net.flow_src["a1"] = 0
+    with pytest.raises(AssertionError):
+        net.check(courses=())
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda net: net.flow_snk.__setitem__("c1", 0),
     lambda net: net.holders["c1"].discard(("a1", 0)),

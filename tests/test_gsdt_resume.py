@@ -1,8 +1,9 @@
-"""GSDT resumed from a snapshot of the stages before the liar's first stage,
-against fresh runs: every resumed run equals the run from scratch, the
-misreport search equals a reference that runs every list from scratch, and
-resuming refuses anything but the liar's own list, the snapshot's prefix
-and the canonical policy."""
+"""GSDT resumed from snapshots against fresh runs: the snapshot of the stages
+before the liar's first stage, and the keyed snapshots that one misreport
+search caches (``SnapshotCache``). Every resumed run equals the run from
+scratch, the misreport search equals a reference that runs every list from
+scratch, and resuming refuses anything but the liar's own list, a list that
+does not fit, the snapshot's prefix and the canonical policy."""
 
 import dataclasses
 import itertools
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from camatch import GuidedToward, OrderingError, generate_random_instance, render_trace, run_gsdt
 from camatch.fixtures import fixture_instances, walkthrough_instance
-from camatch.gsdt import snapshot_before
+from camatch import oracle
+from camatch.gsdt import SNAPSHOT_CAP, SnapshotCache, snapshot_before
 from camatch.matching import SetRelation, compare_sets
 from camatch.oracle import (
     MisreportFinding,
@@ -205,3 +207,135 @@ def test_property_resuming_equals_a_fresh_run(inst, seed, data):
         else:
             ties.append([c])
     assert_resumes_like_fresh(inst, shuffled_ordering(inst, seed), liar, [ties])
+
+
+# ----------------------------------------------------------------------
+# Keyed snapshots: the cache one misreport search resumes every list from.
+# ----------------------------------------------------------------------
+
+BASE_KEY = ((), False)
+
+
+@pytest.fixture
+def caches(monkeypatch):
+    """Record every cache the misreport search builds, with every key it
+    ever stored, and check the bound and the base snapshot after each offer."""
+    made = []
+
+    class Recording(SnapshotCache):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.stored = set(self.snapshots)
+            made.append(self)
+
+        def offer(self, state):
+            super().offer(state)
+            self.stored.update(self.snapshots)
+            assert len(self.snapshots) <= SNAPSHOT_CAP
+            assert self.snapshots[BASE_KEY] is self.base
+
+    monkeypatch.setattr(oracle, "SnapshotCache", Recording)
+    return made
+
+
+def assert_snapshots_resume_like_fresh(cache, instance, ordering, applicant, lists):
+    """Every cached snapshot resumes like a fresh run for each list that
+    fits it, refuses each list that does not, and comes out untouched.
+    Returns how many (snapshot, list) pairs beyond the base ones fit."""
+    runs = {}
+    for prefs in lists:
+        inst = with_prefs(instance, applicant, prefs)
+        runs[inst.prefs[applicant]] = inst, run_gsdt(inst, ordering)
+    deeper = 0
+    for key, snap in list(cache.snapshots.items()):
+        assert (snap.read, snap.exhausted) == key
+        before = state_key(snap.state)
+        for prefs, (inst, fresh) in runs.items():
+            if not snap.fits(prefs):
+                with pytest.raises(ValueError, match="does not fit"):
+                    run_gsdt(inst, ordering, start=snap)
+                continue
+            deeper += key != BASE_KEY
+            resumed = run_gsdt(inst, ordering, start=snap)
+            assert resumed.matching == fresh.matching
+            assert resumed.stage_probes == fresh.stage_probes
+            assert resumed.searches == fresh.searches
+            assert resumed.arc_visits == fresh.arc_visits
+            assert render_trace(resumed) == render_trace(fresh)
+        assert state_key(snap.state) == before
+    return deeper
+
+
+@pytest.mark.parametrize("k", range(len(CASES)))
+def test_keyed_search_equals_reference_and_its_snapshots_resume_like_fresh(k, caches):
+    inst, ordering, liars = CASES[k]
+    deeper = 0
+    for a in liars:
+        got = find_beneficial_misreport(inst, ordering, a, search_limit=40)
+        assert got == reference_misreport(inst, ordering, a, 40)
+        lists = [inst.prefs[a], *varied_lists(inst, a)]
+        deeper += assert_snapshots_resume_like_fresh(caches[-1], inst, ordering, a, lists)
+    assert len(caches) == len(liars)
+    assert deeper > 0
+
+
+def test_an_exhausted_snapshot_fits_only_its_own_list(caches):
+    exhausted = 0
+    for inst, ordering, liars in CASES:
+        for a in liars[:2]:
+            find_beneficial_misreport(inst, ordering, a, search_limit=40)
+            for snap in caches[-1].snapshots.values():
+                if not snap.exhausted:
+                    continue
+                exhausted += bool(snap.read)
+                assert snap.fits(snap.read)
+                unread = sorted(inst.acceptable(a) - frozenset().union(*snap.read))
+                longer = [snap.read + (frozenset([c]),) for c in unread[:1]]
+                longer += [snap.read[:-1]] if snap.read else []
+                for prefs in longer:
+                    assert not snap.fits(prefs)
+                    with pytest.raises(ValueError, match="does not fit"):
+                        run_gsdt(with_prefs(inst, a, prefs), ordering, start=snap)
+    assert exhausted > 0
+
+
+def long_list_case():
+    """A liar with ten singleton ties over ten courses and three seats spread
+    through the ordering: the first 400 lists of her misreport space store
+    far more than SNAPSHOT_CAP keys."""
+    inst = generate_random_instance(14, 10, 3, 2, 0.4, 77)
+    inst = with_quotas(inst, {**inst.quota, "a1": 3})
+    inst = with_prefs(inst, "a1", [[c] for c in inst.courses])
+    return inst, shuffled_ordering(inst, 5)
+
+
+def test_a_long_list_drives_the_cache_past_its_bound(caches):
+    inst, ordering = long_list_case()
+    got = find_beneficial_misreport(inst, ordering, "a1", search_limit=400)
+    assert got == reference_misreport(inst, ordering, "a1", 400)
+    (cache,) = caches
+    assert len(cache.stored) > 2 * SNAPSHOT_CAP
+    assert len(cache.snapshots) == SNAPSHOT_CAP
+    assert cache.snapshots[BASE_KEY] is cache.base
+    lists = [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 380, 400)]
+    assert assert_snapshots_resume_like_fresh(cache, inst, ordering, "a1", lists) > 0
+
+
+def test_cache_refuses_another_ordering_and_a_guided_policy():
+    inst = walkthrough_instance()
+    cache = SnapshotCache(inst, ORDERING, "a1")
+    other = ("a2", "a3", "a1", "a2", "a1", "a2", "a3")
+    with pytest.raises(ValueError, match="ordering"):
+        run_gsdt(inst, other, start=cache)
+    with pytest.raises(ValueError, match="only canonical"):
+        run_gsdt(inst, ORDERING, GuidedToward(run_gsdt(inst, ORDERING).matching), start=cache)
+    assert list(cache.snapshots) == [BASE_KEY]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instances, st.integers(0, 2**32 - 1), st.integers(0, 60), st.data())
+def test_property_keyed_search_equals_the_reference(inst, seed, limit, data):
+    liar = data.draw(st.sampled_from(inst.applicants), label="liar")
+    ordering = shuffled_ordering(inst, seed)
+    got = find_beneficial_misreport(inst, ordering, liar, search_limit=limit)
+    assert got == reference_misreport(inst, ordering, liar, limit)

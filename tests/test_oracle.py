@@ -20,6 +20,7 @@ from camatch import (
     verify_impossibility_scenario,
 )
 from camatch.oracle import (
+    _ordered_partitions,
     consecutive_orderings,
     distinct_orderings,
     misreport_space,
@@ -145,6 +146,34 @@ def test_misreport_space_size(ex1):
         [("a1", 1, [["c1"], ["c2"], ["c3"]])],
     )
     assert sum(1 for _ in misreport_space(inst3, "a1")) == 26
+
+
+def recursive_ordered_partitions(items):
+    """The recursive definition, kept as the reference: each first block, by
+    size and then in combinations order, followed by each ordered partition
+    of the rest."""
+    if not items:
+        yield ()
+        return
+    for k in range(1, len(items) + 1):
+        for block in itertools.combinations(items, k):
+            rest = tuple(x for x in items if x not in block)
+            for tail in recursive_ordered_partitions(rest):
+                yield (frozenset(block),) + tail
+
+
+def test_ordered_partitions_follow_the_recursive_definition():
+    # The yield order fixes `examined` and the first FOUND of a search.
+    courses = [f"c{i}" for i in range(1, 7)]
+    for n in range(7):
+        for items in itertools.permutations(courses, n):
+            if n <= 4 or items == tuple(sorted(items)):
+                assert list(_ordered_partitions(items)) == list(recursive_ordered_partitions(items))
+
+
+def test_ordered_partitions_deeper_than_recursion_limit():
+    items = tuple(f"c{i}" for i in range(3000))
+    assert next(_ordered_partitions(items)) == tuple(frozenset([c]) for c in items)
 
 
 def test_misreport_found(ex1):
