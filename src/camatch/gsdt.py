@@ -22,7 +22,7 @@ from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
-SNAPSHOT_CAP = 64  # snapshots held by one SnapshotCache
+SNAPSHOT_CAP = 64  # states held by one SnapshotCache
 
 Node = tuple
 
@@ -394,48 +394,6 @@ class GsdtResult:
         return tuple(history)
 
 
-@dataclass(frozen=True)
-class GsdtSnapshot:
-    """A canonical run stopped after the stages of ``prefix``, before one of
-    ``applicant``'s stages or after the last. A run reads her list only at the
-    stage loop's test ``curr[a] < len(prefs[a])``, at the probe of tie
-    ``curr[a]``, and in searches entering her ties through courses she holds,
-    which lie in ties she has probed. So every list that ``fits`` (starts with
-    ``read``, the ties she has probed, and equals it if ``exhausted``) reaches
-    this state. ``run_gsdt(..., start=snapshot)`` resumes a copy for such a
-    list after asserting that her unread ties hold zeros, no course and no
-    dead node. The defaults describe a snapshot before her first stage."""
-
-    applicant: str
-    prefix: PriorityOrdering
-    state: GsdtState
-    read: tuple[frozenset[str], ...] = ()
-    exhausted: bool = False
-
-    def fits(self, prefs: Sequence[frozenset[str]]) -> bool:
-        n = len(self.read)
-        return tuple(prefs[:n]) == self.read and not (self.exhausted and len(prefs) > n)
-
-    def resume(self, instance: Instance, ordering: Sequence[str], policy: Policy) -> GsdtState:
-        a, old, s = self.applicant, self.state.network, self.state.instance
-        if isinstance(policy, GuidedToward):
-            raise ValueError("only canonical runs resume from a snapshot")
-        if tuple(ordering[:len(self.prefix)]) != self.prefix:
-            raise ValueError("the ordering does not start with the snapshot's prefix")
-        if replace(instance, prefs={**instance.prefs, a: s.prefs[a]}) != s:
-            raise ValueError(f"the instance differs from the snapshot's beyond {a}'s list")
-        if not self.fits(instance.prefs[a]):
-            raise ValueError(f"{a}'s list does not fit the snapshot")
-        state = self.state.copy(instance)
-        for t in range(len(self.read), len(s.prefs[a])):
-            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0 and _tie(a, t) not in old.dead
-            assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
-            del state.network.cap_tie[a, t], state.network.flow_tie[a, t]
-        for t in range(len(self.read), len(instance.prefs[a])):
-            state.network.cap_tie[a, t] = state.network.flow_tie[a, t] = 0
-        return state
-
-
 def _serve(state: GsdtState, stages: Sequence[str], policy: Policy,
            guided_order: dict[str, list[str]] | None, offer: Callable = lambda _: None) -> None:
     """The stage loop: one ``_stage`` per entry, probed by the live search.
@@ -448,74 +406,86 @@ def _serve(state: GsdtState, stages: Sequence[str], policy: Policy,
     offer(state)
 
 
-def snapshot_before(instance: Instance, ordering: Sequence[str],
-                    applicant: str) -> GsdtSnapshot:
-    """Run the canonical stages before ``applicant``'s first entry."""
-    validate_ordering(instance, ordering)
-    k = ordering.index(applicant) if applicant in ordering else len(ordering)
-    state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
-    _serve(state, ordering[:k], CANONICAL, None)
-    return GsdtSnapshot(applicant, tuple(ordering[:k]), state)
-
-
 class SnapshotCache:
-    """Up to ``SNAPSHOT_CAP`` snapshots for one misreport search, keyed by ``(read, exhausted)``.
-    A run resumes from the deepest that fits (the longest key: keys only grow along a run) and
-    offers its state before her stages and after the last; evicts least recent, never ``base``."""
+    """Canonical runs of ``instance`` and ``ordering`` that vary only
+    ``applicant``'s list, as one misreport search makes them.
+
+    A run reads her list only at the stage loop's test ``curr[a] <
+    len(prefs[a])``, at the probe of tie ``curr[a]``, and in searches that
+    enter her ties through courses she holds, which lie in ties she has
+    probed. So the state before one of her stages, or after the last, depends
+    on her list only through ``read``, the ties she has probed, and
+    ``exhausted``, whether she has run out of ties: every list that starts
+    with ``read``, and equals it if ``exhausted``, fits that state. Up to
+    ``SNAPSHOT_CAP`` states are kept, keyed by ``(read, exhausted)``; the
+    least recently used goes first, but never the base state before her first
+    stage, which every list fits.
+    """
 
     def __init__(self, instance: Instance, ordering: Sequence[str], applicant: str):
-        self.ordering, self.base = tuple(ordering), snapshot_before(instance, ordering, applicant)
-        self.snapshots = OrderedDict({((), False): self.base})
+        validate_ordering(instance, ordering)
+        if applicant not in instance.quota:
+            raise ValueError(f"unknown applicant {applicant!r}")
+        self.instance, self.ordering, self.applicant = instance, tuple(ordering), applicant
+        # The first run replaces this empty state with the one before her first stage.
+        state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
+        self.states = OrderedDict({((), False): state})
 
-    def resume(self, instance: Instance, ordering: Sequence[str], policy: Policy) -> GsdtState:
-        if tuple(ordering) != self.ordering:
-            raise ValueError("the ordering differs from the cache's")
-        prefs = instance.prefs[self.base.applicant]
+    def run(self, prefs: Iterable[Iterable[str]]) -> GsdtState:
+        """The finished run with ``prefs`` as her list, equal to a fresh
+        ``run_gsdt``'s, counters and probes included. A copy of the deepest
+        state the list fits (the longest key: keys only grow along a run)
+        resumes once her unread ties are shown to hold zeros, no course and no
+        dead node, and are rebuilt. The result may be stored: do not change it."""
+        a, prefs = self.applicant, tuple(frozenset(tie) for tie in prefs)
+        instance = replace(self.instance, prefs={**self.instance.prefs, a: prefs})
         keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
-        best = next(k for k in keys if k in self.snapshots)
-        self.snapshots.move_to_end(best)
-        return self.snapshots[best].resume(instance, ordering, policy)
+        key = next(k for k in keys if k in self.states)
+        self.states.move_to_end(key)
+        cached = self.states[key]
+        old, s, state = cached.network, cached.instance, cached.copy(instance)
+        for t in range(len(key[0]), len(s.prefs[a])):
+            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0 and _tie(a, t) not in old.dead
+            assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
+            del state.network.cap_tie[a, t], state.network.flow_tie[a, t]
+        for t in range(len(key[0]), len(prefs)):
+            state.network.cap_tie[a, t] = state.network.flow_tie[a, t] = 0
+        _serve(state, self.ordering[len(state.stage_probes):], CANONICAL, None, self._offer)
+        state.network.check()
+        return state
 
-    def offer(self, state: GsdtState) -> None:
-        a, depth = self.base.applicant, len(state.stage_probes)
+    def _offer(self, state: GsdtState) -> None:
+        a, depth = self.applicant, len(state.stage_probes)
         if depth < len(self.ordering) and self.ordering[depth] != a:
             return
         prefs, t, served = state.instance.prefs[a], state.curr[a], state.network.cap_src[a] > 0
         key = (prefs[:t + 1] if served else (), served and t == len(prefs))
-        if key not in self.snapshots or len(self.snapshots[key].prefix) < depth:
+        if key not in self.states or len(self.states[key].stage_probes) < depth:
             # A finished run never changes its state again, so that one is kept as is.
-            kept = state if depth == len(self.ordering) else state.copy(state.instance)
-            self.snapshots[key] = GsdtSnapshot(a, self.ordering[:depth], kept, *key)
-            self.snapshots.move_to_end(key)
-            if len(self.snapshots) > SNAPSHOT_CAP:
-                del self.snapshots[next(k for k in self.snapshots if k != ((), False))]
+            self.states[key] = state if depth == len(self.ordering) else state.copy(state.instance)
+            self.states.move_to_end(key)
+            if len(self.states) > SNAPSHOT_CAP:
+                del self.states[next(k for k in self.states if k != ((), False))]
 
 
 def run_gsdt(
     instance: Instance,
     ordering: Sequence[str],
     policy: Policy = CANONICAL,
-    start: GsdtSnapshot | SnapshotCache | None = None,
 ) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
     Each entry of the ordering is one stage (``_stage``) probed by the live
     search; one full ``FlowNetwork.check`` runs before the final matching is
     read off. The run records only each stage's probes; ``GsdtResult.stages``
-    replays the trace from them on first read. With ``start``, a canonical
-    run resumes from a copy of a snapshot its list fits (``GsdtSnapshot``, or
-    the deepest in a ``SnapshotCache``), which holds every tie of the list a
-    run reads before it, and serves only the stages after its prefix, maybe
-    none; the result, counters included, equals a fresh run's.
+    replays the trace from them on first read. ``SnapshotCache`` runs many
+    lists of one applicant, each resumed from the stages it shares.
 
     A guided target must be a feasible matching; otherwise
     ``FeasibilityError`` is raised before any stage runs.
     """
     validate_ordering(instance, ordering)
-    if start is None:
-        state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
-    else:
-        state = start.resume(instance, ordering, policy)
+    state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
     guided_order = None
     if isinstance(policy, GuidedToward):
         require_feasible(instance, policy.target)
@@ -523,8 +493,7 @@ def run_gsdt(
         for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
-    offer = start.offer if isinstance(start, SnapshotCache) else lambda _: None
-    _serve(state, ordering[len(state.stage_probes):], policy, guided_order, offer)
+    _serve(state, ordering, policy, guided_order)
     state.network.check()
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=state.network.matching(),

@@ -3,7 +3,7 @@ based Pareto catalogs, reachability sweeps, and misreport search.
 
 Everything here is deliberately simple and auditable; the point is to check
 the clever machinery (envy graph, staged flow) against brute force. The one
-shortcut: misreport search resumes each list from a GSDT snapshot it shares.
+shortcut: misreport search resumes each list from a GSDT state it shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .instance import (
     Instance,
     PriorityOrdering,
     format_preference_list,
-    validate_ordering,
 )
 from .matching import (
     Matching,
@@ -382,26 +381,28 @@ def find_beneficial_misreport(
     """First fabricated preference list whose outcome the applicant strictly
     prefers, under her true preferences, to the truthful outcome.
 
-    GSDT runs once per list, the truthful one first, each resumed from the
-    deepest snapshot of one ``gsdt.SnapshotCache`` that its list fits: a run
-    reads only the ties she has probed and whether she has run out of ties.
+    GSDT runs once per list, the truthful one first, through one
+    ``gsdt.SnapshotCache``, which resumes each list from the deepest stored
+    state the list fits. Her outcome is read off her own ties.
 
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
     """
-    validate_ordering(instance, ordering)
-    if applicant not in instance.quota:
-        raise ValueError(f"unknown applicant {applicant!r}")
-    start = SnapshotCache(instance, ordering, applicant)
-    truthful_set = run_gsdt(instance, ordering, start=start).matching.of_applicant(applicant)
+    runs = SnapshotCache(instance, ordering, applicant)
+
+    def outcome(prefs: Sequence[frozenset[str]]) -> frozenset[str]:
+        holders = runs.run(prefs).network.holders
+        return frozenset(
+            c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in holders[c])
+
+    truthful_set = outcome(instance.prefs[applicant])
 
     examined = 0
     for fabricated in misreport_space(instance, applicant):
         if examined >= search_limit:
             return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined)
         examined += 1
-        candidate = with_prefs(instance, applicant, fabricated)
-        outcome_set = run_gsdt(candidate, ordering, start=start).matching.of_applicant(applicant)
+        outcome_set = outcome(fabricated)
         if compare_sets(instance, applicant, outcome_set, truthful_set) is SetRelation.PREFERS:
             finding = MisreportFinding(
                 applicant=applicant,

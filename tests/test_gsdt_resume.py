@@ -1,21 +1,23 @@
-"""GSDT resumed from snapshots against fresh runs: the snapshot of the stages
-before the liar's first stage, and the keyed snapshots that one misreport
-search caches (``SnapshotCache``). Every resumed run equals the run from
-scratch, the misreport search equals a reference that runs every list from
-scratch, and resuming refuses anything but the liar's own list, a list that
-does not fit, the snapshot's prefix and the canonical policy."""
+"""GSDT runs resumed from the states that one misreport search stores
+(``SnapshotCache``) against fresh runs. Every resumed run equals the run from
+scratch, every stored state resumes like a fresh run for each list that fits
+it and comes out untouched, the misreport search equals a reference that runs
+every list from scratch, and the cache checks its applicant, its ordering and
+the liar's unread ties before it resumes."""
 
-import dataclasses
+import copy
 import itertools
 import random
+from collections import OrderedDict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from camatch import GuidedToward, OrderingError, generate_random_instance, render_trace, run_gsdt
+from camatch import OrderingError, generate_random_instance, render_trace, run_gsdt
 from camatch.fixtures import fixture_instances, walkthrough_instance
 from camatch import oracle
-from camatch.gsdt import SNAPSHOT_CAP, SnapshotCache, snapshot_before
+from camatch.gsdt import SNAPSHOT_CAP, GsdtResult, GsdtState, SnapshotCache, _tie
 from camatch.matching import SetRelation, compare_sets
 from camatch.oracle import (
     MisreportFinding,
@@ -27,6 +29,8 @@ from camatch.oracle import (
     with_prefs,
     with_quotas,
 )
+
+BASE_KEY = ((), False)
 
 
 def reference_misreport(instance, ordering, applicant, search_limit=200_000):
@@ -48,29 +52,90 @@ def reference_misreport(instance, ordering, applicant, search_limit=200_000):
 
 
 def state_key(state):
-    """Everything a snapshot holds, as comparable values."""
+    """Everything a stored state holds, copied into comparable values (the
+    items of its containers are immutable)."""
     net = state.network
-    return (net.cap_src, net.flow_src, net.cap_tie, net.flow_tie, net.holders,
-            net.flow_snk, net.dead, state.curr, state.searches, state.arc_visits,
-            state.stage_probes)
+    return (*(d.copy() for d in (net.cap_src, net.flow_src, net.cap_tie, net.flow_tie,
+                                 net.flow_snk, net.dead, state.curr, state.arc_visits,
+                                 state.stage_probes)),
+            {c: held.copy() for c, held in net.holders.items()}, state.searches)
+
+
+def fits(key, prefs):
+    """Whether a list reaches the state stored under ``key``: it starts with
+    the ties read so far, and equals them if she ran out of ties."""
+    read, exhausted = key
+    return tuple(prefs[:len(read)]) == read and not (exhausted and len(prefs) > len(read))
+
+
+def assert_equals_fresh(cache, state, fresh, trace=True):
+    """The finished ``state``, read as a ``GsdtResult``, equals ``fresh``. The
+    trace is replayed from the instance, ordering and probes compared first,
+    so a caller with many runs may leave it out."""
+    resumed = GsdtResult(
+        instance=state.instance, ordering=cache.ordering, matching=state.network.matching(),
+        stage_probes=tuple(state.stage_probes), searches=state.searches,
+        arc_visits=tuple(state.arc_visits))
+    assert resumed.instance == fresh.instance
+    assert resumed.matching == fresh.matching
+    assert resumed.stage_probes == fresh.stage_probes
+    assert resumed.searches == fresh.searches
+    assert resumed.arc_visits == fresh.arc_visits
+    assert not trace or render_trace(resumed) == render_trace(fresh)
+
+
+def restricted(cache, keys=()):
+    """A copy of ``cache`` that holds only its base state and those of ``keys``."""
+    only = copy.copy(cache)
+    only.states = OrderedDict((k, cache.states[k]) for k in (BASE_KEY, *keys))
+    return only
+
+
+class Picked(Exception):
+    """Stops a run once it has picked the stored state to resume from."""
+
+
+def resumed_from(cache, prefs, keys=(), finish=True):
+    """Run ``prefs`` on ``restricted(cache, keys)``; return the finished state
+    (``None`` unless ``finish``) and the key of the stored state the run
+    resumed from."""
+    only = restricted(cache, keys)
+    sources = {id(state): k for k, state in only.states.items()}
+    copied, real = [], GsdtState.copy
+
+    def spy(state, instance):
+        copied.append(state)
+        if not finish:
+            raise Picked
+        return real(state, instance)
+
+    with mock.patch.object(GsdtState, "copy", spy):
+        try:
+            state = only.run(prefs)
+        except Picked:
+            state = None
+    return state, sources[id(copied[0])]
 
 
 def assert_resumes_like_fresh(instance, ordering, applicant, lists):
-    """Resume one snapshot for the true list and each of ``lists``; each run
-    must equal a fresh run, and the snapshot must come out untouched."""
-    start = snapshot_before(instance, ordering, applicant)
-    before = state_key(start.state)
+    """Run the true list and each of ``lists`` through one cache, and again
+    from its state before her first stage alone; each run must equal a fresh
+    run, and every state the cache stored must come out untouched. Returns
+    the cache."""
+    cache = SnapshotCache(instance, ordering, applicant)
+    stored = {}
     for prefs in [instance.prefs[applicant], *lists]:
-        inst = with_prefs(instance, applicant, prefs)
-        fresh = run_gsdt(inst, ordering)
-        resumed = run_gsdt(inst, ordering, start=start)
-        assert resumed.matching == fresh.matching
-        assert resumed.stage_probes == fresh.stage_probes
-        assert resumed.searches == fresh.searches
-        assert resumed.arc_visits == fresh.arc_visits
-        assert render_trace(resumed) == render_trace(fresh)
-    assert state_key(start.state) == before
-    return start
+        fresh = run_gsdt(with_prefs(instance, applicant, prefs), ordering)
+        assert_equals_fresh(cache, cache.run(prefs), fresh)
+        state, source = resumed_from(cache, prefs)
+        assert source == BASE_KEY
+        assert_equals_fresh(cache, state, fresh)
+        for state in cache.states.values():
+            if id(state) not in stored:
+                stored[id(state)] = state, state_key(state)
+    for state, before in stored.values():
+        assert state_key(state) == before
+    return cache
 
 
 def shuffled_ordering(inst, seed):
@@ -106,7 +171,8 @@ CASES = list(seeded_cases(12, 2718))
 def test_resumed_runs_equal_fresh_runs(k):
     inst, ordering, liars = CASES[k]
     shared = sum(
-        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a)).prefix)
+        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a))
+            .states[BASE_KEY].stage_probes)
         for a in liars)
     assert shared > 0
 
@@ -135,46 +201,60 @@ def test_every_fleet_ordering_resumes_like_fresh_and_searches_alike():
 
 
 # ----------------------------------------------------------------------
-# The resume's preconditions.
+# What the cache checks itself.
 # ----------------------------------------------------------------------
 
 ORDERING = ("a2", "a3", "a1", "a2", "a1", "a3", "a2")
 
 
-@pytest.fixture
-def snapshot():
-    start = snapshot_before(walkthrough_instance(), ORDERING, "a1")
-    assert start.prefix == ("a2", "a3")
-    return start
+def test_cache_refuses_an_unknown_applicant():
+    with pytest.raises(ValueError, match="unknown applicant 'zz'"):
+        SnapshotCache(walkthrough_instance(), ORDERING, "zz")
 
 
-@pytest.mark.parametrize("change, extra", [
-    (lambda inst: with_prefs(inst, "a2", [["c1"], ["c2", "c3"]]), ()),
-    (lambda inst: with_quotas(inst, {**inst.quota, "a3": 3}), ("a3",)),
-    (lambda inst: with_quotas(inst, {**inst.quota, "a1": 3}), ("a1",)),
-    (lambda inst: dataclasses.replace(inst, capacity={**inst.capacity, "c1": 1}), ()),
-])
-def test_resume_refuses_an_instance_that_differs_beyond_the_liars_list(
-        snapshot, change, extra):
-    with pytest.raises(ValueError, match="beyond a1's list"):
-        run_gsdt(change(walkthrough_instance()), ORDERING + extra, start=snapshot)
-
-
-def test_resume_refuses_an_ordering_with_another_prefix(snapshot):
-    with pytest.raises(ValueError, match="prefix"):
-        run_gsdt(walkthrough_instance(), ("a3",) + ORDERING[:1] + ORDERING[2:], start=snapshot)
-
-
-def test_resume_refuses_a_guided_policy(snapshot):
-    inst = walkthrough_instance()
-    target = run_gsdt(inst, ORDERING).matching
-    with pytest.raises(ValueError, match="only canonical"):
-        run_gsdt(inst, ORDERING, GuidedToward(target), start=snapshot)
-
-
-def test_resume_still_validates_the_ordering(snapshot):
+def test_cache_checks_the_ordering_once_when_built():
     with pytest.raises(OrderingError):
-        run_gsdt(walkthrough_instance(), ORDERING[:-1], start=snapshot)
+        SnapshotCache(walkthrough_instance(), ORDERING[:-1], "a1")
+
+
+def test_the_first_run_stores_the_state_before_her_first_stage():
+    inst = walkthrough_instance()
+    cache = SnapshotCache(inst, ORDERING, "a1")
+    assert cache.states[BASE_KEY].stage_probes == []
+    assert_equals_fresh(cache, cache.run(inst.prefs["a1"]), run_gsdt(inst, ORDERING))
+    assert len(cache.states[BASE_KEY].stage_probes) == 2  # a2 and a3 went first
+
+
+CORRUPTIONS = {
+    "held": lambda net, a, t, c: net.holders[c].add((a, t)),
+    "dead": lambda net, a, t, c: net.dead.add(_tie(a, t)),
+    "capacity": lambda net, a, t, c: net.cap_tie.__setitem__((a, t), 1),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+@pytest.mark.parametrize("deeper", [False, True], ids=["base", "deeper"])
+def test_resume_asserts_catch_a_corrupt_unread_tie(corrupt, deeper):
+    """A stored state whose first unread tie of hers holds a course, is dead
+    or has capacity fails the resume's own asserts, before any stage runs."""
+    inst = walkthrough_instance()
+    cache = SnapshotCache(inst, ORDERING, "a1")
+    for prefs in [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 20)]:
+        cache.run(prefs)
+    key, state = next(
+        (k, s) for k, s in cache.states.items()
+        if not k[1] and bool(k[0]) is deeper and len(k[0]) < len(s.instance.prefs["a1"]))
+    prefs = state.instance.prefs["a1"]
+    fresh = run_gsdt(with_prefs(inst, "a1", prefs), ORDERING)
+    resumed, source = resumed_from(cache, prefs, [key])
+    assert source == key
+    assert_equals_fresh(cache, resumed, fresh)
+
+    t = len(key[0])
+    corrupt(state.network, "a1", t, min(prefs[t]))
+    with pytest.raises(AssertionError) as raised:
+        restricted(cache, [key]).run(prefs)
+    assert raised.traceback[-1].name == "run"
 
 
 # ----------------------------------------------------------------------
@@ -210,59 +290,61 @@ def test_property_resuming_equals_a_fresh_run(inst, seed, data):
 
 
 # ----------------------------------------------------------------------
-# Keyed snapshots: the cache one misreport search resumes every list from.
+# Every state one misreport search stores.
 # ----------------------------------------------------------------------
-
-BASE_KEY = ((), False)
-
 
 @pytest.fixture
 def caches(monkeypatch):
     """Record every cache the misreport search builds, with every key it
-    ever stored, and check the bound and the base snapshot after each offer."""
+    ever stored, and check after each offer that it holds at most
+    SNAPSHOT_CAP states and its base state, which only the state before her
+    first stage ever replaces."""
     made = []
 
     class Recording(SnapshotCache):
         def __init__(self, *args):
             super().__init__(*args)
-            self.stored = set(self.snapshots)
+            self.stored = set(self.states)
+            self.bases = [self.states[BASE_KEY]]
             made.append(self)
 
-        def offer(self, state):
-            super().offer(state)
-            self.stored.update(self.snapshots)
-            assert len(self.snapshots) <= SNAPSHOT_CAP
-            assert self.snapshots[BASE_KEY] is self.base
+        def _offer(self, state):
+            super()._offer(state)
+            self.stored.update(self.states)
+            assert len(self.states) <= SNAPSHOT_CAP
+            if self.states[BASE_KEY] is not self.bases[-1]:
+                self.bases.append(self.states[BASE_KEY])
+                assert len(self.bases) == 2
+                assert len(self.bases[1].stage_probes) == self.ordering.index(self.applicant)
 
     monkeypatch.setattr(oracle, "SnapshotCache", Recording)
     return made
 
 
 def assert_snapshots_resume_like_fresh(cache, instance, ordering, applicant, lists):
-    """Every cached snapshot resumes like a fresh run for each list that
-    fits it, refuses each list that does not, and comes out untouched.
-    Returns how many (snapshot, list) pairs beyond the base ones fit."""
+    """Every stored state resumes like a fresh run for each list that fits
+    it, no list that does not fit it resumes from it, and it comes out
+    untouched. Returns how many (state, list) pairs beyond the base ones fit."""
     runs = {}
     for prefs in lists:
         inst = with_prefs(instance, applicant, prefs)
-        runs[inst.prefs[applicant]] = inst, run_gsdt(inst, ordering)
+        runs[inst.prefs[applicant]] = run_gsdt(inst, ordering)
     deeper = 0
-    for key, snap in list(cache.snapshots.items()):
-        assert (snap.read, snap.exhausted) == key
-        before = state_key(snap.state)
-        for prefs, (inst, fresh) in runs.items():
-            if not snap.fits(prefs):
-                with pytest.raises(ValueError, match="does not fit"):
-                    run_gsdt(inst, ordering, start=snap)
+    for key, state in list(cache.states.items()):
+        read, exhausted = key
+        assert state.instance.prefs[applicant][:len(read)] == read
+        assert not exhausted or state.curr[applicant] == len(read) == len(
+            state.instance.prefs[applicant])
+        before = state_key(state)
+        for prefs, fresh in runs.items():
+            if not fits(key, prefs):
+                assert resumed_from(cache, prefs, [key], finish=False)[1] == BASE_KEY
                 continue
+            resumed, source = resumed_from(cache, prefs, [key])
+            assert source == key
             deeper += key != BASE_KEY
-            resumed = run_gsdt(inst, ordering, start=snap)
-            assert resumed.matching == fresh.matching
-            assert resumed.stage_probes == fresh.stage_probes
-            assert resumed.searches == fresh.searches
-            assert resumed.arc_visits == fresh.arc_visits
-            assert render_trace(resumed) == render_trace(fresh)
-        assert state_key(snap.state) == before
+            assert_equals_fresh(cache, resumed, fresh)
+        assert state_key(state) == before
     return deeper
 
 
@@ -280,22 +362,28 @@ def test_keyed_search_equals_reference_and_its_snapshots_resume_like_fresh(k, ca
 
 
 def test_an_exhausted_snapshot_fits_only_its_own_list(caches):
+    """A longer or a shorter list never resumes from an exhausted state, and
+    each list, run on the whole cache, still equals a fresh run."""
     exhausted = 0
     for inst, ordering, liars in CASES:
         for a in liars[:2]:
             find_beneficial_misreport(inst, ordering, a, search_limit=40)
-            for snap in caches[-1].snapshots.values():
-                if not snap.exhausted:
-                    continue
-                exhausted += bool(snap.read)
-                assert snap.fits(snap.read)
-                unread = sorted(inst.acceptable(a) - frozenset().union(*snap.read))
-                longer = [snap.read + (frozenset([c]),) for c in unread[:1]]
-                longer += [snap.read[:-1]] if snap.read else []
-                for prefs in longer:
-                    assert not snap.fits(prefs)
-                    with pytest.raises(ValueError, match="does not fit"):
-                        run_gsdt(with_prefs(inst, a, prefs), ordering, start=snap)
+            cache, lists = caches[-1], set()
+            for key in [k for k in cache.states if k[1]]:
+                read = key[0]
+                exhausted += bool(read)
+                unread = sorted(inst.acceptable(a) - frozenset().union(*read))
+                others = [read + (frozenset([c]),) for c in unread[:1]]
+                others += [read[:-1]] if read else []
+                for prefs in [read, *others]:
+                    source = resumed_from(cache, prefs, [key], finish=False)[1]
+                    assert source == (key if prefs == read else BASE_KEY)
+                    lists.add(prefs)
+            for prefs in lists:
+                resumed, source = resumed_from(cache, prefs, list(cache.states))
+                assert not source[1] or source[0] == prefs
+                fresh = run_gsdt(with_prefs(inst, a, prefs), ordering)
+                assert_equals_fresh(cache, resumed, fresh, trace=False)
     assert exhausted > 0
 
 
@@ -315,21 +403,10 @@ def test_a_long_list_drives_the_cache_past_its_bound(caches):
     assert got == reference_misreport(inst, ordering, "a1", 400)
     (cache,) = caches
     assert len(cache.stored) > 2 * SNAPSHOT_CAP
-    assert len(cache.snapshots) == SNAPSHOT_CAP
-    assert cache.snapshots[BASE_KEY] is cache.base
+    assert len(cache.states) == SNAPSHOT_CAP
+    assert cache.states[BASE_KEY] is cache.bases[-1]
     lists = [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 380, 400)]
     assert assert_snapshots_resume_like_fresh(cache, inst, ordering, "a1", lists) > 0
-
-
-def test_cache_refuses_another_ordering_and_a_guided_policy():
-    inst = walkthrough_instance()
-    cache = SnapshotCache(inst, ORDERING, "a1")
-    other = ("a2", "a3", "a1", "a2", "a1", "a2", "a3")
-    with pytest.raises(ValueError, match="ordering"):
-        run_gsdt(inst, other, start=cache)
-    with pytest.raises(ValueError, match="only canonical"):
-        run_gsdt(inst, ORDERING, GuidedToward(run_gsdt(inst, ORDERING).matching), start=cache)
-    assert list(cache.snapshots) == [BASE_KEY]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
