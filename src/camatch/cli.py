@@ -35,7 +35,7 @@ EXIT_LIMIT = 3
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_instance(path: str) -> Instance:

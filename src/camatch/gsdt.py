@@ -10,12 +10,12 @@ the stage quotas.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotParetoOptimalError
-from .instance import Instance, PriorityOrdering, validate_ordering
+from .instance import Instance, PriorityOrdering, validate_ordering, with_prefs
 from .matching import (
     Matching, Pair, _weakly_prefers_course, require_feasible, weakly_envied)
 from .scc import strongly_connected_components
@@ -437,8 +437,8 @@ class SnapshotCache:
         state the list fits (the longest key: keys only grow along a run)
         resumes once her unread ties are shown to hold zeros, no course and no
         dead node, and are rebuilt. The result may be stored: do not change it."""
-        a, prefs = self.applicant, tuple(frozenset(tie) for tie in prefs)
-        instance = replace(self.instance, prefs={**self.instance.prefs, a: prefs})
+        instance = with_prefs(self.instance, self.applicant, prefs)
+        a, prefs = self.applicant, instance.prefs[self.applicant]
         keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
         key = next(k for k in keys if k in self.states)
         self.states.move_to_end(key)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, KeysView, Sequence
 
@@ -132,6 +132,16 @@ class Instance:
         return hashlib.sha256(serialize_instance(self).encode()).hexdigest()
 
 
+def with_quotas(instance: Instance, quota: dict[str, int]) -> Instance:
+    """Same instance, different applicant quotas (0 allowed, for stage-restricted instances)."""
+    return replace(instance, quota=dict(quota))
+
+
+def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]) -> Instance:
+    """Same instance with one applicant's declared preference list replaced."""
+    return replace(instance, prefs={**instance.prefs, applicant: tuple(map(frozenset, ties))})
+
+
 # ----------------------------------------------------------------------
 # Text formats.
 #
@@ -139,37 +149,30 @@ class Instance:
 # line per applicant `applicant a1 quota=2 prefs: ( c1 c2 ) ( c3 )`.
 # `#` starts a comment anywhere. Ordering file: applicant ids separated
 # by whitespace. Matching file: one `applicant course` pair per line.
+# Words are split on whitespace; a syntax error names the 1-based line
+# and column of the word at fault.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> list[tuple[int, list[str]]]:
+    """(1-based line number, words) for each line with a word outside comments."""
+    lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    return [(lineno, words) for lineno, words in enumerate(lines, start=1) if words]
 
 
-def _tokenize(text: str) -> list[list[_Token]]:
-    lines: list[list[_Token]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        toks = [
-            _Token(m.group(), lineno, m.start() + 1)
-            for m in re.finditer(r"\S+", content)
-        ]
-        if toks:
-            lines.append(toks)
-    return lines
+def _syntax(text: str, lineno: int, index: int, message: str) -> InstanceSyntaxError:
+    """The error at word ``index`` of line ``lineno``. Only here is the
+    line rescanned for the word's column."""
+    content = text.splitlines()[lineno - 1].split("#", 1)[0]
+    column = list(re.finditer(r"\S+", content))[index].start() + 1
+    return InstanceSyntaxError(message, lineno, column)
 
 
-def _syntax(tok: _Token, message: str) -> InstanceSyntaxError:
-    return InstanceSyntaxError(message, tok.line, tok.column)
-
-
-def _parse_int(tok: _Token, text: str, what: str) -> int:
+def _parse_int(digits: str, what: str, text: str, lineno: int, index: int) -> int:
     try:
-        return int(text)
+        return int(digits)
     except ValueError:
-        raise _syntax(tok, f"{what} must be an integer, got {text!r}") from None
+        raise _syntax(text, lineno, index,
+                      f"{what} must be an integer, got {digits!r}") from None
 
 
 def parse_instance(text: str) -> Instance:
@@ -183,58 +186,50 @@ def parse_instance(text: str) -> Instance:
     if not lines:
         raise InstanceSyntaxError("missing 'courses:' line", 1, 1)
 
-    header = lines[0]
-    if header[0].text != "courses:":
-        raise _syntax(header[0], "expected 'courses:'")
+    lineno, header = lines[0]
+    if header[0] != "courses:":
+        raise _syntax(text, lineno, 0, "expected 'courses:'")
     courses: list[tuple[str, int]] = []
-    for tok in header[1:]:
-        if "=" not in tok.text:
-            raise _syntax(tok, f"expected <id>=<quota>, got {tok.text!r}")
-        cid, _, qtext = tok.text.partition("=")
-        cap = _parse_int(tok, qtext, f"quota of course {cid!r}")
-        courses.append((cid, cap))
+    for i, word in enumerate(header[1:], start=1):
+        if "=" not in word:
+            raise _syntax(text, lineno, i, f"expected <id>=<quota>, got {word!r}")
+        cid, _, qtext = word.partition("=")
+        courses.append((cid, _parse_int(qtext, f"quota of course {cid!r}", text, lineno, i)))
 
     applicants: list[tuple[str, int, list[list[str]]]] = []
-    for line in lines[1:]:
-        toks = iter(line)
-        kw = next(toks)
-        if kw.text != "applicant":
-            raise _syntax(kw, "expected 'applicant'")
-        def take(expect: str) -> _Token:
-            try:
-                return next(toks)
-            except StopIteration:
-                raise _syntax(line[-1], f"expected {expect}") from None
-
-        aid = take("an applicant id")
-        quota_tok = take("quota=<n>")
-        if not quota_tok.text.startswith("quota="):
-            raise _syntax(quota_tok, "expected quota=<n>")
-        b = _parse_int(quota_tok, quota_tok.text[len("quota="):],
-                       f"quota of applicant {aid.text!r}")
-        prefs_kw = take("'prefs:'")
-        if prefs_kw.text != "prefs:":
-            raise _syntax(prefs_kw, "expected 'prefs:'")
+    for lineno, words in lines[1:]:
+        # A missing word is reported at the line's last one.
+        last = len(words) - 1
+        if words[0] != "applicant":
+            raise _syntax(text, lineno, 0, "expected 'applicant'")
+        if last < 1:
+            raise _syntax(text, lineno, last, "expected an applicant id")
+        if last < 2 or not words[2].startswith("quota="):
+            raise _syntax(text, lineno, min(2, last), "expected quota=<n>")
+        b = _parse_int(words[2][len("quota="):],
+                       f"quota of applicant {words[1]!r}", text, lineno, 2)
+        if last < 3 or words[3] != "prefs:":
+            raise _syntax(text, lineno, min(3, last), "expected 'prefs:'")
 
         ties: list[list[str]] = []
         group: list[str] | None = None
-        for tok in toks:
-            if tok.text == "(":
+        for i, word in enumerate(words[4:], start=4):
+            if word == "(":
                 if group is not None:
-                    raise _syntax(tok, "nested '(' in tie group")
+                    raise _syntax(text, lineno, i, "nested '(' in tie group")
                 group = []
-            elif tok.text == ")":
+            elif word == ")":
                 if group is None:
-                    raise _syntax(tok, "')' without matching '('")
+                    raise _syntax(text, lineno, i, "')' without matching '('")
                 ties.append(group)
                 group = None
             elif group is None:
-                raise _syntax(tok, f"expected '(', got {tok.text!r}")
+                raise _syntax(text, lineno, i, f"expected '(', got {word!r}")
             else:
-                group.append(tok.text)
+                group.append(word)
         if group is not None:
-            raise _syntax(line[-1], "unclosed tie group")
-        applicants.append((aid.text, b, ties))
+            raise _syntax(text, lineno, last, "unclosed tie group")
+        applicants.append((words[1], b, ties))
 
     return Instance.build(courses, applicants)
 
@@ -256,7 +251,7 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def parse_ordering(text: str) -> PriorityOrdering:
-    return tuple(tok.text for line in _tokenize(text) for tok in line)
+    return tuple(word for _, words in _tokenize(text) for word in words)
 
 
 def serialize_ordering(ordering: PriorityOrdering) -> str:
@@ -293,10 +288,10 @@ def parse_matching_pairs(text: str, instance: Instance) -> tuple[tuple[str, str]
     """
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for line in _tokenize(text):
-        if len(line) != 2:
-            raise _syntax(line[0], "expected '<applicant-id> <course-id>'")
-        a, c = line[0].text, line[1].text
+    for lineno, words in _tokenize(text):
+        if len(words) != 2:
+            raise _syntax(text, lineno, 0, "expected '<applicant-id> <course-id>'")
+        a, c = words
         if a not in instance.quota:
             raise InstanceSemanticError(f"unknown applicant {a!r} in matching")
         if c not in instance.capacity:

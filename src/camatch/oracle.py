@@ -8,7 +8,6 @@ shortcut: misreport search resumes each list from a GSDT state it shares.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -18,10 +17,13 @@ from typing import Iterator, Sequence
 from . import envy
 from .errors import SearchLimitExceeded
 from .gsdt import CANONICAL, GuidedToward, SnapshotCache, derive_ordering, run_gsdt
+# with_prefs and with_quotas are re-exported: callers use oracle.with_prefs.
 from .instance import (
     Instance,
     PriorityOrdering,
     format_preference_list,
+    with_prefs,
+    with_quotas,
 )
 from .matching import (
     Matching,
@@ -31,21 +33,6 @@ from .matching import (
 )
 
 DEFAULT_LIMIT = 10**6
-
-
-def with_quotas(instance: Instance, quota: dict[str, int]) -> Instance:
-    """Same instance, different applicant quotas. Used for stage-restricted
-    instances, so quota 0 is allowed here."""
-    return dataclasses.replace(instance, quota=dict(quota))
-
-
-def with_prefs(
-    instance: Instance, applicant: str, ties: Sequence[Sequence[str]]
-) -> Instance:
-    """Same instance with one applicant's declared preference list replaced."""
-    prefs = dict(instance.prefs)
-    prefs[applicant] = tuple(frozenset(tie) for tie in ties)
-    return dataclasses.replace(instance, prefs=prefs)
 
 
 # ----------------------------------------------------------------------

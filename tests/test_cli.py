@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, formats, pipelines."""
 
+from pathlib import Path
+
 import pytest
 
 from camatch import envy
@@ -293,3 +295,32 @@ def test_misreport_unknown_applicant_is_usage_error(capsys, ex1_path):
     assert code == 2
     assert out == ""
     assert "unknown applicant 'zz'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "{instance}", "--ordering-file", "{ordering}"),
+    ("solve", "{instance}", "--ordering-file", "{ordering}", "--guided", "{matching}"),
+    ("verify", "{instance}", "{matching}"),
+    ("ordering-for", "{instance}", "{matching}"),
+    ("misreport", "{instance}", "a1", "--ordering-file", "{ordering}"),
+    ("enumerate", "{instance}"),
+])
+def test_byte_order_mark_is_accepted(capsys, ex1_path, tmp_path, argv):
+    texts = {
+        "instance": Path(ex1_path).read_text(encoding="utf-8"),
+        "ordering": "a1 a2 a1\n",
+        "matching": "a1 c2\na2 c1\n",
+    }
+
+    def run(marked):
+        paths = {}
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(("\ufeff" if name == marked else "") + text, encoding="utf-8")
+            paths[name] = str(path)
+        return run_cli(capsys, *(arg.format(**paths) for arg in argv))
+
+    plain_code, plain_out, _ = run(None)
+    for marked in texts:
+        if "{%s}" % marked in argv:
+            assert run(marked) == (plain_code, plain_out, "")
