@@ -43,10 +43,8 @@ def _load_instance(path: str) -> Instance:
 
 
 def _load_ordering(args: argparse.Namespace, instance: Instance) -> tuple[str, ...]:
-    if args.ordering is not None:
-        ordering = parse_ordering(args.ordering)
-    else:
-        ordering = parse_ordering(_read(args.ordering_file))
+    text = args.ordering if args.ordering is not None else _read(args.ordering_file)
+    ordering = parse_ordering(text)
     validate_ordering(instance, ordering)
     return ordering
 
@@ -206,10 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchLimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CamatchError as exc:
+    except (OSError, UnicodeDecodeError, CamatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,17 +9,19 @@ and -1 on strict envy. The matching is Pareto optimal exactly when no
 negative-cost cycle exists.
 
 Nodes are numbered in the sort order of their tagged tuples, so comparing
-ids compares nodes. Each node keeps an ascending successor list and the set
-of its -1 heads, so walking the nodes and then their successors gives the
-arcs in canonical (sorted) order without a sort. All exposed courses share
-one fan-out list, and Tarjan runs on the int lists directly.
+ids compares nodes. Arcs into "course c and its holders" pass through one hub
+per course, and exposed courses share one fan. So |E| is C + P hub arcs, one
+arc per (exposed applicant, unheld acceptable course) and per (pair, weakly
+envied course), and one fan per exposed course, where the expanded graph
+repeats each arc into a hub once per node the hub lists.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .errors import CoalitionError
 from .instance import Instance
@@ -45,26 +47,56 @@ Arc = tuple[Node, Node, int]
 
 @dataclass(frozen=True)
 class EnvyGraph:
-    """The extended envy graph on int ids: node ``i`` is ``nodes[i]`` and
-    ``succ[i]`` lists its successors in ascending order. Arc ``i -> j``
-    weighs -1 when ``j in strict[i]`` and 0 otherwise; applicant nodes share
-    the range of all ids, since all their arcs weigh -1, and pair nodes keep
-    the set of their -1 heads. ``arcs`` and ``weights()`` are the tagged
-    view, derived on first read."""
+    """The extended envy graph on int ids, with one hub per course.
 
-    nodes: tuple[Node, ...]
-    succ: list[Sequence[int]]
+    Real node ``i < len(hub_of)`` is ``node(i)``: applicants, courses, then
+    matched ``pairs``, each sorted. Hub ``len(hub_of) + k`` lists
+    ``courses[k]`` and then its holders, ascending; ``hub_of[i]`` is the hub
+    listing real node ``i`` (-1 for an applicant). ``out[i]`` is a hub's list,
+    an exposed course's shared fan, or the hubs an applicant or pair envies,
+    unordered. Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
+    ``nodes``, the expanded ascending ``succ``, ``arcs`` and ``weights()`` are
+    views derived on first read; the verdict path reads none of them."""
+
+    applicants: tuple[str, ...]
+    courses: tuple[str, ...]
+    pairs: tuple[tuple[str, str], ...]
+    out: list[Sequence[int]]
     strict: list[Collection[int]]
+    hub_of: list[int]
+
+    def node(self, i: int) -> Node:
+        a, c = len(self.applicants), len(self.courses)
+        if i < a:
+            return ("a", self.applicants[i])
+        return ("c", self.courses[i - a]) if i < a + c else ("p", *self.pairs[i - a - c])
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(self.node, range(len(self.hub_of))))
+
+    @cached_property
+    def succ(self) -> list[Sequence[int]]:
+        comp = dict.fromkeys(range(len(self.out)), 0)
+        return [_expanded(self, i, comp, 0) for i in range(len(self.hub_of))]
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
-        """All arcs as (tail, head, weight), in canonical order."""
+        """All expanded arcs as (tail, head, weight), in canonical order."""
         n = self.nodes
-        return tuple((n[u], n[v], -1 if v in self.strict[u] else 0)
+        return tuple((n[u], n[v], -1 if self.hub_of[v] in self.strict[u] else 0)
                      for u, outs in enumerate(self.succ) for v in outs)
 
     def weights(self) -> dict[tuple[Node, Node], int]:
         return {(u, v): w for u, v, w in self.arcs}
+
+
+def _expanded(graph: EnvyGraph, i: int, comp: Mapping[int, int], cc: int) -> Sequence[int]:
+    """Real node ``i``'s successors, ascending, with each of its hubs in
+    component ``cc`` replaced by its list; a hub outside lists no node inside."""
+    if len(graph.applicants) <= i < len(graph.applicants) + len(graph.courses):
+        return graph.out[i]
+    return sorted(v for h in graph.out[i] if comp[h] == cc for v in graph.out[h])
 
 
 @dataclass(frozen=True)
@@ -79,93 +111,82 @@ class CycleWitness:
 def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
     """Construct the extended envy graph of a feasible matching."""
     require_feasible(instance, matching)
-    applicants, courses = sorted(instance.applicants), sorted(instance.courses)
-    pair_list = matching.canonical_pairs()
-    nodes = tuple([("a", a) for a in applicants] + [("c", c) for c in courses]
-                  + [("p", a, c) for a, c in pair_list])
+    applicants, courses = tuple(sorted(instance.applicants)), tuple(sorted(instance.courses))
+    pairs = tuple(matching.canonical_pairs())
     first_pair = len(applicants) + len(courses)
-    course_id = {c: k for k, c in enumerate(courses, len(applicants))}
-    pair_heads = [(k, c) for k, (_, c) in enumerate(pair_list, first_pair)]
-    holders: dict[str, list[int]] = {c: [] for c in courses}  # ascending ids
-    for k, c in pair_heads:
-        holders[c].append(k)
-    succ: list[Sequence[int]] = [()] * len(nodes)
-    strict: list[Collection[int]] = [range(len(nodes))] * len(applicants)
-    strict += [()] * (len(nodes) - len(applicants))
+    size = first_pair + len(pairs)
+    hub = {c: k for k, c in enumerate(courses, size)}
+    hub_of = [-1] * len(applicants) + list(hub.values()) + [hub[c] for _, c in pairs]
+    out: list[Sequence[int]] = [()] * size + [[k] for k in range(len(applicants), first_pair)]
+    for k in range(first_pair, size):
+        out[hub_of[k]].append(k)  # type: ignore[attr-defined]
+    strict: list[Collection[int]] = [range(size, len(out))] * len(applicants) + [()] * len(courses)
 
     # Exposed courses reach every non-course node at cost 0, through one list.
-    fan = [*range(len(applicants)), *range(first_pair, len(nodes))]
-    for c in courses:
+    fan = [*range(len(applicants)), *range(first_pair, size)]
+    for k, c in enumerate(courses, len(applicants)):
         if is_exposed_course(instance, matching, c):
-            succ[course_id[c]] = fan
+            out[k] = fan
 
     # Exposed applicants envy every acceptable course they do not hold, and
-    # the pairs holding it (never their own). Walking the courses, then the
-    # pairs, in id order appends each id to the lists of the applicants
-    # wanting its course, so every list comes out ascending.
-    wanted_by: dict[str, list[list[int]]] = {c: [] for c in courses}
+    # the pairs holding it (never their own).
     for k, a in enumerate(applicants):
         if is_exposed_applicant(instance, matching, a):
-            succ[k] = []
-            for c in instance.acceptable(a) - matching.of_applicant(a):
-                wanted_by[c].append(succ[k])
-    for k, c in [*enumerate(courses, len(applicants)), *pair_heads]:
-        for out in wanted_by[c]:
-            out.append(k)
+            out[k] = [hub[c] for c in instance.acceptable(a) - matching.of_applicant(a)]
 
     # A pair node ac reaches each course it weakly envies, and the pairs
     # holding it; cost 0 within the same tie, -1 above it.
-    for k, (a, c) in enumerate(pair_list, first_pair):
-        out: list[int] = []
-        neg: set[int] = set()
-        for c2, w in weakly_envied(instance, matching, a, c):
-            heads = [course_id[c2], *holders[c2]]
-            out += heads
-            if w:
-                neg.update(heads)
-        succ[k], strict[k] = sorted(out), neg
+    for k, (a, c) in enumerate(pairs, first_pair):
+        envied = [(hub[c2], w) for c2, w in weakly_envied(instance, matching, a, c)]
+        out[k] = [h for h, _ in envied]
+        strict.append({h for h, w in envied if w})
 
-    return EnvyGraph(nodes, succ, strict)
+    return EnvyGraph(applicants, courses, pairs, out, strict, hub_of)
 
 
 def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     """Find a negative-cost cycle from the strongly connected components.
 
     Arcs weigh 0 or -1, so a negative cycle exists exactly when some -1 arc
-    has both ends in one component. The first such arc in canonical order is
-    closed by a breadth-first shortest path inside its component, from head
-    back to tail, scanning successors in canonical order. The witness starts
-    at the arc's tail and is simple and deterministic. Runs in O(V + E).
+    has both ends in one component. Hubs change no reachability between real
+    nodes, so Tarjan on the stored graph gives the expanded graph's
+    components. The first -1 arc in canonical order is closed by a
+    breadth-first shortest path inside its component, from head back to tail,
+    expanding each dequeued node's successors in ascending order until the
+    tail has its parent. The witness starts at the arc's tail and is simple
+    and deterministic. O(V + E) on the stored graph, plus the hubs expanded.
     """
-    succ, strict = graph.succ, graph.strict
-    components = strongly_connected_components(range(len(succ)), succ)
-    comp = [0] * len(succ)
-    for i, members in enumerate(components):
-        for v in members:
-            comp[v] = i
-    for tail, outs in enumerate(succ):
-        # No arc is a loop, so a node alone in its component closes no cycle.
-        if strict[tail] and len(components[comp[tail]]) > 1:
-            inside = (v for v in outs if v in strict[tail] and comp[v] == comp[tail])
-            head = next(inside, -1)
-            if head >= 0:
+    out, strict, size = graph.out, graph.strict, len(graph.hub_of)
+    components = strongly_connected_components(range(len(out)), out)
+    comp = {v: i for i, members in enumerate(components) for v in members}
+    for tail in range(size):
+        # No arc is a loop, so a node alone in its component closes no cycle. A
+        # hub in the component lists nodes in it; the least is its least head.
+        cc = comp[tail]
+        if strict[tail] and len(components[cc]) > 1:
+            heads = [next(v for v in out[h] if comp[v] == cc)
+                     for h in out[tail] if h in strict[tail] and comp[h] == cc]
+            if heads:
+                head = min(heads)
                 break
     else:
         return None
-    parent = [-1] * len(succ)
+    parent = [-1] * size
     parent[head] = head
     queue = [head]
     for x in queue:  # breadth-first: the loop also visits appended nodes
-        for y in succ[x]:
-            if parent[y] < 0 and comp[y] == comp[head]:
+        for y in _expanded(graph, x, comp, cc):
+            if parent[y] < 0 and comp[y] == cc:
                 parent[y] = x
                 queue.append(y)
+        if parent[tail] >= 0:
+            break
     back = [tail]  # the BFS path read backwards, tail to head
     while back[-1] != head:
         back.append(parent[back[-1]])
     cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent
-    total = -sum(v in strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
-    return CycleWitness(tuple(graph.nodes[v] for v in cycle), total)
+    total = -sum(graph.hub_of[v] in strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    return CycleWitness(tuple(map(graph.node, cycle)), total)
 
 
 # ----------------------------------------------------------------------
@@ -219,8 +240,7 @@ def reduce_pseudocoalition(
     if error is not None:
         raise CoalitionError(f"not a pseudocoalition: {error}")
 
-    kind = pseudo.kind
-    elements = pseudo.elements()
+    kind, elements = pseudo.kind, pseudo.elements()
 
     rounds = len(elements)  # every repair strictly shortens the sequence
     while True:
@@ -231,7 +251,7 @@ def reduce_pseudocoalition(
         if rounds < 0:  # pragma: no cover
             raise AssertionError("pseudocoalition reduction failed to shrink")
         x, y = repeat
-        role, ident = elements[x]
+        role, a = elements[x]
         if role == "course":
             if x == 0 and kind is not CoalitionKind.AUGMENTING_PATH:
                 # Repeated leading course: the prefix up to just before the
@@ -242,7 +262,6 @@ def reduce_pseudocoalition(
                 # Splice out everything between the two occurrences.
                 del elements[x:y]
         else:
-            a = ident
             if x == 0:
                 # Leading applicant of an augmenting path seen again: she can
                 # aim directly at the course after the second occurrence.
@@ -304,12 +323,8 @@ def _unroll_cycle(
     held = tuple(p[2] for p in pairs)
     if is_exposed_applicant(instance, matching, applicants[0]):
         # Her strict envy does not need the trade-away: she has a free slot.
-        return Pseudocoalition(
-            CoalitionKind.AUGMENTING_PATH, applicants, held[1:] + (course,)
-        )
-    return Pseudocoalition(
-        CoalitionKind.ALTERNATING_PATH, applicants, held + (course,)
-    )
+        return Pseudocoalition(CoalitionKind.AUGMENTING_PATH, applicants, held[1:] + (course,))
+    return Pseudocoalition(CoalitionKind.ALTERNATING_PATH, applicants, held + (course,))
 
 
 def extract_improving_coalition(
@@ -327,13 +342,17 @@ def _coalition_from_witness(
     cycle = list(witness.nodes)
     if not cycle:
         raise CoalitionError("empty witness cycle")
-    ids = {v: i for i, v in enumerate(graph.nodes)}
-    weights = []
+    weights, ids = [], range(len(graph.hub_of))
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        i, j = ids.get(u), ids.get(v)
-        if i is None or j not in graph.succ[i]:
+        try:  # ids follow the tagged order, so a binary search finds them
+            i, j = (bisect_left(ids, x, key=graph.node) for x in (u, v))
+            found = (graph.node(i), graph.node(j)) == (u, v)
+        except (TypeError, IndexError):  # incomparable, or past the last node
+            found = False
+        # An arc into a course or a pair enters that course's hub.
+        if not found or (j not in graph.out[i] and graph.hub_of[j] not in graph.out[i]):
             raise CoalitionError(f"witness uses a non-arc {u} -> {v}")
-        weights.append(-1 if j in graph.strict[i] else 0)
+        weights.append(-1 if graph.hub_of[j] in graph.strict[i] else 0)
     if sum(weights) >= 0:
         raise CoalitionError("witness cycle is not negative")
     pseudo = _unroll_cycle(instance, matching, cycle, weights)
@@ -360,5 +379,4 @@ def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     if witness is None:
         return ParetoCheck(True)
     coalition = _coalition_from_witness(instance, matching, graph, witness)
-    dominating = satisfy_coalition(instance, matching, coalition)
-    return ParetoCheck(False, coalition, dominating)
+    return ParetoCheck(False, coalition, satisfy_coalition(instance, matching, coalition))

@@ -374,14 +374,9 @@ class GsdtResult:
             assert probes == recorded, f"stage {i}: the record breaks the stage rules"
             net.check()
             path = probes[-1].path if probes else None
-            stages.append(StageRecord(
-                stage=i,
-                applicant=a,
-                probes=probes,
-                added=(a, path[3][1]) if path is not None else None,
-                matching=net.matching(),
-                curr_after=tuple(sorted(curr.items())),
-            ))
+            added = (a, path[3][1]) if path is not None else None
+            stages.append(StageRecord(i, a, probes, added, net.matching(),
+                                      tuple(sorted(curr.items()))))
         return tuple(stages)
 
     @cached_property
@@ -510,22 +505,16 @@ def render_trace(result: GsdtResult) -> list[str]:
     """
     lines = []
     for rec in result.stages:
+        stage = f"stage={rec.stage} applicant={rec.applicant}"
         if not rec.probes:
-            lines.append(
-                f"stage={rec.stage} applicant={rec.applicant} tie=- "
-                f"path=FAIL added=none"
-            )
-            continue
+            lines.append(f"{stage} tie=- path=FAIL added=none")
         for probe in rec.probes:
             if probe.path is None:
                 shown, delta = "FAIL", "none"
             else:
                 shown = ",".join(render_node(n) for n in probe.path)
                 delta = f"{rec.added[0]},{rec.added[1]}"
-            lines.append(
-                f"stage={rec.stage} applicant={rec.applicant} "
-                f"tie={probe.tie + 1} path={shown} added={delta}"
-            )
+            lines.append(f"{stage} tie={probe.tie + 1} path={shown} added={delta}")
     return lines
 
 

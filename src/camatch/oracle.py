@@ -320,10 +320,8 @@ class MisreportSearch:
                 f"lying-outcome: {' '.join(sorted(f.lying_outcome))}",
                 f"improves: {'yes' if f.strict_improvement else 'no'}",
             ]
-        elif self.status is MisreportStatus.NONE:
-            lines.append(f"NONE examined={self.examined}")
         else:
-            lines.append(f"INCONCLUSIVE examined={self.examined}")
+            lines.append(f"{self.status.name} examined={self.examined}")
         return lines
 
 

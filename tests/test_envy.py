@@ -339,6 +339,16 @@ def test_extract_rejects_inconsistent_witness(ex1):
         extract_improving_coalition(ex1, mu, CycleWitness((), 0))
 
 
+@pytest.mark.parametrize("odd", [["a", "a1"], ("a", 1), ("z", "a1"), ("p", "a2", "c1", "x")])
+def test_extract_rejects_witness_nodes_outside_the_graph(ex1, odd):
+    # A list cannot be hashed, ("a", 1) does not compare with the tagged
+    # nodes, and the other two sort past or between them: none is a node.
+    mu = Matching([("a2", "c1")])
+    for nodes in [(odd, ("c", "c1")), (("a", "a1"), odd)]:
+        with pytest.raises(CoalitionError, match="witness uses a non-arc"):
+            extract_improving_coalition(ex1, mu, CycleWitness(nodes, -1))
+
+
 # ----------------------------------------------------------------------
 # The verifier against brute force.
 # ----------------------------------------------------------------------
