@@ -10,7 +10,7 @@ the stage quotas.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -44,20 +44,21 @@ def render_node(node: Node) -> str:
         return "sigma"
     if node == SNK:
         return "tau"
-    if node[0] == "app":
-        return node[1]
     if node[0] == "tie":
         return f"{node[1]}:t{node[2] + 1}"
-    return node[1]
+    return node[1]  # an applicant or a course
 
 
 class FlowNetwork:
-    """Mutable flow state. Tie-to-course arcs have capacity 1 and course-to-
-    sink arcs capacity q(c); source and tie arc capacities evolve with the
-    stages. ``holders[c]`` is the one record of tie-course flow: the arc
-    from tie ``(a, t)`` to course ``c`` carries a unit exactly when
-    ``(a, t)`` is in ``holders[c]``; matched pairs and residual arcs are
-    read off it.
+    """The state of one GSDT run: the flow network, the tie pointers
+    ``curr``, the search's work counters and the recorded probes.
+    Tie-to-course arcs have capacity 1 and course-to-sink arcs capacity
+    q(c); source and tie arc capacities evolve with the stages.
+    ``holders[c]`` is the one record of tie-course flow: the arc from tie
+    ``(a, t)`` to course ``c`` carries a unit exactly when ``(a, t)`` is in
+    ``holders[c]``; matched pairs, residual arcs and the flow out of each
+    tie and applicant are read off it. ``flow_snk[c]`` counts the units on
+    the course's sink arc, which the search's free-seat test reads.
 
     ``dead`` holds tie and course nodes known not to reach the sink in the
     residual network; they stay dead for the rest of the run. An
@@ -69,18 +70,25 @@ class FlowNetwork:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.cap_src = {a: 0 for a in instance.applicants}
-        self.flow_src = {a: 0 for a in instance.applicants}
+        self.curr = dict.fromkeys(instance.applicants, 0)
+        self.cap_src = dict.fromkeys(instance.applicants, 0)
         self.cap_tie = {
-            (a, t): 0
-            for a in instance.applicants
-            for t in range(len(instance.prefs[a]))
-        }
-        self.flow_tie = dict.fromkeys(self.cap_tie, 0)
-        self.holders: dict[str, set[tuple[str, int]]] = {
-            c: set() for c in instance.courses}
-        self.flow_snk = {c: 0 for c in instance.courses}
+            (a, t): 0 for a in instance.applicants for t in range(len(instance.prefs[a]))}
+        self.holders: dict[str, set[tuple[str, int]]] = {c: set() for c in instance.courses}
+        self.flow_snk = dict.fromkeys(instance.courses, 0)
         self.dead: set[Node] = set()
+        self.searches = 0
+        self.arc_visits: list[int] = []
+        self.stage_probes: list[tuple[ProbeRecord, ...]] = []
+
+    def copy(self, instance: Instance) -> FlowNetwork:
+        """An independent copy of the state, read against ``instance``."""
+        new = object.__new__(FlowNetwork)
+        new.__dict__ = {name: getattr(self, name).copy() for name in (
+            "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "stage_probes")}
+        new.instance, new.searches = instance, self.searches
+        new.holders = {c: held.copy() for c, held in self.holders.items()}
+        return new
 
     def matching(self) -> Matching:
         return Matching(
@@ -89,10 +97,6 @@ class FlowNetwork:
     def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
         path toggle, which adds and removes matched pairs."""
-        a = path[1][1]
-        t = path[2][2]
-        self.flow_src[a] += 1
-        self.flow_tie[(a, t)] += 1
         for u, v in zip(path[2:], path[3:]):
             if u[0] == "tie":
                 held = self.holders[v[1]]
@@ -116,7 +120,7 @@ class FlowNetwork:
         every applicant-to-tie arc must sit exactly at its capacity (probes
         saturate on success and roll the capacity back on failure).
         """
-        inst, holders, flow_tie, cap_tie = self.instance, self.holders, self.flow_tie, self.cap_tie
+        inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
         for c in inst.courses if courses is None else courses:
             held = holders[c]
             assert len(held) == self.flow_snk[c] <= inst.capacity[c]
@@ -128,9 +132,9 @@ class FlowNetwork:
                 key, held = (a, t), 0
                 for c in tie:
                     held += key in holders[c]
-                assert flow_tie[key] == cap_tie[key] == held
+                assert cap_tie[key] == held
                 out += held
-            assert 0 <= self.flow_src[a] == out <= self.cap_src[a]
+            assert out <= self.cap_src[a]
 
 
 # ----------------------------------------------------------------------
@@ -158,29 +162,10 @@ CANONICAL = BreadthFirstCanonical()
 Policy = BreadthFirstCanonical | GuidedToward
 
 
-@dataclass
-class GsdtState:
-    instance: Instance
-    network: FlowNetwork
-    curr: dict[str, int]
-    searches: int = 0
-    arc_visits: list[int] = field(default_factory=list)
-    stage_probes: list[tuple[ProbeRecord, ...]] = field(default_factory=list)
-
-    def copy(self, instance: Instance) -> GsdtState:
-        old, net = self.network, object.__new__(FlowNetwork)
-        net.__dict__ = {name: getattr(old, name).copy() for name in (
-            "cap_src", "flow_src", "cap_tie", "flow_tie", "flow_snk", "dead")}
-        net.instance, net.holders = instance, {c: h.copy() for c, h in old.holders.items()}
-        return GsdtState(instance, net, self.curr.copy(), self.searches,
-                         self.arc_visits.copy(), self.stage_probes.copy())
-
-
 def find_augmenting_path(
-    state: GsdtState,
+    net: FlowNetwork,
     applicant: str,
     tie: int,
-    policy: Policy = CANONICAL,
     guided_order: dict[str, list[str]] | None = None,
 ) -> list[Node] | None:
     """Search the residual network for a source-sink path through the
@@ -198,18 +183,21 @@ def find_augmenting_path(
     probed tie fails at once; dead nodes have no distance to the sink, so
     the path is unchanged. A failed probe adds its whole region to the dead
     set, a successful one the region nodes its distance search did not
-    reach. Arc inspections inside the region are counted into the state's
-    work counters.
+    reach. Each search adds one to ``net.searches`` and appends its arc
+    inspections to ``net.arc_visits``.
+
+    A ``guided_order`` (per applicant, a guided target's courses in pair-
+    priority order) is tried first: its first course in the probed tie that
+    the tie does not hold and that has a free seat is taken directly.
     """
-    net = state.network
-    inst = state.instance
+    inst = net.instance
     holders = net.holders
     dead = net.dead
     visits = 0
 
     def finish(path: list[Node] | None) -> list[Node] | None:
-        state.searches += 1
-        state.arc_visits.append(visits)
+        net.searches += 1
+        net.arc_visits.append(visits)
         return path
 
     # A dead tie has no free course to take directly either.
@@ -217,7 +205,7 @@ def find_augmenting_path(
     if start in dead:
         return finish(None)
 
-    if isinstance(policy, GuidedToward) and guided_order is not None:
+    if guided_order is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
         probed = inst.prefs[applicant][tie]
         for c in guided_order.get(applicant, ()):
@@ -303,29 +291,29 @@ class ProbeRecord:
     path: tuple[Node, ...] | None
 
 
-def _stage(net: FlowNetwork, curr: dict[str, int], a: str,
+def _stage(net: FlowNetwork, a: str,
            probe: Callable[[int], Sequence[Node] | None]) -> tuple[ProbeRecord, ...]:
     """The stage rules, shared by the live run and the trace replay: serve
     one quota unit of applicant ``a`` and return the stage's probes.
 
     Raise her source capacity and probe her ties from the active one,
-    ``curr[a]``, onward; ``probe(t)`` gives an augmenting path through tie
-    ``t`` or ``None``. A failed probe rolls the tie capacity back and advances
-    ``curr[a]``; the first success augments the flow. Then ``FlowNetwork.check``
-    runs on the nodes the stage could change: ``a`` and, on success, the
-    applicant of every tie and every course on the path.
+    ``net.curr[a]``, onward; ``probe(t)`` gives an augmenting path through
+    tie ``t`` or ``None``. A failed probe rolls the tie capacity back and
+    advances ``curr[a]``; the first success augments the flow. Then
+    ``FlowNetwork.check`` runs on the nodes the stage could change: ``a``
+    and, on success, the applicant of every tie and every course on the path.
     """
     net.cap_src[a] += 1
     probes: list[ProbeRecord] = []
     path: Sequence[Node] | None = None
-    while path is None and curr[a] < len(net.instance.prefs[a]):
-        t = curr[a]
+    while path is None and net.curr[a] < len(net.instance.prefs[a]):
+        t = net.curr[a]
         net.cap_tie[(a, t)] += 1
         path = probe(t)
         probes.append(ProbeRecord(t, tuple(path) if path else None))
         if path is None:
             net.cap_tie[(a, t)] -= 1
-            curr[a] += 1
+            net.curr[a] += 1
     if path is not None:
         net.augment(path)
     changed = path or ()
@@ -367,16 +355,15 @@ class GsdtResult:
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
         net = FlowNetwork(self.instance)
-        curr = {a: 0 for a in self.instance.applicants}
         stages = []
         for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
-            probes = _stage(net, curr, a, {p.tie: p.path for p in recorded}.get)
+            probes = _stage(net, a, {p.tie: p.path for p in recorded}.get)
             assert probes == recorded, f"stage {i}: the record breaks the stage rules"
             net.check()
             path = probes[-1].path if probes else None
             added = (a, path[3][1]) if path is not None else None
             stages.append(StageRecord(i, a, probes, added, net.matching(),
-                                      tuple(sorted(curr.items()))))
+                                      tuple(sorted(net.curr.items()))))
         return tuple(stages)
 
     @cached_property
@@ -389,16 +376,15 @@ class GsdtResult:
         return tuple(history)
 
 
-def _serve(state: GsdtState, stages: Sequence[str], policy: Policy,
+def _serve(net: FlowNetwork, stages: Sequence[str],
            guided_order: dict[str, list[str]] | None, offer: Callable = lambda _: None) -> None:
     """The stage loop: one ``_stage`` per entry, probed by the live search.
     ``offer`` sees the state before each stage and after the last."""
     for a in stages:
-        offer(state)
-        state.stage_probes.append(_stage(
-            state.network, state.curr, a,
-            lambda t: find_augmenting_path(state, a, t, policy, guided_order)))
-    offer(state)
+        offer(net)
+        net.stage_probes.append(_stage(
+            net, a, lambda t: find_augmenting_path(net, a, t, guided_order)))
+    offer(net)
 
 
 class SnapshotCache:
@@ -423,37 +409,37 @@ class SnapshotCache:
             raise ValueError(f"unknown applicant {applicant!r}")
         self.instance, self.ordering, self.applicant = instance, tuple(ordering), applicant
         # The first run replaces this empty state with the one before her first stage.
-        state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
-        self.states = OrderedDict({((), False): state})
+        self.states = OrderedDict({((), False): FlowNetwork(instance)})
 
-    def run(self, prefs: Iterable[Iterable[str]]) -> GsdtState:
+    def run(self, prefs: Iterable[Iterable[str]]) -> FlowNetwork:
         """The finished run with ``prefs`` as her list, equal to a fresh
         ``run_gsdt``'s, counters and probes included. A copy of the deepest
         state the list fits (the longest key: keys only grow along a run)
-        resumes once her unread ties are shown to hold zeros, no course and no
-        dead node, and are rebuilt. The result may be stored: do not change it."""
+        resumes once each of her unread ties is shown to have zero capacity,
+        no course and no dead node, and they are rebuilt for ``prefs``. The
+        result may be stored: do not change it."""
         instance = with_prefs(self.instance, self.applicant, prefs)
         a, prefs = self.applicant, instance.prefs[self.applicant]
         keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
         key = next(k for k in keys if k in self.states)
         self.states.move_to_end(key)
-        cached = self.states[key]
-        old, s, state = cached.network, cached.instance, cached.copy(instance)
+        old = self.states[key]
+        s, state = old.instance, old.copy(instance)
         for t in range(len(key[0]), len(s.prefs[a])):
-            assert old.cap_tie[a, t] == old.flow_tie[a, t] == 0 and _tie(a, t) not in old.dead
+            assert old.cap_tie[a, t] == 0 and _tie(a, t) not in old.dead
             assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
-            del state.network.cap_tie[a, t], state.network.flow_tie[a, t]
+            del state.cap_tie[a, t]
         for t in range(len(key[0]), len(prefs)):
-            state.network.cap_tie[a, t] = state.network.flow_tie[a, t] = 0
-        _serve(state, self.ordering[len(state.stage_probes):], CANONICAL, None, self._offer)
-        state.network.check()
+            state.cap_tie[a, t] = 0
+        _serve(state, self.ordering[len(state.stage_probes):], None, self._offer)
+        state.check()
         return state
 
-    def _offer(self, state: GsdtState) -> None:
+    def _offer(self, state: FlowNetwork) -> None:
         a, depth = self.applicant, len(state.stage_probes)
         if depth < len(self.ordering) and self.ordering[depth] != a:
             return
-        prefs, t, served = state.instance.prefs[a], state.curr[a], state.network.cap_src[a] > 0
+        prefs, t, served = state.instance.prefs[a], state.curr[a], state.cap_src[a] > 0
         key = (prefs[:t + 1] if served else (), served and t == len(prefs))
         if key not in self.states or len(self.states[key].stage_probes) < depth:
             # A finished run never changes its state again, so that one is kept as is.
@@ -480,7 +466,7 @@ def run_gsdt(
     ``FeasibilityError`` is raised before any stage runs.
     """
     validate_ordering(instance, ordering)
-    state = GsdtState(instance, FlowNetwork(instance), dict.fromkeys(instance.applicants, 0))
+    net = FlowNetwork(instance)
     guided_order = None
     if isinstance(policy, GuidedToward):
         require_feasible(instance, policy.target)
@@ -488,12 +474,12 @@ def run_gsdt(
         for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
-    _serve(state, ordering, policy, guided_order)
-    state.network.check()
+    _serve(net, ordering, guided_order)
+    net.check()
     return GsdtResult(
-        instance=instance, ordering=tuple(ordering), matching=state.network.matching(),
-        stage_probes=tuple(state.stage_probes), searches=state.searches,
-        arc_visits=tuple(state.arc_visits))
+        instance=instance, ordering=tuple(ordering), matching=net.matching(),
+        stage_probes=tuple(net.stage_probes), searches=net.searches,
+        arc_visits=tuple(net.arc_visits))
 
 
 def render_trace(result: GsdtResult) -> list[str]:

@@ -31,6 +31,25 @@ def _check_id(token: str, role: str) -> None:
         raise InstanceSemanticError(f"invalid {role} id {token!r}")
 
 
+def _tie_sets(aid: str, ties: Iterable[Iterable[str]], capacity: dict[str, int]) -> PreferenceList:
+    """``aid``'s ties as sets; each must be nonempty, of known courses ranked once."""
+    seen: set[str] = set()
+    tie_sets: list[frozenset[str]] = []
+    for group in ties:
+        group = list(group)
+        if not group:
+            raise InstanceSemanticError(f"applicant {aid!r} has an empty tie group")
+        for cid in group:
+            if cid not in capacity:
+                raise InstanceSemanticError(f"applicant {aid!r} ranks unknown course {cid!r}")
+            if cid in seen:
+                raise InstanceSemanticError(
+                    f"course {cid!r} appears twice in {aid!r}'s preference list")
+            seen.add(cid)
+        tie_sets.append(frozenset(group))
+    return tuple(tie_sets)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable allocation instance.
@@ -82,25 +101,9 @@ class Instance:
             if not 1 <= b <= MAX_QUOTA:
                 raise InstanceSemanticError(
                     f"applicant {aid!r} quota {b} out of range [1, {MAX_QUOTA}]")
-            seen: set[str] = set()
-            tie_sets: list[frozenset[str]] = []
-            for group in ties:
-                group = list(group)
-                if not group:
-                    raise InstanceSemanticError(
-                        f"applicant {aid!r} has an empty tie group")
-                for cid in group:
-                    if cid not in capacity:
-                        raise InstanceSemanticError(
-                            f"applicant {aid!r} ranks unknown course {cid!r}")
-                    if cid in seen:
-                        raise InstanceSemanticError(
-                            f"course {cid!r} appears twice in {aid!r}'s preference list")
-                    seen.add(cid)
-                tie_sets.append(frozenset(group))
             applicant_ids.append(aid)
             quota[aid] = b
-            prefs[aid] = tuple(tie_sets)
+            prefs[aid] = _tie_sets(aid, ties, capacity)
 
         return Instance(tuple(applicant_ids), tuple(course_ids),
                         quota, capacity, prefs)
@@ -138,8 +141,12 @@ def with_quotas(instance: Instance, quota: dict[str, int]) -> Instance:
 
 
 def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]) -> Instance:
-    """Same instance with one applicant's declared preference list replaced."""
-    return replace(instance, prefs={**instance.prefs, applicant: tuple(map(frozenset, ties))})
+    """Same instance with one applicant's declared preference list replaced,
+    checked as ``Instance.build`` checks it."""
+    if applicant not in instance.quota:
+        raise InstanceSemanticError(f"unknown applicant {applicant!r}")
+    prefs = {**instance.prefs, applicant: _tie_sets(applicant, ties, instance.capacity)}
+    return replace(instance, prefs=prefs)
 
 
 # ----------------------------------------------------------------------

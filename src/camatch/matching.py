@@ -70,13 +70,15 @@ def is_exposed_course(instance: Instance, matching: Matching, c: str) -> bool:
 def is_feasible(instance: Instance, matching: Matching) -> str | None:
     """Return None if the matching is feasible, else a description of the
     first violated constraint (unknown id, individual rationality, quota)."""
-    for a, c in sorted(matching.pairs):
+    bad = [(a, c) for a, c in matching.pairs if a not in instance.quota
+           or c not in instance.capacity or c not in instance.acceptable(a)]
+    if bad:  # the least violating pair is named
+        a, c = min(bad)
         if a not in instance.quota:
             return f"unknown applicant {a!r}"
         if c not in instance.capacity:
             return f"unknown course {c!r}"
-        if c not in instance.acceptable(a):
-            return f"course {c} is not acceptable to {a}"
+        return f"course {c} is not acceptable to {a}"
     for a in instance.applicants:
         got = len(matching.of_applicant(a))
         if got > instance.quota[a]:

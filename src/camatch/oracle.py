@@ -64,8 +64,9 @@ def enumerate_feasible_matchings(
         top = min(instance.quota[a], acceptable)
         space *= sum(comb(acceptable, k) for k in range(top + 1))
         if space > limit:
-            raise SearchLimitExceeded(
-                f"feasible-matching space exceeds {limit}")
+            break
+    if space > limit:  # also with no applicants, where the space is 1
+        raise SearchLimitExceeded(f"feasible-matching space exceeds {limit}")
 
     applicants = instance.applicants
     results: list[Matching] = [] if applicants else [Matching()]
@@ -376,7 +377,7 @@ def find_beneficial_misreport(
     runs = SnapshotCache(instance, ordering, applicant)
 
     def outcome(prefs: Sequence[frozenset[str]]) -> frozenset[str]:
-        holders = runs.run(prefs).network.holders
+        holders = runs.run(prefs).holders
         return frozenset(
             c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in holders[c])
 

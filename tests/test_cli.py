@@ -133,6 +133,15 @@ def test_enumerate_empty_instance(capsys, tmp_path):
     assert out.splitlines() == ["poms=1 examined=1", "(empty)"]
 
 
+def test_enumerate_limit_zero_on_a_courses_only_file(capsys, tmp_path):
+    # The one (empty) matching already goes past a limit of 0.
+    path = tmp_path / "empty.txt"
+    path.write_text("courses: c1=1\n")
+    code, out, err = run_cli(capsys, "enumerate", str(path), "--limit", "0")
+    assert code == 3 and out == ""
+    assert "limit exceeded" in err
+
+
 def test_enumerate_limit(capsys, tmp_path):
     lines = ["courses: " + " ".join(f"c{i}=1" for i in range(1, 9))]
     for i in range(1, 7):

@@ -92,18 +92,16 @@ def test_stage_one_direct_path(t1):
 
 
 def test_find_augmenting_path_direct_call(t1):
-    from camatch.gsdt import FlowNetwork, GsdtState
+    from camatch.gsdt import FlowNetwork
     from camatch import find_augmenting_path
 
-    state = GsdtState(
-        instance=t1, network=FlowNetwork(t1),
-        curr={a: 0 for a in t1.applicants})
-    state.network.cap_src["a1"] = 1
-    state.network.cap_tie[("a1", 0)] = 1
-    path = find_augmenting_path(state, "a1", 0)
+    net = FlowNetwork(t1)
+    net.cap_src["a1"] = 1
+    net.cap_tie[("a1", 0)] = 1
+    path = find_augmenting_path(net, "a1", 0)
     assert path == [
         ("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)]
-    assert state.searches == 1 and len(state.arc_visits) == 1
+    assert net.searches == 1 and len(net.arc_visits) == 1
 
 
 def test_rerouting_chain_preserves_indifference():
@@ -240,14 +238,15 @@ def test_flow_network_check_catches_lost_holder(t1):
 
 
 def test_flow_network_check_counts_the_courses_each_tie_holds(t1):
-    # The tie's flow and capacity and a1's source flow all agree at 0, so
-    # only the count of courses the tie holds (c1) can catch the corruption.
+    # The tie's capacity drops to 0 while a1's source capacity still admits
+    # one unit, so only the count of courses the tie holds (c1) can catch
+    # the corruption.
     net = FlowNetwork(t1)
     net.cap_src["a1"] = 1
     net.cap_tie[("a1", 0)] = 1
     net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
     net.check(courses=())
-    net.flow_tie[("a1", 0)] = net.cap_tie[("a1", 0)] = net.flow_src["a1"] = 0
+    net.cap_tie[("a1", 0)] = 0
     with pytest.raises(AssertionError):
         net.check(courses=())
 

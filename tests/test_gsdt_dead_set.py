@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camatch import (
-    CANONICAL,
     GuidedToward,
     derive_ordering,
     generate_random_instance,
@@ -74,14 +73,13 @@ def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
     dead_starts = 0
     networks = []
 
-    def checked(state, applicant, tie, policy=CANONICAL, guided_order=None):
+    def checked(net, applicant, tie, guided_order=None):
         nonlocal dead_starts
-        net = state.network
         if not networks or networks[-1] is not net:
             networks.append(net)
         assert_dead_cannot_reach_sink(net)
         dead_starts += ("tie", applicant, tie) in net.dead
-        path = search(state, applicant, tie, policy, guided_order)
+        path = search(net, applicant, tie, guided_order)
         assert_dead_cannot_reach_sink(net)
         return path
 

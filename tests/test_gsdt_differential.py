@@ -7,7 +7,6 @@ import random
 import pytest
 
 from camatch import (
-    CANONICAL,
     GuidedToward,
     derive_ordering,
     generate_random_instance,
@@ -18,18 +17,18 @@ from camatch import gsdt
 from camatch.gsdt import SNK, SRC
 
 
-def reference_search(state, applicant, tie, policy=CANONICAL, guided_order=None):
+def reference_search(net, applicant, tie, guided_order=None):
     """Whole-network search: rebuild the residual graph of every tie and
     every listed course from the current matching and the instance, find
     distances to the sink by reverse breadth-first search over all of it,
     and walk the least-key shortest path from the probed tie."""
-    inst = state.instance
-    matched = state.network.matching()
+    inst = net.instance
+    matched = net.matching()
 
     def free(c):
         return len(matched.of_course(c)) < inst.capacity[c]
 
-    if isinstance(policy, GuidedToward) and guided_order is not None:
+    if guided_order is not None:
         held = matched.of_applicant(applicant)
         for c in guided_order.get(applicant, ()):
             if c in inst.prefs[applicant][tie] and c not in held and free(c):
@@ -92,9 +91,9 @@ def test_region_search_equals_whole_network_search(monkeypatch, k):
     region_search = gsdt.find_augmenting_path
     outcomes = []
 
-    def both(state, applicant, tie, policy=CANONICAL, guided_order=None):
-        expected = reference_search(state, applicant, tie, policy, guided_order)
-        got = region_search(state, applicant, tie, policy, guided_order)
+    def both(net, applicant, tie, guided_order=None):
+        expected = reference_search(net, applicant, tie, guided_order)
+        got = region_search(net, applicant, tie, guided_order)
         assert got == expected
         outcomes.append(got is not None)
         return got

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from camatch import OrderingError, generate_random_instance, render_trace, run_gsdt
 from camatch.fixtures import fixture_instances, walkthrough_instance
-from camatch import oracle
-from camatch.gsdt import SNAPSHOT_CAP, GsdtResult, GsdtState, SnapshotCache, _tie
+from camatch import gsdt, oracle
+from camatch.gsdt import SNAPSHOT_CAP, FlowNetwork, GsdtResult, SnapshotCache, _tie
 from camatch.matching import SetRelation, compare_sets
 from camatch.oracle import (
     MisreportFinding,
@@ -54,11 +54,9 @@ def reference_misreport(instance, ordering, applicant, search_limit=200_000):
 def state_key(state):
     """Everything a stored state holds, copied into comparable values (the
     items of its containers are immutable)."""
-    net = state.network
-    return (*(d.copy() for d in (net.cap_src, net.flow_src, net.cap_tie, net.flow_tie,
-                                 net.flow_snk, net.dead, state.curr, state.arc_visits,
-                                 state.stage_probes)),
-            {c: held.copy() for c, held in net.holders.items()}, state.searches)
+    return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.flow_snk, state.dead,
+                                 state.curr, state.arc_visits, state.stage_probes)),
+            {c: held.copy() for c, held in state.holders.items()}, state.searches)
 
 
 def fits(key, prefs):
@@ -73,7 +71,7 @@ def assert_equals_fresh(cache, state, fresh, trace=True):
     trace is replayed from the instance, ordering and probes compared first,
     so a caller with many runs may leave it out."""
     resumed = GsdtResult(
-        instance=state.instance, ordering=cache.ordering, matching=state.network.matching(),
+        instance=state.instance, ordering=cache.ordering, matching=state.matching(),
         stage_probes=tuple(state.stage_probes), searches=state.searches,
         arc_visits=tuple(state.arc_visits))
     assert resumed.instance == fresh.instance
@@ -101,7 +99,7 @@ def resumed_from(cache, prefs, keys=(), finish=True):
     resumed from."""
     only = restricted(cache, keys)
     sources = {id(state): k for k, state in only.states.items()}
-    copied, real = [], GsdtState.copy
+    copied, real = [], FlowNetwork.copy
 
     def spy(state, instance):
         copied.append(state)
@@ -109,7 +107,7 @@ def resumed_from(cache, prefs, keys=(), finish=True):
             raise Picked
         return real(state, instance)
 
-    with mock.patch.object(GsdtState, "copy", spy):
+    with mock.patch.object(FlowNetwork, "copy", spy):
         try:
             state = only.run(prefs)
         except Picked:
@@ -225,6 +223,30 @@ def test_the_first_run_stores_the_state_before_her_first_stage():
     assert len(cache.states[BASE_KEY].stage_probes) == 2  # a2 and a3 went first
 
 
+def test_a_copy_shares_no_container_with_its_original():
+    """Mutating every container of a copy taken mid-run leaves the original
+    as it was."""
+    inst = walkthrough_instance()
+    original = FlowNetwork(inst)
+    gsdt._serve(original, ORDERING[:4], None)
+    assert original.dead and any(original.holders.values())
+    before = state_key(original)
+    copied = original.copy(inst)
+    assert vars(copied).keys() == vars(original).keys()
+    assert state_key(copied) == before
+    for held in copied.holders.values():
+        held.add(("zz", 0))
+    copied.holders["zz"] = set()
+    for counts in (copied.cap_src, copied.cap_tie, copied.flow_snk, copied.curr):
+        for key in counts:
+            counts[key] += 1
+    copied.dead.add(_tie("zz", 0))
+    copied.arc_visits.append(0)
+    copied.stage_probes.append(())
+    copied.searches += 1
+    assert state_key(original) == before
+
+
 CORRUPTIONS = {
     "held": lambda net, a, t, c: net.holders[c].add((a, t)),
     "dead": lambda net, a, t, c: net.dead.add(_tie(a, t)),
@@ -251,7 +273,7 @@ def test_resume_asserts_catch_a_corrupt_unread_tie(corrupt, deeper):
     assert_equals_fresh(cache, resumed, fresh)
 
     t = len(key[0])
-    corrupt(state.network, "a1", t, min(prefs[t]))
+    corrupt(state, "a1", t, min(prefs[t]))
     with pytest.raises(AssertionError) as raised:
         restricted(cache, [key]).run(prefs)
     assert raised.traceback[-1].name == "run"

@@ -19,7 +19,6 @@ from camatch import (
 from camatch.fixtures import fixture_instances
 from camatch.gsdt import (
     FlowNetwork,
-    GsdtState,
     ProbeRecord,
     StageRecord,
     _pair_priority_order,
@@ -33,32 +32,27 @@ def reference_run(instance, ordering, policy=CANONICAL):
     """Eager loop: after every stage run the full network check and record
     the matching, the tie pointers and the source capacities."""
     validate_ordering(instance, ordering)
-    state = GsdtState(
-        instance=instance,
-        network=FlowNetwork(instance),
-        curr={a: 0 for a in instance.applicants},
-    )
+    net = FlowNetwork(instance)
     guided_order = None
     if isinstance(policy, GuidedToward):
         guided_order = {}
         for a, c in _pair_priority_order(instance, policy.target):
             guided_order.setdefault(a, []).append(c)
 
-    net = state.network
     capacities = [tuple(net.cap_src.values())]
     stages = []
     for i, a in enumerate(ordering, start=1):
         net.cap_src[a] += 1
         probes = []
         path = None
-        while path is None and state.curr[a] < len(instance.prefs[a]):
-            t = state.curr[a]
+        while path is None and net.curr[a] < len(instance.prefs[a]):
+            t = net.curr[a]
             net.cap_tie[(a, t)] += 1
-            path = find_augmenting_path(state, a, t, policy, guided_order)
+            path = find_augmenting_path(net, a, t, guided_order)
             probes.append(ProbeRecord(t, tuple(path) if path else None))
             if path is None:
                 net.cap_tie[(a, t)] -= 1
-                state.curr[a] += 1
+                net.curr[a] += 1
         if path is not None:
             net.augment(path)
         net.check()
@@ -69,7 +63,7 @@ def reference_run(instance, ordering, policy=CANONICAL):
                 probes=tuple(probes),
                 added=(a, path[3][1]) if path is not None else None,
                 matching=net.matching(),
-                curr_after=tuple(sorted(state.curr.items())),
+                curr_after=tuple(sorted(net.curr.items())),
             )
         )
         capacities.append(tuple(net.cap_src.values()))
@@ -77,8 +71,8 @@ def reference_run(instance, ordering, policy=CANONICAL):
         matching=stages[-1].matching if stages else Matching(),
         stages=tuple(stages),
         capacity_history=tuple(capacities),
-        searches=state.searches,
-        arc_visits=tuple(state.arc_visits),
+        searches=net.searches,
+        arc_visits=tuple(net.arc_visits),
     )
 
 

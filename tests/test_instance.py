@@ -18,6 +18,7 @@ from camatch import (
     serialize_matching_pairs,
     validate_ordering,
 )
+from camatch.instance import with_prefs
 
 WALKTHROUGH_TEXT = """\
 # worked three-applicant instance
@@ -102,6 +103,17 @@ def test_syntax_error_reports_position():
 def test_semantic_errors(text, match):
     with pytest.raises(InstanceSemanticError, match=match):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("applicant, ties, match", [
+    ("a1", [["zz"]], "applicant 'a1' ranks unknown course 'zz'"),
+    ("a1", [[]], "applicant 'a1' has an empty tie group"),
+    ("a1", [["c1"], ["c1"]], "course 'c1' appears twice in 'a1'"),
+    ("zz", [["c1"]], "unknown applicant 'zz'"),
+], ids=["unknown-course", "empty-tie", "twice", "unknown-applicant"])
+def test_with_prefs_rejects_what_build_rejects(t1, applicant, ties, match):
+    with pytest.raises(InstanceSemanticError, match=match):
+        with_prefs(t1, applicant, ties)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -51,6 +51,17 @@ def test_enumerate_feasible_no_acceptables():
     assert enumerate_feasible_matchings(inst) == [Matching()]
 
 
+@pytest.mark.parametrize("limit, raises", [(0, True), (1, False)])
+def test_enumerate_feasible_no_applicants_checks_the_limit(limit, raises):
+    # No applicants: the space is the empty product, 1.
+    inst = Instance.build([("c1", 1)], [])
+    if raises:
+        with pytest.raises(SearchLimitExceeded):
+            enumerate_feasible_matchings(inst, limit=limit)
+    else:
+        assert enumerate_feasible_matchings(inst, limit=limit) == [Matching()]
+
+
 def test_enumerate_feasible_deeper_than_recursion_limit():
     # one applicant per level of the search: 1500 levels, a single matching
     inst = Instance.build([("c1", 1)], [(f"a{i}", 1, []) for i in range(1500)])
