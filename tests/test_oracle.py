@@ -51,15 +51,12 @@ def test_enumerate_feasible_no_acceptables():
     assert enumerate_feasible_matchings(inst) == [Matching()]
 
 
-@pytest.mark.parametrize("limit, raises", [(0, True), (1, False)])
-def test_enumerate_feasible_no_applicants_checks_the_limit(limit, raises):
+def test_enumerate_feasible_no_applicants_checks_the_limit():
     # No applicants: the space is the empty product, 1.
     inst = Instance.build([("c1", 1)], [])
-    if raises:
-        with pytest.raises(SearchLimitExceeded):
-            enumerate_feasible_matchings(inst, limit=limit)
-    else:
-        assert enumerate_feasible_matchings(inst, limit=limit) == [Matching()]
+    assert enumerate_feasible_matchings(inst, limit=1) == [Matching()]
+    with pytest.raises(SearchLimitExceeded):
+        enumerate_feasible_matchings(inst, limit=0)
 
 
 def test_enumerate_feasible_deeper_than_recursion_limit():
