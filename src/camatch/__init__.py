@@ -29,8 +29,6 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .gsdt import (
-    CANONICAL,
-    BreadthFirstCanonical,
     GsdtResult,
     GuidedToward,
     derive_ordering,

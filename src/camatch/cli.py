@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .envy import is_pareto_optimal
 from .errors import CamatchError, FeasibilityError, NotParetoOptimalError, SearchLimitExceeded
-from .gsdt import CANONICAL, GuidedToward, derive_ordering, render_trace, run_gsdt
+from .gsdt import GuidedToward, derive_ordering, render_trace, run_gsdt
 from .instance import (
     Instance,
     generate_random_instance,
@@ -60,7 +60,7 @@ def _load_matching(path: str, instance: Instance) -> Matching:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     ordering = _load_ordering(args, instance)
-    policy = CANONICAL
+    policy = None
     if args.guided is not None:
         policy = GuidedToward(_load_matching(args.guided, instance))
     result = run_gsdt(instance, ordering, policy)
@@ -111,8 +111,6 @@ def cmd_ordering_for(args: argparse.Namespace) -> int:
 def cmd_misreport(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     ordering = _load_ordering(args, instance)
-    if args.applicant not in instance.applicants:
-        raise CamatchError(f"unknown applicant {args.applicant!r}")
     search = find_beneficial_misreport(
         instance, ordering, args.applicant, search_limit=args.limit)
     for line in search.to_lines():

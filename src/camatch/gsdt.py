@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .errors import NotParetoOptimalError
+from .errors import InstanceSemanticError, NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering, with_prefs
 from .matching import (
     Matching, Pair, _weakly_prefers_course, require_feasible, weakly_envied)
@@ -51,7 +51,8 @@ def render_node(node: Node) -> str:
 
 class FlowNetwork:
     """The state of one GSDT run: the flow network, the tie pointers
-    ``curr``, the search's work counters and the recorded probes.
+    ``curr``, the arcs each search inspected (``arc_visits``, one entry
+    per search) and the recorded probes.
     Tie-to-course arcs have capacity 1 and course-to-sink arcs capacity
     q(c); source and tie arc capacities evolve with the stages.
     ``holders[c]`` is the one record of tie-course flow: the arc from tie
@@ -77,7 +78,6 @@ class FlowNetwork:
         self.holders: dict[str, set[tuple[str, int]]] = {c: set() for c in instance.courses}
         self.flow_snk = dict.fromkeys(instance.courses, 0)
         self.dead: set[Node] = set()
-        self.searches = 0
         self.arc_visits: list[int] = []
         self.stage_probes: list[tuple[ProbeRecord, ...]] = []
 
@@ -86,7 +86,7 @@ class FlowNetwork:
         new = object.__new__(FlowNetwork)
         new.__dict__ = {name: getattr(self, name).copy() for name in (
             "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "stage_probes")}
-        new.instance, new.searches = instance, self.searches
+        new.instance = instance
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
 
@@ -137,17 +137,6 @@ class FlowNetwork:
             assert out <= self.cap_src[a]
 
 
-# ----------------------------------------------------------------------
-# Path selection policies.
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BreadthFirstCanonical:
-    """Shortest augmenting path, ties broken toward the lexicographically
-    least node sequence. Purely a reproducibility device; any augmenting
-    path preserves correctness."""
-
-
 @dataclass(frozen=True)
 class GuidedToward:
     """Prefer direct paths onto the target matching's courses, in the
@@ -155,11 +144,6 @@ class GuidedToward:
     Pareto optimal matching."""
 
     target: Matching
-
-
-CANONICAL = BreadthFirstCanonical()
-
-Policy = BreadthFirstCanonical | GuidedToward
 
 
 def find_augmenting_path(
@@ -183,8 +167,7 @@ def find_augmenting_path(
     probed tie fails at once; dead nodes have no distance to the sink, so
     the path is unchanged. A failed probe adds its whole region to the dead
     set, a successful one the region nodes its distance search did not
-    reach. Each search adds one to ``net.searches`` and appends its arc
-    inspections to ``net.arc_visits``.
+    reach. Each search appends its arc inspections to ``net.arc_visits``.
 
     A ``guided_order`` (per applicant, a guided target's courses in pair-
     priority order) is tried first: its first course in the probed tie that
@@ -196,7 +179,6 @@ def find_augmenting_path(
     visits = 0
 
     def finish(path: list[Node] | None) -> list[Node] | None:
-        net.searches += 1
         net.arc_visits.append(visits)
         return path
 
@@ -334,8 +316,9 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class GsdtResult:
-    """The final matching and work counters of a run, plus what the run
-    recorded to explain itself: each stage's probes.
+    """The final matching and the arc inspections of each search of a run,
+    plus what the run recorded to explain itself: each stage's probes.
+    ``searches`` counts the searches, one per entry of ``arc_visits``.
 
     ``stages`` and ``capacity_history`` are built on first read and cached.
     ``stages`` replays the recorded paths through ``_stage`` on a fresh
@@ -349,8 +332,11 @@ class GsdtResult:
     ordering: PriorityOrdering
     matching: Matching
     stage_probes: tuple[tuple[ProbeRecord, ...], ...]
-    searches: int
     arc_visits: tuple[int, ...]
+
+    @property
+    def searches(self) -> int:
+        return len(self.arc_visits)
 
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
@@ -406,7 +392,7 @@ class SnapshotCache:
     def __init__(self, instance: Instance, ordering: Sequence[str], applicant: str):
         validate_ordering(instance, ordering)
         if applicant not in instance.quota:
-            raise ValueError(f"unknown applicant {applicant!r}")
+            raise InstanceSemanticError(f"unknown applicant {applicant!r}")
         self.instance, self.ordering, self.applicant = instance, tuple(ordering), applicant
         # The first run replaces this empty state with the one before her first stage.
         self.states = OrderedDict({((), False): FlowNetwork(instance)})
@@ -452,7 +438,7 @@ class SnapshotCache:
 def run_gsdt(
     instance: Instance,
     ordering: Sequence[str],
-    policy: Policy = CANONICAL,
+    policy: GuidedToward | None = None,
 ) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
@@ -462,13 +448,16 @@ def run_gsdt(
     replays the trace from them on first read. ``SnapshotCache`` runs many
     lists of one applicant, each resumed from the stages it shares.
 
-    A guided target must be a feasible matching; otherwise
-    ``FeasibilityError`` is raised before any stage runs.
+    With no ``policy`` every probe takes the canonical path, the
+    lexicographically least shortest one; any augmenting path would do, so
+    this only makes runs reproducible. A ``GuidedToward`` target must be a
+    feasible matching; otherwise ``FeasibilityError`` is raised before any
+    stage runs.
     """
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance)
     guided_order = None
-    if isinstance(policy, GuidedToward):
+    if policy is not None:
         require_feasible(instance, policy.target)
         guided_order = {}
         for a, c in _pair_priority_order(instance, policy.target):
@@ -478,8 +467,7 @@ def run_gsdt(
     net.check()
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=net.matching(),
-        stage_probes=tuple(net.stage_probes), searches=net.searches,
-        arc_visits=tuple(net.arc_visits))
+        stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits))
 
 
 def render_trace(result: GsdtResult) -> list[str]:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from . import envy
 from .errors import SearchLimitExceeded
-from .gsdt import CANONICAL, GuidedToward, SnapshotCache, derive_ordering, run_gsdt
+from .gsdt import GuidedToward, SnapshotCache, derive_ordering, run_gsdt
 # with_prefs and with_quotas are re-exported: callers use oracle.with_prefs.
 from .instance import (
     Instance,
@@ -33,6 +33,7 @@ from .matching import (
 )
 
 DEFAULT_LIMIT = 10**6
+SWEEP_BOUND = 8  # largest total quota at which check_reachability sweeps every ordering
 
 
 # ----------------------------------------------------------------------
@@ -116,16 +117,13 @@ def profile_dominates(
 def is_pom_bruteforce(
     instance: Instance,
     matching: Matching,
-    pool: Sequence[Matching] | None = None,
     limit: int = DEFAULT_LIMIT,
 ) -> bool:
     """Pareto optimality by dominance search over all feasible matchings."""
-    if pool is None:
-        pool = enumerate_feasible_matchings(instance, limit)
     target = preference_profile(instance, matching)
     return not any(
         profile_dominates(preference_profile(instance, other), target)
-        for other in pool
+        for other in enumerate_feasible_matchings(instance, limit)
     )
 
 
@@ -235,13 +233,11 @@ class ReachabilityReport:
         return lines
 
 
-def check_reachability(
-    instance: Instance, limit: int = DEFAULT_LIMIT, sweep_bound: int = 8
-) -> ReachabilityReport:
+def check_reachability(instance: Instance, limit: int = DEFAULT_LIMIT) -> ReachabilityReport:
     """For every Pareto optimal matching, derive an ordering and replay it
     with the guided mechanism; additionally sweep all orderings when the
-    total quota is small, confirming every canonical output is in the
-    catalog."""
+    total quota is at most ``SWEEP_BOUND``, confirming every canonical
+    output is in the catalog."""
     catalog = enumerate_poms(instance, limit)
     entries = []
     for pom in catalog.poms:
@@ -249,7 +245,7 @@ def check_reachability(
         produced = run_gsdt(instance, sigma, GuidedToward(pom)).matching
         entries.append(ReachabilityEntry(pom, sigma, produced == pom))
 
-    sweep_ran = instance.total_quota() <= sweep_bound
+    sweep_ran = instance.total_quota() <= SWEEP_BOUND
     outputs: list[Matching] = []
     count = 0
     all_pom = True
@@ -258,7 +254,7 @@ def check_reachability(
         seen: set[Matching] = set()
         for sigma in distinct_orderings(instance):
             count += 1
-            produced = run_gsdt(instance, sigma, CANONICAL).matching
+            produced = run_gsdt(instance, sigma).matching
             if produced not in seen:
                 seen.add(produced)
                 outputs.append(produced)

@@ -14,7 +14,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from camatch import OrderingError, generate_random_instance, render_trace, run_gsdt
+from camatch import (
+    InstanceSemanticError, OrderingError, generate_random_instance, render_trace, run_gsdt)
 from camatch.fixtures import fixture_instances, walkthrough_instance
 from camatch import gsdt, oracle
 from camatch.gsdt import SNAPSHOT_CAP, FlowNetwork, GsdtResult, SnapshotCache, _tie
@@ -56,7 +57,7 @@ def state_key(state):
     items of its containers are immutable)."""
     return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.flow_snk, state.dead,
                                  state.curr, state.arc_visits, state.stage_probes)),
-            {c: held.copy() for c, held in state.holders.items()}, state.searches)
+            {c: held.copy() for c, held in state.holders.items()})
 
 
 def fits(key, prefs):
@@ -72,8 +73,7 @@ def assert_equals_fresh(cache, state, fresh, trace=True):
     so a caller with many runs may leave it out."""
     resumed = GsdtResult(
         instance=state.instance, ordering=cache.ordering, matching=state.matching(),
-        stage_probes=tuple(state.stage_probes), searches=state.searches,
-        arc_visits=tuple(state.arc_visits))
+        stage_probes=tuple(state.stage_probes), arc_visits=tuple(state.arc_visits))
     assert resumed.instance == fresh.instance
     assert resumed.matching == fresh.matching
     assert resumed.stage_probes == fresh.stage_probes
@@ -206,7 +206,7 @@ ORDERING = ("a2", "a3", "a1", "a2", "a1", "a3", "a2")
 
 
 def test_cache_refuses_an_unknown_applicant():
-    with pytest.raises(ValueError, match="unknown applicant 'zz'"):
+    with pytest.raises(InstanceSemanticError, match="unknown applicant 'zz'"):
         SnapshotCache(walkthrough_instance(), ORDERING, "zz")
 
 
@@ -243,7 +243,6 @@ def test_a_copy_shares_no_container_with_its_original():
     copied.dead.add(_tie("zz", 0))
     copied.arc_visits.append(0)
     copied.stage_probes.append(())
-    copied.searches += 1
     assert state_key(original) == before
 
 

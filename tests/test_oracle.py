@@ -6,8 +6,8 @@ import random
 import pytest
 
 from camatch import (
-    CANONICAL,
     Instance,
+    InstanceSemanticError,
     Matching,
     MisreportStatus,
     SearchLimitExceeded,
@@ -131,7 +131,7 @@ def test_reachability_skips_sweep_when_quota_large():
         [("c1", 3), ("c2", 3), ("c3", 3)],
         [(f"a{k}", 3, [["c1", "c2", "c3"]]) for k in (1, 2, 3)],
     )
-    report = check_reachability(inst, sweep_bound=8)  # total quota 9
+    report = check_reachability(inst)  # total quota 9
     assert not report.sweep_ran
     assert report.sweep_orderings == 0
     assert report.all_reproduced
@@ -142,7 +142,7 @@ def test_canonical_outputs_always_poms(fleet):
     for inst in rng.sample(fleet, 15):
         poms = set(enumerate_poms(inst).poms)
         for sigma in distinct_orderings(inst):
-            assert run_gsdt(inst, sigma, CANONICAL).matching in poms
+            assert run_gsdt(inst, sigma).matching in poms
 
 
 def test_misreport_space_size(ex1):
@@ -214,7 +214,7 @@ def test_misreport_inconclusive_is_distinct(ex1):
 
 
 def test_misreport_rejects_unknown_applicant(ex1):
-    with pytest.raises(ValueError):
+    with pytest.raises(InstanceSemanticError, match="unknown applicant 'zz'"):
         find_beneficial_misreport(ex1, ("a1", "a1", "a2"), "zz")
 
 
