@@ -275,8 +275,8 @@ class ProbeRecord:
 
 def _stage(net: FlowNetwork, a: str,
            probe: Callable[[int], Sequence[Node] | None]) -> tuple[ProbeRecord, ...]:
-    """The stage rules, shared by the live run and the trace replay: serve
-    one quota unit of applicant ``a`` and return the stage's probes.
+    """The stage rules, shared by the live run and the checked replay in
+    ``GsdtResult.stages``: serve one quota unit of ``a``; return its probes.
 
     Raise her source capacity and probe her ties from the active one,
     ``net.curr[a]``, onward; ``probe(t)`` gives an augmenting path through
@@ -309,7 +309,6 @@ class StageRecord:
     stage: int
     applicant: str
     probes: tuple[ProbeRecord, ...]
-    added: Pair | None
     matching: Matching
     curr_after: tuple[tuple[str, int], ...]
 
@@ -323,9 +322,9 @@ class GsdtResult:
     ``stages`` and ``capacity_history`` are built on first read and cached.
     ``stages`` replays the recorded paths through ``_stage`` on a fresh
     network, with the full ``FlowNetwork.check`` after every stage, and
-    asserts that the rules re-derive the recorded probes, so a record they
-    would not produce never renders as a trace. ``capacity_history`` holds
-    the source-arc capacities before the first stage and after each one.
+    asserts that the rules re-derive the recorded probes, which only it does:
+    ``render_trace`` renders a forged record as it is. ``capacity_history``
+    holds the source-arc capacities before the first stage and after each one.
     """
 
     instance: Instance
@@ -346,9 +345,7 @@ class GsdtResult:
             probes = _stage(net, a, {p.tie: p.path for p in recorded}.get)
             assert probes == recorded, f"stage {i}: the record breaks the stage rules"
             net.check()
-            path = probes[-1].path if probes else None
-            added = (a, path[3][1]) if path is not None else None
-            stages.append(StageRecord(i, a, probes, added, net.matching(),
+            stages.append(StageRecord(i, a, probes, net.matching(),
                                       tuple(sorted(net.curr.items()))))
         return tuple(stages)
 
@@ -444,8 +441,9 @@ def run_gsdt(
 
     Each entry of the ordering is one stage (``_stage``) probed by the live
     search; one full ``FlowNetwork.check`` runs before the final matching is
-    read off. The run records only each stage's probes; ``GsdtResult.stages``
-    replays the trace from them on first read. ``SnapshotCache`` runs many
+    read off. The run records only each stage's probes, which ``render_trace``
+    reads unchecked (``solve --trace`` checks no more than ``solve``) and
+    ``GsdtResult.stages`` replays and checks. ``SnapshotCache`` runs many
     lists of one applicant, each resumed from the stages it shares.
 
     With no ``policy`` every probe takes the canonical path, the
@@ -471,23 +469,24 @@ def run_gsdt(
 
 
 def render_trace(result: GsdtResult) -> list[str]:
-    """Line-oriented stage trace.
+    """Line-oriented stage trace, read off the record unchecked: the ordering
+    gives each stage's applicant, a successful probe's path the course it adds.
 
     One line per probed tie; a stage whose active tie is already exhausted
     (no probe at all) renders a single line with ``tie=-``. Tie numbers are
     1-based in the rendering.
     """
     lines = []
-    for rec in result.stages:
-        stage = f"stage={rec.stage} applicant={rec.applicant}"
-        if not rec.probes:
+    for i, (a, probes) in enumerate(zip(result.ordering, result.stage_probes), start=1):
+        stage = f"stage={i} applicant={a}"
+        if not probes:
             lines.append(f"{stage} tie=- path=FAIL added=none")
-        for probe in rec.probes:
+        for probe in probes:
             if probe.path is None:
                 shown, delta = "FAIL", "none"
             else:
                 shown = ",".join(render_node(n) for n in probe.path)
-                delta = f"{rec.added[0]},{rec.added[1]}"
+                delta = f"{a},{probe.path[3][1]}"
             lines.append(f"{stage} tie={probe.tie + 1} path={shown} added={delta}")
     return lines
 

@@ -129,7 +129,7 @@ def test_exhausted_ties_advance_pointer(ex1):
     stage3 = result.stages[2]
     assert [p.tie for p in stage3.probes] == [0, 1]
     assert all(p.path is None for p in stage3.probes)
-    assert stage3.added is None
+    assert stage3.probes[-1].path is None
     assert dict(stage3.curr_after)["a1"] == 2
 
 
@@ -154,7 +154,7 @@ def test_flow_matching_correspondence(fleet):
                         inst, a, rec.matching.of_applicant(a))
                     chi_prev = characteristic_vector(
                         inst, a, prev.of_applicant(a))
-                    if a != rec.applicant or rec.added is None:
+                    if a != rec.applicant or not rec.probes or rec.probes[-1].path is None:
                         assert chi_now == chi_prev
                     else:
                         t = rec.probes[-1].tie
@@ -302,6 +302,38 @@ def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, pro
     stage_probes = list(result.stage_probes)
     stage_probes[stage - 1] = tuple(probes)
     forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+    with pytest.raises(AssertionError):
+        forged.stages
+
+
+def test_trace_does_not_replay_the_stages(t1):
+    # ``stages`` is a cached property, so it shows in vars() once built.
+    canonical = run_gsdt(t1, WALKTHROUGH_ORDERING)
+    mu = canonical.matching
+    guided = run_gsdt(t1, derive_ordering(t1, mu), GuidedToward(mu))
+    assert render_trace(canonical) == WALKTHROUGH_TRACE
+    assert render_trace(guided)
+    assert "stages" not in vars(canonical)
+    assert "stages" not in vars(guided)
+
+
+@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
+def test_trace_renders_a_forged_record_as_it_is(t1, stage, probe, tie):
+    # The record forged as above: the trace shows the forged tie, and only
+    # the replay behind ``stages`` refuses it.
+    result = run_gsdt(t1, WALKTHROUGH_ORDERING)
+    probes = list(result.stage_probes[stage - 1])
+    old_tie = probes[probe].tie
+    probes[probe] = ProbeRecord(tie, None)
+    stage_probes = list(result.stage_probes)
+    stage_probes[stage - 1] = tuple(probes)
+    forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+    head = f"stage={stage} applicant={WALKTHROUGH_ORDERING[stage - 1]} tie="
+    tail = " path=FAIL added=none"
+    expected = [f"{head}{tie + 1}{tail}" if line == f"{head}{old_tie + 1}{tail}" else line
+                for line in WALKTHROUGH_TRACE]
+    assert expected != WALKTHROUGH_TRACE
+    assert render_trace(forged) == expected
     with pytest.raises(AssertionError):
         forged.stages
 

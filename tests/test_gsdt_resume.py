@@ -69,8 +69,8 @@ def fits(key, prefs):
 
 def assert_equals_fresh(cache, state, fresh, trace=True):
     """The finished ``state``, read as a ``GsdtResult``, equals ``fresh``. The
-    trace is replayed from the instance, ordering and probes compared first,
-    so a caller with many runs may leave it out."""
+    trace is rendered from the ordering and probes compared first, so a
+    caller with many runs may leave it out."""
     resumed = GsdtResult(
         instance=state.instance, ordering=cache.ordering, matching=state.matching(),
         stage_probes=tuple(state.stage_probes), arc_visits=tuple(state.arc_visits))

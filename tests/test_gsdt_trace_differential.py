@@ -1,6 +1,7 @@
-"""The stage trace replayed on first read against the eager loop it replaced,
-which checked the whole network and snapshotted the matching after every
-stage, on seeded random instances and every ordering of the fixture fleet."""
+"""The stages replayed on first read, and the trace rendered from the run's
+record, against the eager loop they replaced, which checked the whole network
+and snapshotted the matching after every stage, on seeded random instances,
+the 160x40 ladder rung and every ordering of the fixture fleet."""
 
 import random
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from camatch.gsdt import (
     StageRecord,
     _pair_priority_order,
     find_augmenting_path,
+    render_node,
 )
 from camatch.instance import validate_ordering
 from camatch.oracle import distinct_orderings
@@ -60,7 +62,6 @@ def reference_run(instance, ordering, policy=None):
                 stage=i,
                 applicant=a,
                 probes=tuple(probes),
-                added=(a, path[3][1]) if path is not None else None,
                 matching=net.matching(),
                 curr_after=tuple(sorted(net.curr.items())),
             )
@@ -75,17 +76,36 @@ def reference_run(instance, ordering, policy=None):
     )
 
 
+def reference_render(stages):
+    """The renderer that read the replayed stages: a stage's added pair is
+    its applicant and the first course on its last probe's path."""
+    lines = []
+    for rec in stages:
+        stage = f"stage={rec.stage} applicant={rec.applicant}"
+        path = rec.probes[-1].path if rec.probes else None
+        if not rec.probes:
+            lines.append(f"{stage} tie=- path=FAIL added=none")
+        for probe in rec.probes:
+            if probe.path is None:
+                shown, delta = "FAIL", "none"
+            else:
+                shown = ",".join(render_node(n) for n in probe.path)
+                delta = f"{rec.applicant},{path[3][1]}"
+            lines.append(f"{stage} tie={probe.tie + 1} path={shown} added={delta}")
+    return lines
+
+
 def assert_same_run(instance, ordering, policy=None):
     expected = reference_run(instance, ordering, policy)
     got = run_gsdt(instance, ordering, policy)
-    # The counters and the matching come from the live loop; read them
-    # before the trace is replayed.
+    # The counters, the matching and the trace come from the live loop's
+    # record; read them before the stages are replayed.
     assert got.matching == expected.matching
     assert got.searches == expected.searches
     assert got.arc_visits == expected.arc_visits
+    assert render_trace(got) == reference_render(expected.stages)
     assert got.stages == expected.stages
     assert got.capacity_history == expected.capacity_history
-    assert render_trace(got) == render_trace(expected)
     return got
 
 
@@ -99,7 +119,14 @@ def random_cases(count, seed):
         yield inst, ordering
 
 
-RANDOM_CASES = list(random_cases(20, 1602))
+def ladder_rung(n1, n2):
+    inst = generate_random_instance(n1, n2, 3, 4, 0.4, 1)
+    ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
+    random.Random(2).shuffle(ordering)
+    return inst, ordering
+
+
+RANDOM_CASES = list(random_cases(20, 1602)) + [ladder_rung(160, 40)]
 
 
 @pytest.mark.parametrize("k", range(len(RANDOM_CASES)))
