@@ -154,19 +154,31 @@ def weakly_envied(
             yield c2, (0 if t == own_tie else -1)
 
 
+Profile = tuple[tuple[int, ...], ...]
+
+
+def preference_profile(instance: Instance, matching: Matching) -> Profile:
+    """Per-applicant characteristic vectors, in applicant order."""
+    return tuple(
+        characteristic_vector(instance, a, matching.of_applicant(a))
+        for a in instance.applicants
+    )
+
+
+def profile_dominates(prof_new: Profile, prof_old: Profile) -> bool:
+    """Pareto dominance of profiles: no vector smaller, some vector larger."""
+    return all(n >= o for n, o in zip(prof_new, prof_old)) and any(
+        n > o for n, o in zip(prof_new, prof_old)
+    )
+
+
 def pareto_dominates(instance: Instance, mu_prime: Matching, mu: Matching) -> bool:
     """True iff ``mu_prime`` leaves no applicant worse off and some applicant
     strictly better off. Both matchings must be feasible."""
     require_feasible(instance, mu_prime)
     require_feasible(instance, mu)
-    someone_better = False
-    for a in instance.applicants:
-        rel = compare_sets(instance, a, mu_prime.of_applicant(a), mu.of_applicant(a))
-        if rel is SetRelation.DISPREFERRED:
-            return False
-        if rel is SetRelation.PREFERS:
-            someone_better = True
-    return someone_better
+    return profile_dominates(
+        preference_profile(instance, mu_prime), preference_profile(instance, mu))
 
 
 # ----------------------------------------------------------------------

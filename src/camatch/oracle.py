@@ -9,6 +9,7 @@ shortcut: misreport search resumes each list from a GSDT state it shares.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -25,11 +26,15 @@ from .instance import (
     with_prefs,
     with_quotas,
 )
+# preference_profile and profile_dominates are re-exported: callers use
+# oracle.preference_profile.
 from .matching import (
     Matching,
+    Pair,
     SetRelation,
-    characteristic_vector,
     compare_sets,
+    preference_profile,
+    profile_dominates,
 )
 
 DEFAULT_LIMIT = 10**6
@@ -55,9 +60,10 @@ def enumerate_feasible_matchings(
 ) -> list[Matching]:
     """All feasible matchings, canonically ordered.
 
-    Iterates per-applicant course subsets of size up to the quota and filters
-    by course capacities. Raises SearchLimitExceeded when the raw product of
-    per-applicant subset counts goes past ``limit``.
+    Level by level, one applicant per level, extends every partial matching by
+    every course subset of the applicant's, up to her quota, that leaves each
+    of its courses within capacity. Raises SearchLimitExceeded when the raw
+    product of per-applicant subset counts goes past ``limit``.
     """
     space = 1
     for a in instance.applicants:
@@ -69,61 +75,30 @@ def enumerate_feasible_matchings(
     if space > limit:  # also with no applicants, where the space is 1
         raise SearchLimitExceeded(f"feasible-matching space exceeds {limit}")
 
-    applicants = instance.applicants
-    results: list[Matching] = [] if applicants else [Matching()]
-    usage = {c: 0 for c in instance.courses}
-    chosen: list[tuple[str, ...]] = []
-    # Depth-first over applicants with an explicit stack: one iterator over
-    # the remaining choices of each applicant on the current branch.
-    frames = [iter(_applicant_choices(instance, a)) for a in applicants[:1]]
-    while frames:
-        if len(chosen) == len(frames):  # retract this applicant's last choice
-            for c in chosen.pop():
-                usage[c] -= 1
-        combo = next(frames[-1], None)
-        if combo is None:
-            frames.pop()
-        elif all(usage[c] < instance.capacity[c] for c in combo):
-            for c in combo:
-                usage[c] += 1
-            chosen.append(combo)
-            if len(chosen) == len(applicants):
-                results.append(Matching(
-                    (a, c) for a, held in zip(applicants, chosen) for c in held))
-            else:
-                frames.append(iter(_applicant_choices(instance, applicants[len(chosen)])))
+    # Every partial extends by the empty choice: no level outgrows the result.
+    partials: list[tuple[Pair, ...]] = [()]
+    for a in instance.applicants:
+        choices = _applicant_choices(instance, a)
+        extended = []
+        for partial in partials:
+            used = Counter(c for _, c in partial)
+            extended += [
+                partial + tuple((a, c) for c in combo)
+                for combo in choices
+                if all(used[c] < instance.capacity[c] for c in combo)
+            ]
+        partials = extended
+    results = [Matching(p) for p in partials]
     results.sort(key=lambda m: tuple(m.canonical_pairs()))
     return results
 
 
-def preference_profile(
-    instance: Instance, matching: Matching
-) -> tuple[tuple[int, ...], ...]:
-    """Per-applicant characteristic vectors, in applicant order."""
-    return tuple(
-        characteristic_vector(instance, a, matching.of_applicant(a))
-        for a in instance.applicants
-    )
-
-
-def profile_dominates(
-    prof_new: tuple[tuple[int, ...], ...], prof_old: tuple[tuple[int, ...], ...]
-) -> bool:
-    return all(n >= o for n, o in zip(prof_new, prof_old)) and any(
-        n > o for n, o in zip(prof_new, prof_old)
-    )
-
-
-def is_pom_bruteforce(
-    instance: Instance,
-    matching: Matching,
-    limit: int = DEFAULT_LIMIT,
-) -> bool:
+def is_pom_bruteforce(instance: Instance, matching: Matching) -> bool:
     """Pareto optimality by dominance search over all feasible matchings."""
     target = preference_profile(instance, matching)
     return not any(
         profile_dominates(preference_profile(instance, other), target)
-        for other in enumerate_feasible_matchings(instance, limit)
+        for other in enumerate_feasible_matchings(instance)
     )
 
 
@@ -142,14 +117,11 @@ def enumerate_poms(instance: Instance, limit: int = DEFAULT_LIMIT) -> PomCatalog
     """
     pool = enumerate_feasible_matchings(instance, limit)
     profiles = [preference_profile(instance, m) for m in pool]
+    # No profile dominates itself, so each is compared with all, its own too.
     poms = [
         m
-        for i, m in enumerate(pool)
-        if not any(
-            profile_dominates(profiles[j], profiles[i])
-            for j in range(len(pool))
-            if j != i
-        )
+        for m, prof in zip(pool, profiles)
+        if not any(profile_dominates(other, prof) for other in profiles)
     ]
     for m in poms:
         if not envy.is_pareto_optimal(instance, m):
@@ -233,12 +205,12 @@ class ReachabilityReport:
         return lines
 
 
-def check_reachability(instance: Instance, limit: int = DEFAULT_LIMIT) -> ReachabilityReport:
+def check_reachability(instance: Instance) -> ReachabilityReport:
     """For every Pareto optimal matching, derive an ordering and replay it
     with the guided mechanism; additionally sweep all orderings when the
     total quota is at most ``SWEEP_BOUND``, confirming every canonical
     output is in the catalog."""
-    catalog = enumerate_poms(instance, limit)
+    catalog = enumerate_poms(instance)
     entries = []
     for pom in catalog.poms:
         sigma = derive_ordering(instance, pom)

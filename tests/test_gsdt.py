@@ -293,8 +293,8 @@ def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
 @pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
 def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, probe, tie):
     # Relabel one failed probe onto another tie of the same applicant: the
-    # replay re-derives the probed ties and must refuse the record rather
-    # than render the wrong tie.
+    # replay behind ``stages`` re-derives the probed ties and must refuse the
+    # record. ``render_trace`` does not replay, and renders it as it is.
     result = run_gsdt(t1, WALKTHROUGH_ORDERING)
     probes = list(result.stage_probes[stage - 1])
     assert probes[probe].path is None and probes[probe].tie != tie

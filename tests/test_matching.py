@@ -156,6 +156,33 @@ def test_pareto_dominates_sampled_properties(fleet):
                 assert not pareto_dominates(inst, y, x)
 
 
+def per_applicant_pareto_dominates(instance, mu_prime, mu):
+    """Reference: dominance decided applicant by applicant through
+    ``compare_sets``, as before profiles were compared whole."""
+    someone_better = False
+    for a in instance.applicants:
+        rel = compare_sets(instance, a, mu_prime.of_applicant(a), mu.of_applicant(a))
+        if rel is SetRelation.DISPREFERRED:
+            return False
+        if rel is SetRelation.PREFERS:
+            someone_better = True
+    return someone_better
+
+
+def test_pareto_dominates_matches_the_per_applicant_reference(fleet):
+    from camatch.oracle import enumerate_feasible_matchings
+
+    verdicts = set()
+    for inst in random.Random(37).sample(fleet, 12):
+        pool = enumerate_feasible_matchings(inst)
+        for x in pool:
+            for y in pool:
+                verdict = pareto_dominates(inst, x, y)
+                assert verdict == per_applicant_pareto_dominates(inst, x, y)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # ----------------------------------------------------------------------
 # Coalitions.
 # ----------------------------------------------------------------------

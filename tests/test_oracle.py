@@ -15,11 +15,14 @@ from camatch import (
     enumerate_feasible_matchings,
     enumerate_poms,
     find_beneficial_misreport,
+    generate_random_instance,
     is_pareto_optimal,
     run_gsdt,
     verify_impossibility_scenario,
 )
+from camatch.fixtures import random_small_instances
 from camatch.oracle import (
+    _applicant_choices,
     _ordered_partitions,
     consecutive_orderings,
     distinct_orderings,
@@ -72,6 +75,51 @@ def test_enumerate_limit():
     )
     with pytest.raises(SearchLimitExceeded):
         enumerate_feasible_matchings(inst, limit=1000)
+
+
+def stack_feasible_matchings(instance):
+    """Reference: the depth-first search with an explicit stack that the
+    level-wise enumeration replaced, with the same canonical sort."""
+    applicants = instance.applicants
+    results = [] if applicants else [Matching()]
+    usage = {c: 0 for c in instance.courses}
+    chosen = []
+    # One iterator over the remaining choices of each applicant on the branch.
+    frames = [iter(_applicant_choices(instance, a)) for a in applicants[:1]]
+    while frames:
+        if len(chosen) == len(frames):  # retract this applicant's last choice
+            for c in chosen.pop():
+                usage[c] -= 1
+        combo = next(frames[-1], None)
+        if combo is None:
+            frames.pop()
+        elif all(usage[c] < instance.capacity[c] for c in combo):
+            for c in combo:
+                usage[c] += 1
+            chosen.append(combo)
+            if len(chosen) == len(applicants):
+                results.append(Matching(
+                    (a, c) for a, held in zip(applicants, chosen) for c in held))
+            else:
+                frames.append(iter(_applicant_choices(instance, applicants[len(chosen)])))
+    results.sort(key=lambda m: tuple(m.canonical_pairs()))
+    return results
+
+
+def test_enumeration_matches_the_stack_search_on_the_fleets(fleet):
+    for inst in fleet + random_small_instances(200):
+        assert enumerate_feasible_matchings(inst) == stack_feasible_matchings(inst)
+
+
+def test_enumeration_matches_the_stack_search_up_to_five_by_five():
+    # Up to 2,824 matchings an instance, all within the limit.
+    rng = random.Random(29)
+    for seed in range(300):
+        inst = generate_random_instance(
+            rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 3),
+            rng.randint(1, 3), rng.choice([0.0, 0.3, 0.6, 1.0]), seed=seed)
+        pool = enumerate_feasible_matchings(inst, limit=50_000)
+        assert pool == stack_feasible_matchings(inst)
 
 
 def test_pom_catalog_manipulation(ex1):
