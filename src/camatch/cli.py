@@ -1,13 +1,14 @@
 """Command-line front-end.
 
-Exit codes are the machine contract: 0 success, 1 negative finding (for
-example a matching that is not Pareto optimal, or a profitable misreport),
-2 usage or parse or validation failure, 3 resource limit hit.
+Exit codes are the machine contract: 0 success, also when a reader closes
+stdout early (``| head``); 1 negative finding (a dominated matching, a
+profitable misreport); 2 usage, parse or validation failure; 3 limit hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -198,7 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early (``| head``): no failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return EXIT_OK
     except SearchLimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT

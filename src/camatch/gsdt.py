@@ -394,13 +394,15 @@ class SnapshotCache:
         # The first run replaces this empty state with the one before her first stage.
         self.states = OrderedDict({((), False): FlowNetwork(instance)})
 
-    def run(self, prefs: Iterable[Iterable[str]]) -> FlowNetwork:
-        """The finished run with ``prefs`` as her list, equal to a fresh
-        ``run_gsdt``'s, counters and probes included. A copy of the deepest
-        state the list fits (the longest key: keys only grow along a run)
-        resumes once each of her unread ties is shown to have zero capacity,
-        no course and no dead node, and they are rebuilt for ``prefs``. The
-        result may be stored: do not change it."""
+    def run(self, prefs: Iterable[Iterable[str]], stop: int | None = None) -> FlowNetwork:
+        """The run with ``prefs`` as her list: finished, equal to a fresh
+        ``run_gsdt``'s with counters and probes, or up to a ``stop`` stage not
+        hers, so that ``_offer`` never stores the truncated state. A copy of
+        the deepest state the list fits (the longest key: keys only grow along
+        a run; it may lie past ``stop``) resumes once each of her unread ties
+        is shown to have zero capacity, no course and no dead node, and they
+        are rebuilt for ``prefs``. The result may be stored: do not change it."""
+        assert stop is None or self.ordering[stop:stop + 1] != (self.applicant,)
         instance = with_prefs(self.instance, self.applicant, prefs)
         a, prefs = self.applicant, instance.prefs[self.applicant]
         keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
@@ -414,7 +416,7 @@ class SnapshotCache:
             del state.cap_tie[a, t]
         for t in range(len(key[0]), len(prefs)):
             state.cap_tie[a, t] = 0
-        _serve(state, self.ordering[len(state.stage_probes):], None, self._offer)
+        _serve(state, self.ordering[len(state.stage_probes):stop], None, self._offer)
         state.check()
         return state
 

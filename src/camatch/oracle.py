@@ -2,8 +2,8 @@
 based Pareto catalogs, reachability sweeps, and misreport search.
 
 Everything here is deliberately simple and auditable; the point is to check
-the clever machinery (envy graph, staged flow) against brute force. The one
-shortcut: misreport search resumes each list from a GSDT state it shares.
+the clever machinery (envy graph, staged flow) against brute force, but for
+misreport search, which resumes shared GSDT states and stops runs early.
 """
 
 from __future__ import annotations
@@ -218,28 +218,16 @@ def check_reachability(instance: Instance) -> ReachabilityReport:
         entries.append(ReachabilityEntry(pom, sigma, produced == pom))
 
     sweep_ran = instance.total_quota() <= SWEEP_BOUND
-    outputs: list[Matching] = []
-    count = 0
-    all_pom = True
-    if sweep_ran:
-        pom_set = set(catalog.poms)
-        seen: set[Matching] = set()
-        for sigma in distinct_orderings(instance):
-            count += 1
-            produced = run_gsdt(instance, sigma).matching
-            if produced not in seen:
-                seen.add(produced)
-                outputs.append(produced)
-                if produced not in pom_set:
-                    all_pom = False
-        outputs.sort(key=lambda m: tuple(m.canonical_pairs()))
+    sigmas = list(distinct_orderings(instance)) if sweep_ran else []
+    outputs = sorted({run_gsdt(instance, sigma).matching for sigma in sigmas},
+                     key=lambda m: tuple(m.canonical_pairs()))
     return ReachabilityReport(
         fingerprint=catalog.fingerprint,
         entries=tuple(entries),
         sweep_ran=sweep_ran,
-        sweep_orderings=count,
+        sweep_orderings=len(sigmas),
         sweep_outputs=tuple(outputs),
-        sweep_outputs_all_pom=all_pom,
+        sweep_outputs_all_pom=set(outputs) <= set(catalog.poms),
     )
 
 
@@ -339,17 +327,27 @@ def find_beneficial_misreport(
     ``gsdt.SnapshotCache``, which resumes each list from the deepest stored
     state the list fits. Her outcome is read off her own ties.
 
+    A list whose ties each lie inside a true tie, the truthful one included,
+    runs only to ``last``, the stage after her last: from there her source
+    and tie capacities stay fixed and later paths move her only within a tie
+    of the list (nobody ever trades down), so her per-true-tie counts, all
+    ``compare_sets`` reads, are final. A list merging true ties runs in full,
+    and so do both lists of a FOUND, whose sets are those of full runs.
+
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
     """
     runs = SnapshotCache(instance, ordering, applicant)
+    truthful = instance.prefs[applicant]
+    last = max((i + 1 for i, b in enumerate(ordering) if b == applicant), default=0)
 
-    def outcome(prefs: Sequence[frozenset[str]]) -> frozenset[str]:
-        holders = runs.run(prefs).holders
+    def outcome(prefs: Sequence[frozenset[str]], full: bool = False) -> frozenset[str]:
+        inside = all(any(tie <= true_tie for true_tie in truthful) for tie in prefs)
+        holders = runs.run(prefs, None if full or not inside else last).holders
         return frozenset(
             c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in holders[c])
 
-    truthful_set = outcome(instance.prefs[applicant])
+    truthful_set = outcome(truthful)
 
     examined = 0
     for fabricated in misreport_space(instance, applicant):
@@ -359,14 +357,8 @@ def find_beneficial_misreport(
         outcome_set = outcome(fabricated)
         if compare_sets(instance, applicant, outcome_set, truthful_set) is SetRelation.PREFERS:
             finding = MisreportFinding(
-                applicant=applicant,
-                true_prefs=instance.prefs[applicant],
-                fabricated_prefs=tuple(fabricated),
-                ordering=tuple(ordering),
-                truthful_outcome=truthful_set,
-                lying_outcome=outcome_set,
-                strict_improvement=True,
-            )
+                applicant, truthful, tuple(fabricated), tuple(ordering),
+                outcome(truthful, full=True), outcome(fabricated, full=True), True)
             return MisreportSearch(MisreportStatus.FOUND, finding, examined)
     return MisreportSearch(MisreportStatus.NONE, None, examined)
 

@@ -1,13 +1,19 @@
 """The CLI exit-code contract on drawn input files: every command exits 0,
-1, 2 or 3, prints no traceback, and lets no exception escape ``main``."""
+1, 2 or 3, prints no traceback, and lets no exception escape ``main``. A
+reader that closes stdout early ends the command with 0 and no error."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from camatch import generate_random_instance, serialize_instance
 from camatch.cli import main
 
 APPLICANTS = ["a1", "a2", "a3"]
@@ -113,3 +119,25 @@ def test_gen_keeps_the_exit_code_contract(n1, n2, max_b, max_q, density, seed):
         code = main(["gen", str(n1), str(n2), str(max_b), str(max_q), density, str(seed)])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error:")
+
+
+def test_a_reader_that_stops_after_one_line_ends_the_command_quietly(tmp_path):
+    """``camatch solve --trace | head -n 1`` on a trace far larger than a pipe
+    buffer: the write after the reader has gone fails with a broken pipe,
+    which the command meets with exit 0 and nothing on stderr."""
+    inst = generate_random_instance(640, 100, 3, 4, 0.4, 1)
+    (tmp_path / "inst.txt").write_text(serialize_instance(inst))
+    ordering = " ".join(a for a in inst.applicants for _ in range(inst.quota[a]))
+    (tmp_path / "order.txt").write_text(ordering)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "camatch.cli", "solve", str(tmp_path / "inst.txt"),
+         "--ordering-file", str(tmp_path / "order.txt"), "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"stage=1 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -3,7 +3,9 @@
 scratch, every stored state resumes like a fresh run for each list that fits
 it and comes out untouched, the misreport search equals a reference that runs
 every list from scratch, and the cache checks its applicant, its ordering and
-the liar's unread ties before it resumes."""
+the liar's unread ties before it resumes. Runs the search stops after the
+liar's last stage leave her the vector of a full run, and only for lists that
+keep each tie inside a true tie."""
 
 import copy
 import itertools
@@ -15,11 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from camatch import (
-    InstanceSemanticError, OrderingError, generate_random_instance, render_trace, run_gsdt)
+    InstanceSemanticError, OrderingError, generate_random_instance, parse_instance,
+    render_trace, run_gsdt)
 from camatch.fixtures import fixture_instances, walkthrough_instance
 from camatch import gsdt, oracle
 from camatch.gsdt import SNAPSHOT_CAP, FlowNetwork, GsdtResult, SnapshotCache, _tie
-from camatch.matching import SetRelation, compare_sets
+from camatch.matching import SetRelation, characteristic_vector, compare_sets
 from camatch.oracle import (
     MisreportFinding,
     MisreportSearch,
@@ -437,3 +440,150 @@ def test_property_keyed_search_equals_the_reference(inst, seed, limit, data):
     ordering = shuffled_ordering(inst, seed)
     got = find_beneficial_misreport(inst, ordering, liar, search_limit=limit)
     assert got == reference_misreport(inst, ordering, liar, limit)
+
+
+# ----------------------------------------------------------------------
+# Runs stopped after her last stage.
+# ----------------------------------------------------------------------
+
+def her_vector(instance, state, applicant):
+    """Her characteristic vector under her list in ``instance``, read off a
+    run state whose instance may give her another list."""
+    prefs = state.instance.prefs[applicant]
+    held = [c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in state.holders[c]]
+    return characteristic_vector(instance, applicant, held)
+
+
+def fresh_vector(instance, ordering, applicant, prefs):
+    run = run_gsdt(with_prefs(instance, applicant, prefs), ordering)
+    return characteristic_vector(instance, applicant, run.matching.of_applicant(applicant))
+
+
+def searched_with_final_vectors(instance, ordering, applicant, limit=200_000):
+    """The misreport search, after checking that every run it makes, stopped
+    or not, leaves her the vector a fresh full run of that list gives her.
+    Returns the search and the number of runs."""
+    runs, real = [], SnapshotCache.run
+
+    def spy(cache, prefs, stop=None):
+        state = real(cache, prefs, stop)
+        runs.append((tuple(prefs), her_vector(instance, state, applicant)))
+        return state
+
+    with mock.patch.object(SnapshotCache, "run", spy):
+        search = find_beneficial_misreport(instance, ordering, applicant, limit)
+    for prefs, vector in runs:
+        assert vector == fresh_vector(instance, ordering, applicant, prefs), prefs
+    return search, len(runs)
+
+
+def merging_counterexample():
+    """a1 reports her two true ties as one; a2, served after a1's only
+    stage, moves her from c1 to c2 within it."""
+    inst = parse_instance(
+        "courses: c1=1 c2=1\n"
+        "applicant a1 quota=1 prefs: ( c1 ) ( c2 )\n"
+        "applicant a2 quota=1 prefs: ( c1 )\n")
+    return inst, ("a1", "a2"), [["c1", "c2"]]
+
+
+def test_a_list_that_merges_true_ties_can_change_her_vector_after_her_last_stage():
+    inst, ordering, merged = merging_counterexample()
+    # A fresh cache per run: one holding the finished state would return it.
+    stopped = SnapshotCache(inst, ordering, "a1").run(merged, stop=1)
+    finished = SnapshotCache(inst, ordering, "a1").run(merged)
+    assert her_vector(inst, stopped, "a1") == (1, 0)
+    assert her_vector(inst, finished, "a1") == (0, 1)
+
+
+def test_the_search_runs_a_merging_list_to_the_end():
+    inst, ordering, merged = merging_counterexample()
+    search, runs = searched_with_final_vectors(inst, ordering, "a1")
+    assert search == reference_misreport(inst, ordering, "a1")
+    assert runs == 1 + search.examined
+
+
+def test_a_stop_at_one_of_her_stages_is_refused():
+    inst = walkthrough_instance()
+    cache = SnapshotCache(inst, ORDERING, "a1")
+    with pytest.raises(AssertionError):
+        cache.run(inst.prefs["a1"], stop=ORDERING.index("a1"))
+
+
+def small_cases(count, seed):
+    """Instances of 2-5 applicants and 2-4 courses with dense ties, each with
+    a shuffled ordering and a liar."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        inst = generate_random_instance(
+            rng.randint(2, 5), rng.randint(2, 4), 3, 3, 0.6, rng.randrange(2**32))
+        yield inst, shuffled_ordering(inst, rng.randrange(2**32)), rng.choice(inst.applicants)
+
+
+def test_every_run_the_search_reads_leaves_her_final_vector():
+    """Over small instances, each run the search makes gives her the vector
+    of a full run, and each finding's sets are those of fresh full runs."""
+    found = 0
+    for inst, ordering, a in small_cases(300, 103):
+        search, _ = searched_with_final_vectors(inst, ordering, a)
+        assert search == reference_misreport(inst, ordering, a)
+        if search.status is MisreportStatus.FOUND:
+            found += 1
+            f = search.finding
+            assert f.truthful_outcome == run_gsdt(inst, ordering).matching.of_applicant(a)
+            assert f.lying_outcome == run_gsdt(
+                with_prefs(inst, a, f.fabricated_prefs), ordering).matching.of_applicant(a)
+    assert found >= 5
+
+
+def bench_shaped_cases(length, count, seed):
+    """10x5 instances drawn as the benchmark's misreport workload draws them,
+    with a liar a1 who lists ``length`` of the five courses."""
+    cases = []
+    while len(cases) < count:
+        inst = generate_random_instance(10, 5, 3, 4, 0.4, seed)
+        if len(inst.acceptable("a1")) == length:
+            cases.append((inst, shuffled_ordering(inst, seed)))
+        seed += 1
+    return cases
+
+
+BENCH_SHAPED = bench_shaped_cases(3, 24, 4000) + bench_shaped_cases(5, 3, 5000)
+
+
+@pytest.mark.parametrize("k", range(len(BENCH_SHAPED)))
+def test_stopping_search_equals_the_reference_on_bench_shaped_instances(k):
+    inst, ordering = BENCH_SHAPED[k]
+    search, _ = searched_with_final_vectors(inst, ordering, "a1")
+    assert search == reference_misreport(inst, ordering, "a1")
+
+
+@st.composite
+def inside_lists(draw, true):
+    """A list whose every tie lies inside one tie of ``true``: each true tie
+    keeps some of its courses, split into blocks, and the blocks come in any
+    order."""
+    blocks = []
+    for tie in true:
+        courses = draw(st.permutations(sorted(tie)))
+        kept = courses[:draw(st.integers(0, len(courses)))]
+        joins = draw(st.lists(st.booleans(), min_size=len(kept), max_size=len(kept)))
+        first = len(blocks)
+        for c, join in zip(kept, joins):
+            if join and len(blocks) > first:
+                blocks[-1].append(c)
+            else:
+                blocks.append([c])
+    return draw(st.permutations(blocks))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(instances, st.integers(0, 2**32 - 1), st.data())
+def test_property_an_inside_list_has_her_final_vector_after_her_last_stage(inst, seed, data):
+    liar = data.draw(st.sampled_from(inst.applicants), label="liar")
+    prefs = data.draw(inside_lists(inst.prefs[liar]), label="prefs")
+    ordering = shuffled_ordering(inst, seed)
+    last = max(i for i, b in enumerate(ordering) if b == liar) + 1
+    stopped = SnapshotCache(inst, ordering, liar).run(prefs, stop=last)
+    assert len(stopped.stage_probes) == last
+    assert her_vector(inst, stopped, liar) == fresh_vector(inst, ordering, liar, prefs)
