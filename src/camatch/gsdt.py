@@ -62,12 +62,14 @@ class FlowNetwork:
     the course's sink arc, which the search's free-seat test reads.
 
     ``dead`` holds tie and course nodes known not to reach the sink in the
-    residual network; they stay dead for the rest of the run. An
-    augmentation creates residual arcs only out of nodes on its path, all
-    of which reach the sink; its other changes only remove arcs (a full
-    course's sink arc), and source and tie capacities act on arcs the
+    residual network; they stay dead for the rest of the run. A failed
+    probe marks every node its search reached, and ``augment`` marks a tie
+    it fills. An augmentation creates residual arcs only out of nodes on its
+    path, all of which reach the sink; its other changes only remove arcs (a
+    full course's sink arc), and source and tie capacities act on arcs the
     search never crosses. So no arc from a dead node to a live one ever
-    appears."""
+    appears. A full tie has no residual arc out, so no path passes through
+    it and it never gains one."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
@@ -96,7 +98,8 @@ class FlowNetwork:
 
     def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
-        path toggle, which adds and removes matched pairs."""
+        path toggle, which adds and removes matched pairs. The path's first
+        tie, the probed one, is marked dead once it holds all its courses."""
         for u, v in zip(path[2:], path[3:]):
             if u[0] == "tie":
                 held = self.holders[v[1]]
@@ -105,6 +108,9 @@ class FlowNetwork:
             elif v[0] == "tie":
                 self.holders[u[1]].remove((v[1], v[2]))
         self.flow_snk[path[-2][1]] += 1
+        _, a, t = path[2]
+        if all((a, t) in self.holders[c] for c in self.instance.prefs[a][t]):
+            self.dead.add(path[2])
 
     def check(
         self,
@@ -156,18 +162,18 @@ def find_augmenting_path(
     applicant's probed tie.
 
     Any augmenting path must enter through the only unsaturated source and
-    tie arcs, so the search starts at the tie node. It first collects the
-    region reachable from there over residual arcs: unmatched tie-course
-    arcs, course-sink arcs with a free seat, and backward arcs from a course
-    to the ties that hold it. If the sink lies outside the region the probe
-    fails at once. The region is closed under successors, so the distances
-    to the sink found inside it equal those in the whole network, and the
-    path is the lexicographically least shortest one of the whole network.
-    Dead nodes (``FlowNetwork.dead``) are left out of the region, and a dead
-    probed tie fails at once; dead nodes have no distance to the sink, so
-    the path is unchanged. A failed probe adds its whole region to the dead
-    set, a successful one the region nodes its distance search did not
-    reach. Each search appends its arc inspections to ``net.arc_visits``.
+    tie arcs, so the search starts at the tie node. It is breadth-first over
+    residual arcs: unmatched tie-course arcs, course-sink arcs with a free
+    seat, and backward arcs from a course to the ties that hold it. Each
+    node's successors are taken in ascending key order and a node's parent
+    is the one that first reaches it, so every level is reached in the order
+    of its nodes' least shortest paths, and the path read back from the sink
+    is the lexicographically least shortest one of the whole network. Dead
+    nodes (``FlowNetwork.dead``) are skipped, and a dead probed tie fails at
+    once; no dead node reaches the sink, so the path is unchanged. A failed
+    probe adds every node it reached to the dead set, a successful one none.
+    Each search appends its arc inspections to ``net.arc_visits``: |tie| for
+    a tie it expands, 1 + |holders| for a course.
 
     A ``guided_order`` (per applicant, a guided target's courses in pair-
     priority order) is tried first: its first course in the probed tie that
@@ -199,68 +205,36 @@ def find_augmenting_path(
             ):
                 return finish([SRC, _app(applicant), start, _crs(c), SNK])
 
-    # Residual adjacency of the live region reachable from the probed tie.
-    succ: dict[Node, list[Node]] = {}
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        outs = []
+    # Breadth-first search over live residual arcs, successors in ascending
+    # key order; the sink's key sorts first, so a free course ends it at once.
+    parent: dict[Node, Node | None] = {start: None}
+    queue = [start]
+    for u in queue:  # the queue grows as the loop reads it
         if u[0] == "tie":
             a, t = u[1], u[2]
-            for c in inst.prefs[a][t]:
-                visits += 1
-                if (a, t) not in holders[c]:
-                    outs.append(_crs(c))
-        elif u[0] == "crs":
+            courses = inst.prefs[a][t]
+            visits += len(courses)
+            outs = [_crs(c) for c in courses if (a, t) not in holders[c]]
+        else:
             c = u[1]
-            visits += 1
+            held = holders[c]
+            visits += 1 + len(held)
             if net.flow_snk[c] < inst.capacity[c]:
-                outs.append(SNK)
-            for a, t in holders[c]:
-                visits += 1
-                outs.append(_tie(a, t))
-        succ[u] = outs = [v for v in outs if v not in dead]
-        for v in outs:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if SNK not in seen:
-        dead.update(succ)
+                break
+            outs = [_tie(a, t) for a, t in held]
+        for v in sorted(outs):
+            if v not in parent and v not in dead:
+                parent[v] = u
+                queue.append(v)
+    else:  # no free course is reachable
+        dead.update(parent)
         return finish(None)
-
-    # Distance-to-sink by reverse breadth-first search inside the region.
-    pred: dict[Node, list[Node]] = {u: [] for u in succ}
-    for u, outs in succ.items():
-        for v in outs:
-            pred[v].append(u)
-    dist = {SNK: 0}
-    frontier = [SNK]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in pred[v]:
-                visits += 1
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    dead.update(u for u in succ if u not in dist)
-
-    # Greedy walk: among successors one step closer to the sink, always take
-    # the least node key, giving the lexicographically least shortest path.
-    path = [SRC, _app(applicant), start]
-    node = start
-    while node != SNK:
-        best = None
-        for v in succ[node]:
-            visits += 1
-            if dist.get(v) == dist[node] - 1 and (best is None or v < best):
-                best = v
-        assert best is not None
-        path.append(best)
-        node = best
-    return finish(path)
+    path = [SNK]
+    node: Node | None = u
+    while node is not None:
+        path.append(node)
+        node = parent[node]
+    return finish([SRC, _app(applicant), *reversed(path)])
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The dead set of the GSDT search against a whole-network reference: no node
-the search has marked dead may reach the sink in the residual network, before
-or after any probe of seeded canonical and guided runs, and on
-Hypothesis-drawn instances after any stage."""
+"""The dead set and the paths of the GSDT search against whole-network
+references. No node marked dead, by a failed probe's search or by the
+augmentation that fills a tie, may reach the sink in the residual network,
+before or after any probe of seeded canonical and guided runs, and on
+Hypothesis-drawn instances after any stage; and every canonical probe takes
+the lexicographically least shortest path of the whole network."""
 
 import random
 from unittest import mock
@@ -17,7 +19,8 @@ from camatch import (
     run_gsdt,
 )
 from camatch import gsdt
-from camatch.gsdt import SNK
+from camatch.fixtures import manipulation_instance
+from camatch.gsdt import SNK, SRC
 
 
 def sink_reachers(net):
@@ -50,6 +53,52 @@ def sink_reachers(net):
 
 def assert_dead_cannot_reach_sink(net):
     assert not net.dead & sink_reachers(net)
+
+
+def least_shortest_path(net, applicant, tie):
+    """The lexicographically least shortest path from the probed tie to the
+    sink, by brute force over the whole residual network rebuilt from
+    ``net.holders`` and the instance, ``dead`` ignored: every shortest path is
+    listed and the least one taken. ``None`` when the sink is out of reach.
+    Applicant nodes are left out: their arcs to other ties are saturated, so
+    through them a path only reaches the source or the probed tie again."""
+    inst, holders = net.instance, net.holders
+    succ = {SNK: []}
+    for a in inst.applicants:
+        for t, courses in enumerate(inst.prefs[a]):
+            succ[("tie", a, t)] = [
+                ("crs", c) for c in courses if (a, t) not in holders[c]]
+    for c in inst.courses:
+        succ[("crs", c)] = [("tie", a, t) for a, t in holders[c]]
+        if len(holders[c]) < inst.capacity[c]:
+            succ[("crs", c)].append(SNK)
+    pred = {u: [] for u in succ}
+    for u, outs in succ.items():
+        for v in outs:
+            pred[v].append(u)
+    dist = {SNK: 0}
+    frontier = [SNK]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in pred[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    start = ("tie", applicant, tie)
+    if start not in dist:
+        return None
+
+    def shortest(u):
+        if u == SNK:
+            yield [SNK]
+        for v in succ[u]:
+            if dist.get(v) == dist[u] - 1:
+                for rest in shortest(v):
+                    yield [u, *rest]
+
+    return [SRC, ("app", applicant), *min(shortest(start))]
 
 
 def seeded_cases(count, seed):
@@ -92,6 +141,43 @@ def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
         assert_dead_cannot_reach_sink(net)
         assert net.dead
     assert dead_starts > 0
+
+
+@pytest.mark.parametrize("k", range(len(CASES)))
+def test_canonical_path_is_the_whole_network_least_shortest_one(monkeypatch, k):
+    """Every canonical probe returns the reference path of the whole residual
+    network, dead set or not; a guided probe fails exactly when it has none."""
+    inst, ordering = CASES[k]
+    search = gsdt.find_augmenting_path
+    found = 0
+
+    def checked(net, applicant, tie, guided_order=None):
+        nonlocal found
+        expected = least_shortest_path(net, applicant, tie)
+        path = search(net, applicant, tie, guided_order)
+        if guided_order is None:
+            assert path == expected
+            found += path is not None
+        else:
+            assert (path is None) == (expected is None)
+        return path
+
+    monkeypatch.setattr(gsdt, "find_augmenting_path", checked)
+    optimum = run_gsdt(inst, ordering).matching
+    run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+    assert found == len(optimum)
+
+
+def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
+    """Serving a1-a2-a1 on the manipulation instance: a1's first stage fills
+    her first tie ( c2 ), so the augmentation marks it dead, and her second
+    stage fails that tie at once."""
+    net = gsdt.FlowNetwork(manipulation_instance())
+    gsdt._serve(net, ["a1"], None)
+    assert gsdt._tie("a1", 0) in net.dead
+    gsdt._serve(net, ["a2", "a1"], None)
+    assert net.stage_probes[2][0] == gsdt.ProbeRecord(0, None)
+    assert net.arc_visits[2] == 0
 
 
 # ----------------------------------------------------------------------
