@@ -27,16 +27,8 @@ SNAPSHOT_CAP = 64  # states held by one SnapshotCache
 Node = tuple
 
 
-def _app(a: str) -> Node:
-    return ("app", a)
-
-
 def _tie(a: str, t: int) -> Node:
     return ("tie", a, t)
-
-
-def _crs(c: str) -> Node:
-    return ("crs", c)
 
 
 def render_node(node: Node) -> str:
@@ -51,19 +43,21 @@ def render_node(node: Node) -> str:
 
 class FlowNetwork:
     """The state of one GSDT run: the flow network, the tie pointers
-    ``curr``, the arcs each search inspected (``arc_visits``, one entry
-    per search) and the recorded probes.
+    ``curr``, the arcs each probe inspected (``arc_visits``, one entry
+    per probe) and the recorded probes.
     Tie-to-course arcs have capacity 1 and course-to-sink arcs capacity
     q(c); source and tie arc capacities evolve with the stages.
     ``holders[c]`` is the one record of tie-course flow: the arc from tie
     ``(a, t)`` to course ``c`` carries a unit exactly when ``(a, t)`` is in
     ``holders[c]``; matched pairs, residual arcs and the flow out of each
     tie and applicant are read off it. ``flow_snk[c]`` counts the units on
-    the course's sink arc, which the search's free-seat test reads.
+    the course's sink arc, which the search's free-seat test reads, and
+    ``free`` the seats left in all courses. Every augmenting path ends at
+    one and only ``augment`` lowers it, so once it is 0 every probe fails.
 
     ``dead`` holds tie and course nodes known not to reach the sink in the
     residual network; they stay dead for the rest of the run. A failed
-    probe marks every node its search reached, and ``augment`` marks a tie
+    search marks every node it reached, and ``augment`` marks a tie
     it fills. An augmentation creates residual arcs only out of nodes on its
     path, all of which reach the sink; its other changes only remove arcs (a
     full course's sink arc), and source and tie capacities act on arcs the
@@ -79,6 +73,7 @@ class FlowNetwork:
             (a, t): 0 for a in instance.applicants for t in range(len(instance.prefs[a]))}
         self.holders: dict[str, set[tuple[str, int]]] = {c: set() for c in instance.courses}
         self.flow_snk = dict.fromkeys(instance.courses, 0)
+        self.free = sum(instance.capacity.values())
         self.dead: set[Node] = set()
         self.arc_visits: list[int] = []
         self.stage_probes: list[tuple[ProbeRecord, ...]] = []
@@ -88,7 +83,7 @@ class FlowNetwork:
         new = object.__new__(FlowNetwork)
         new.__dict__ = {name: getattr(self, name).copy() for name in (
             "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "stage_probes")}
-        new.instance = instance
+        new.instance, new.free = instance, self.free
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
 
@@ -108,6 +103,7 @@ class FlowNetwork:
             elif v[0] == "tie":
                 self.holders[u[1]].remove((v[1], v[2]))
         self.flow_snk[path[-2][1]] += 1
+        self.free -= 1
         _, a, t = path[2]
         if all((a, t) in self.holders[c] for c in self.instance.prefs[a][t]):
             self.dead.add(path[2])
@@ -132,6 +128,8 @@ class FlowNetwork:
             assert len(held) == self.flow_snk[c] <= inst.capacity[c]
             for a, t in held:
                 assert c in inst.prefs[a][t]
+        if courses is None:
+            assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
         for a in inst.applicants if applicants is None else applicants:
             out = 0
             for t, tie in enumerate(inst.prefs[a]):
@@ -170,10 +168,11 @@ def find_augmenting_path(
     of its nodes' least shortest paths, and the path read back from the sink
     is the lexicographically least shortest one of the whole network. Dead
     nodes (``FlowNetwork.dead``) are skipped, and a dead probed tie fails at
-    once; no dead node reaches the sink, so the path is unchanged. A failed
-    probe adds every node it reached to the dead set, a successful one none.
-    Each search appends its arc inspections to ``net.arc_visits``: |tie| for
-    a tie it expands, 1 + |holders| for a course.
+    once, as does any probe with no free seat left (``FlowNetwork.free``); no
+    dead node reaches the sink, so the path is unchanged. A failed search
+    adds every node it reached to the dead set, a successful one none. Each
+    call appends its arc inspections to ``net.arc_visits``: |tie| for a tie
+    it expands, 1 + |holders| for a course, 0 when it fails at once.
 
     A ``guided_order`` (per applicant, a guided target's courses in pair-
     priority order) is tried first: its first course in the probed tie that
@@ -190,7 +189,7 @@ def find_augmenting_path(
 
     # A dead tie has no free course to take directly either.
     start = _tie(applicant, tie)
-    if start in dead:
+    if start in dead or not net.free:
         return finish(None)
 
     if guided_order is not None:
@@ -203,7 +202,7 @@ def find_augmenting_path(
                 and (applicant, tie) not in holders[c]
                 and net.flow_snk[c] < inst.capacity[c]
             ):
-                return finish([SRC, _app(applicant), start, _crs(c), SNK])
+                return finish([SRC, ("app", applicant), start, ("crs", c), SNK])
 
     # Breadth-first search over live residual arcs, successors in ascending
     # key order; the sink's key sorts first, so a free course ends it at once.
@@ -214,14 +213,14 @@ def find_augmenting_path(
             a, t = u[1], u[2]
             courses = inst.prefs[a][t]
             visits += len(courses)
-            outs = [_crs(c) for c in courses if (a, t) not in holders[c]]
+            outs = [("crs", c) for c in courses if (a, t) not in holders[c]]
         else:
             c = u[1]
             held = holders[c]
             visits += 1 + len(held)
             if net.flow_snk[c] < inst.capacity[c]:
                 break
-            outs = [_tie(a, t) for a, t in held]
+            outs = [("tie", a, t) for a, t in held]
         for v in sorted(outs):
             if v not in parent and v not in dead:
                 parent[v] = u
@@ -234,7 +233,7 @@ def find_augmenting_path(
     while node is not None:
         path.append(node)
         node = parent[node]
-    return finish([SRC, _app(applicant), *reversed(path)])
+    return finish([SRC, ("app", applicant), *reversed(path)])
 
 
 # ----------------------------------------------------------------------
@@ -255,14 +254,19 @@ def _stage(net: FlowNetwork, a: str,
     Raise her source capacity and probe her ties from the active one,
     ``net.curr[a]``, onward; ``probe(t)`` gives an augmenting path through
     tie ``t`` or ``None``. A failed probe rolls the tie capacity back and
-    advances ``curr[a]``; the first success augments the flow. Then
-    ``FlowNetwork.check`` runs on the nodes the stage could change: ``a``
-    and, on success, the applicant of every tie and every course on the path.
+    advances ``curr[a]``; the first success augments the flow. With no free
+    seat (``FlowNetwork.free``), every remaining tie fails unprobed, with an
+    ``arc_visits`` entry of 0. Then ``FlowNetwork.check`` runs on the nodes
+    the stage could change: ``a`` and, on success, the applicant of every
+    tie and every course on the path.
     """
     net.cap_src[a] += 1
-    probes: list[ProbeRecord] = []
     path: Sequence[Node] | None = None
-    while path is None and net.curr[a] < len(net.instance.prefs[a]):
+    ties = len(net.instance.prefs[a])
+    probes = [] if net.free else [ProbeRecord(t, None) for t in range(net.curr[a], ties)]
+    net.arc_visits += [0] * len(probes)
+    net.curr[a] += len(probes)
+    while path is None and net.curr[a] < ties:
         t = net.curr[a]
         net.cap_tie[(a, t)] += 1
         path = probe(t)
@@ -289,9 +293,9 @@ class StageRecord:
 
 @dataclass(frozen=True)
 class GsdtResult:
-    """The final matching and the arc inspections of each search of a run,
+    """The final matching and the arc inspections of each probe of a run,
     plus what the run recorded to explain itself: each stage's probes.
-    ``searches`` counts the searches, one per entry of ``arc_visits``.
+    ``searches`` counts the probes, one per entry of ``arc_visits``.
 
     ``stages`` and ``capacity_history`` are built on first read and cached.
     ``stages`` replays the recorded paths through ``_stage`` on a fresh

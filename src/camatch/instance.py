@@ -79,7 +79,6 @@ class Instance:
         duplicate ids, dangling course references, out-of-range quotas,
         empty ties, or a course appearing twice in a preference list.
         """
-        course_ids: list[str] = []
         capacity: dict[str, int] = {}
         for cid, cap in courses:
             _check_id(cid, "course")
@@ -88,10 +87,8 @@ class Instance:
             if not 1 <= cap <= MAX_QUOTA:
                 raise InstanceSemanticError(
                     f"course {cid!r} quota {cap} out of range [1, {MAX_QUOTA}]")
-            course_ids.append(cid)
             capacity[cid] = cap
 
-        applicant_ids: list[str] = []
         quota: dict[str, int] = {}
         prefs: dict[str, PreferenceList] = {}
         for aid, b, ties in applicants:
@@ -101,12 +98,11 @@ class Instance:
             if not 1 <= b <= MAX_QUOTA:
                 raise InstanceSemanticError(
                     f"applicant {aid!r} quota {b} out of range [1, {MAX_QUOTA}]")
-            applicant_ids.append(aid)
             quota[aid] = b
             prefs[aid] = _tie_sets(aid, ties, capacity)
 
-        return Instance(tuple(applicant_ids), tuple(course_ids),
-                        quota, capacity, prefs)
+        # Dicts keep insertion order, so their keys are the ids in input order.
+        return Instance(tuple(quota), tuple(capacity), quota, capacity, prefs)
 
     @cached_property
     def _tie_index(self) -> dict[str, dict[str, int]]:

@@ -2,8 +2,9 @@
 references. No node marked dead, by a failed probe's search or by the
 augmentation that fills a tie, may reach the sink in the residual network,
 before or after any probe of seeded canonical and guided runs, and on
-Hypothesis-drawn instances after any stage; and every canonical probe takes
-the lexicographically least shortest path of the whole network."""
+Hypothesis-drawn instances after any stage; every canonical probe takes
+the lexicographically least shortest path of the whole network; and once
+every seat is taken the stage loop decides each probe without a search."""
 
 import random
 from unittest import mock
@@ -55,14 +56,24 @@ def assert_dead_cannot_reach_sink(net):
     assert not net.dead & sink_reachers(net)
 
 
-def least_shortest_path(net, applicant, tie):
+def least_shortest_path(net, applicant, tie, guided_order=None):
     """The lexicographically least shortest path from the probed tie to the
     sink, by brute force over the whole residual network rebuilt from
     ``net.holders`` and the instance, ``dead`` ignored: every shortest path is
     listed and the least one taken. ``None`` when the sink is out of reach.
     Applicant nodes are left out: their arcs to other ties are saturated, so
-    through them a path only reaches the source or the probed tie again."""
+    through them a path only reaches the source or the probed tie again.
+
+    With a ``guided_order``, its first course in the probed tie that the tie
+    does not hold and that has a free seat is taken directly, as the guided
+    search does."""
     inst, holders = net.instance, net.holders
+    start = ("tie", applicant, tie)
+    for c in (guided_order or {}).get(applicant, ()):
+        held = holders[c]
+        if c in inst.prefs[applicant][tie] and (applicant, tie) not in held \
+                and len(held) < inst.capacity[c]:
+            return [SRC, ("app", applicant), start, ("crs", c), SNK]
     succ = {SNK: []}
     for a in inst.applicants:
         for t, courses in enumerate(inst.prefs[a]):
@@ -86,7 +97,6 @@ def least_shortest_path(net, applicant, tie):
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
-    start = ("tie", applicant, tie)
     if start not in dist:
         return None
 
@@ -113,17 +123,25 @@ def seeded_cases(count, seed):
 
 
 CASES = list(seeded_cases(30, 1973))
+# Once every seat is taken the stage loop fails each probe without a search,
+# and marks nothing dead. The cases whose network never fills:
+NEVER_FULL = {16, 20, 22}
+# The cases whose dead starts all come once the network is full:
+DEAD_STARTS_ONLY_ON_A_FULL_NETWORK = {2, 7, 8, 11, 23, 26, 28}
+# The cases where no node is ever marked dead:
+NOTHING_DEAD = {8}
 
 
 @pytest.mark.parametrize("k", range(len(CASES)))
 def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
     inst, ordering = CASES[k]
     search = gsdt.find_augmenting_path
-    dead_starts = 0
+    dead_starts = searches = 0
     networks = []
 
     def checked(net, applicant, tie, guided_order=None):
-        nonlocal dead_starts
+        nonlocal dead_starts, searches
+        searches += 1
         if not networks or networks[-1] is not net:
             networks.append(net)
         assert_dead_cannot_reach_sink(net)
@@ -133,14 +151,18 @@ def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
         return path
 
     monkeypatch.setattr(gsdt, "find_augmenting_path", checked)
-    optimum = run_gsdt(inst, ordering).matching
-    run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+    canonical = run_gsdt(inst, ordering)
+    optimum = canonical.matching
+    guided = run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
     # The last augmentation of each run happens after its last probe.
     assert len(networks) == 2
     for net in networks:
         assert_dead_cannot_reach_sink(net)
-        assert net.dead
-    assert dead_starts > 0
+        assert bool(net.dead) == (k not in NOTHING_DEAD)
+    # Every probe the search did not see was decided on a full network.
+    full_probes = canonical.searches + guided.searches - searches
+    assert dead_starts + full_probes > 0
+    assert (dead_starts > 0) == (k not in DEAD_STARTS_ONLY_ON_A_FULL_NETWORK)
 
 
 @pytest.mark.parametrize("k", range(len(CASES)))
@@ -166,6 +188,45 @@ def test_canonical_path_is_the_whole_network_least_shortest_one(monkeypatch, k):
     optimum = run_gsdt(inst, ordering).matching
     run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
     assert found == len(optimum)
+
+
+def seats_left(net):
+    """The free seats of all courses, counted off ``holders``."""
+    return sum(net.instance.capacity[c] - len(held) for c, held in net.holders.items())
+
+
+@pytest.mark.parametrize("k", range(len(CASES)))
+def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatch, k):
+    """Once every seat is taken no search runs, in canonical and guided runs:
+    the stage loop fails each tie the applicant has left, with 0 arc visits,
+    and the whole-network reference finds no path from any of them."""
+    inst, ordering = CASES[k]
+    search, stage = gsdt.find_augmenting_path, gsdt._stage
+    decided = 0
+
+    def spied_search(net, applicant, tie, guided_order=None):
+        assert seats_left(net) > 0
+        return search(net, applicant, tie, guided_order)
+
+    def spied_stage(net, a, probe):
+        nonlocal decided
+        if seats_left(net):
+            return stage(net, a, probe)
+        left = range(net.curr[a], len(inst.prefs[a]))
+        for t in left:
+            assert least_shortest_path(net, a, t) is None
+        visits = len(net.arc_visits)
+        probes = stage(net, a, probe)
+        assert probes == tuple(gsdt.ProbeRecord(t, None) for t in left)
+        assert net.arc_visits[visits:] == [0] * len(left)
+        decided += len(left)
+        return probes
+
+    monkeypatch.setattr(gsdt, "find_augmenting_path", spied_search)
+    monkeypatch.setattr(gsdt, "_stage", spied_stage)
+    optimum = run_gsdt(inst, ordering).matching
+    run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+    assert (decided > 0) == (k not in NEVER_FULL)
 
 
 def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
