@@ -23,6 +23,7 @@ from .scc import strongly_connected_components
 SRC = ("src",)
 SNK = ("snk",)
 SNAPSHOT_CAP = 64  # states held by one SnapshotCache
+_FAILED: tuple[ProbeRecord, ...] = ()  # ProbeRecord(t, None) at index t (see _stage)
 
 Node = tuple
 
@@ -108,20 +109,14 @@ class FlowNetwork:
         if all((a, t) in self.holders[c] for c in self.instance.prefs[a][t]):
             self.dead.add(path[2])
 
-    def check(
-        self,
-        applicants: Iterable[str] | None = None,
-        courses: Iterable[str] | None = None,
-    ) -> None:
-        """Exact conservation and capacity bounds, node by node.
-
-        Each invariant involves one node and its own arcs, so a check can be
-        scoped: ``applicants`` (each with all her ties) and ``courses`` name
-        the nodes to check, and either left as ``None`` means all of them.
-        Meant for the quiescent state between stages, where additionally
-        every applicant-to-tie arc must sit exactly at its capacity (probes
-        saturate on success and roll the capacity back on failure).
-        """
+    def check(self, ties: Iterable[tuple[str, int]] | None = None,
+              courses: Iterable[str] | None = None) -> None:
+        """Exact conservation and capacity bounds, node by node, for the
+        quiescent state between stages, where also every applicant-to-tie
+        arc sits at its capacity. Each invariant involves one node's own
+        arcs, so ``ties`` (``(a, t)`` keys) and ``courses`` can scope the
+        check; ``None`` means all. The full tie check counts held units once
+        off ``holders``; only it bounds each applicant's out by ``cap_src``."""
         inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
         for c in inst.courses if courses is None else courses:
             held = holders[c]
@@ -130,15 +125,16 @@ class FlowNetwork:
                 assert c in inst.prefs[a][t]
         if courses is None:
             assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
-        for a in inst.applicants if applicants is None else applicants:
-            out = 0
-            for t, tie in enumerate(inst.prefs[a]):
-                key, held = (a, t), 0
-                for c in tie:
-                    held += key in holders[c]
-                assert cap_tie[key] == held
-                out += held
-            assert out <= self.cap_src[a]
+        for a, t in () if ties is None else ties:
+            assert cap_tie[a, t] == sum((a, t) in holders[c] for c in inst.prefs[a][t])
+        if ties is None:
+            counted, out = dict.fromkeys(cap_tie, 0), dict.fromkeys(inst.applicants, 0)
+            for held in holders.values():
+                for key in held:
+                    counted[key] += 1
+                    out[key[0]] += 1
+            assert counted == cap_tie
+            assert all(n <= self.cap_src[a] for a, n in out.items())
 
 
 @dataclass(frozen=True)
@@ -251,34 +247,39 @@ def _stage(net: FlowNetwork, a: str,
     """The stage rules, shared by the live run and the checked replay in
     ``GsdtResult.stages``: serve one quota unit of ``a``; return its probes.
 
-    Raise her source capacity and probe her ties from the active one,
-    ``net.curr[a]``, onward; ``probe(t)`` gives an augmenting path through
-    tie ``t`` or ``None``. A failed probe rolls the tie capacity back and
-    advances ``curr[a]``; the first success augments the flow. With no free
-    seat (``FlowNetwork.free``), every remaining tie fails unprobed, with an
-    ``arc_visits`` entry of 0. Then ``FlowNetwork.check`` runs on the nodes
-    the stage could change: ``a`` and, on success, the applicant of every
-    tie and every course on the path.
-    """
+    Raise her source capacity and probe her ties from ``net.curr[a]`` on;
+    ``probe(t)`` gives a path through tie ``t`` or ``None``. A failed probe
+    rolls the tie capacity back and advances ``curr[a]``; the first success
+    augments. ``FlowNetwork.check`` then covers the ties probed and the ties
+    and courses on the path. Her bound ``out <= cap_src`` is left to the
+    full check: she gains a unit of source capacity and at most one of flow,
+    and the path's other ties each swap one course for another. With no free
+    seat her remaining ties fail unprobed, with 0 arc visits, as a slice of
+    ``_FAILED``, only ever replaced by a longer tuple. Then only ``cap_src[a]``
+    (her bound loosens) and ``curr[a]`` (read by no check) change: no check."""
+    global _FAILED
     net.cap_src[a] += 1
-    path: Sequence[Node] | None = None
-    ties = len(net.instance.prefs[a])
-    probes = [] if net.free else [ProbeRecord(t, None) for t in range(net.curr[a], ties)]
-    net.arc_visits += [0] * len(probes)
-    net.curr[a] += len(probes)
-    while path is None and net.curr[a] < ties:
-        t = net.curr[a]
-        net.cap_tie[(a, t)] += 1
-        path = probe(t)
-        probes.append(ProbeRecord(t, tuple(path) if path else None))
-        if path is None:
-            net.cap_tie[(a, t)] -= 1
-            net.curr[a] += 1
-    if path is not None:
-        net.augment(path)
-    changed = path or ()
-    net.check(applicants={a, *(u[1] for u in changed if u[0] == "tie")},
-              courses={u[1] for u in changed if u[0] == "crs"})
+    first, ties = net.curr[a], len(net.instance.prefs[a])
+    if not net.free:
+        failed = _FAILED
+        if len(failed) < ties:
+            failed = _FAILED = tuple(ProbeRecord(t, None) for t in range(2 * ties))
+        net.curr[a] = ties
+        net.arc_visits += [0] * (ties - first)
+        return failed[first:ties]
+    path: Sequence[Node] = ()
+    probes = []
+    for t in range(first, ties):
+        net.cap_tie[a, t] += 1
+        path = probe(t) or ()
+        probes.append(ProbeRecord(t, tuple(path) or None))
+        if path:
+            net.augment(path)
+            break
+        net.cap_tie[a, t] -= 1
+        net.curr[a] += 1
+    net.check(ties=[(a, p.tie) for p in probes] + [u[1:] for u in path[3:] if u[0] == "tie"],
+              courses=[u[1] for u in path if u[0] == "crs"])
     return tuple(probes)
 
 
@@ -339,12 +340,13 @@ class GsdtResult:
 
 def _serve(net: FlowNetwork, stages: Sequence[str],
            guided_order: dict[str, list[str]] | None, offer: Callable = lambda _: None) -> None:
-    """The stage loop: one ``_stage`` per entry, probed by the live search.
-    ``offer`` sees the state before each stage and after the last."""
+    """The stage loop: one ``_stage`` per entry, probed by the live search,
+    then the full check. ``offer`` sees the state before each stage and after the last."""
     for a in stages:
         offer(net)
         net.stage_probes.append(_stage(
             net, a, lambda t: find_augmenting_path(net, a, t, guided_order)))
+    net.check()
     offer(net)
 
 
@@ -395,7 +397,6 @@ class SnapshotCache:
         for t in range(len(key[0]), len(prefs)):
             state.cap_tie[a, t] = 0
         _serve(state, self.ordering[len(state.stage_probes):stop], None, self._offer)
-        state.check()
         return state
 
     def _offer(self, state: FlowNetwork) -> None:
@@ -442,7 +443,6 @@ def run_gsdt(
             guided_order.setdefault(a, []).append(c)
 
     _serve(net, ordering, guided_order)
-    net.check()
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=net.matching(),
         stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits))

@@ -260,9 +260,9 @@ def test_scoped_check_catches_corruption_at_its_course(t1, corrupt):
     net.cap_tie[("a1", 0)] = 1
     net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
     corrupt(net)
-    net.check(applicants=(), courses=("c2", "c3"))  # outside the scope
+    net.check(ties=(), courses=("c2", "c3"))  # outside the scope
     with pytest.raises(AssertionError):
-        net.check(applicants=(), courses=("c1",))
+        net.check(ties=(), courses=("c1",))
 
 
 def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
@@ -288,6 +288,95 @@ def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
     with pytest.raises(AssertionError):
         run_gsdt(t1, WALKTHROUGH_ORDERING)
     assert probes == [("a1", 0)]
+
+
+def test_stage_check_covers_its_failed_probes(monkeypatch, t1):
+    # A failed probe that keeps its raised tie capacity: a2's first tie
+    # fails at stage 3, and the check after that stage must catch it, not
+    # the full check at the end of the run (a2 never probes that tie again).
+    from camatch import gsdt
+
+    search = gsdt.find_augmenting_path
+    probes = []
+
+    def search_keeping_failed_capacity(net, applicant, tie, guided_order=None):
+        probes.append((applicant, tie))
+        path = search(net, applicant, tie, guided_order)
+        if path is None:
+            net.cap_tie[applicant, tie] += 1  # survives the stage's rollback
+        return path
+
+    monkeypatch.setattr(gsdt, "find_augmenting_path", search_keeping_failed_capacity)
+    with pytest.raises(AssertionError):
+        run_gsdt(t1, WALKTHROUGH_ORDERING)
+    assert probes == [("a1", 0), ("a1", 0), ("a2", 0), ("a2", 1)]
+
+
+def test_stage_check_covers_the_ties_on_its_path(monkeypatch):
+    # a2's stage reroutes a1 from c1 to c2 inside a1's tie; an augment that
+    # miscounts that tie, the path's second, must fail the check after that
+    # very stage, before a3 is probed.
+    from camatch import gsdt
+
+    inst = Instance.build(
+        [("c1", 1), ("c2", 1), ("c3", 1)],
+        [("a1", 1, [["c1", "c2"]]), ("a2", 1, [["c1"]]), ("a3", 1, [["c3"]])],
+    )
+    augment = FlowNetwork.augment
+    search = gsdt.find_augmenting_path
+    probes = []
+
+    def augment_miscounting_a_rerouted_tie(self, path):
+        augment(self, path)
+        for _, a, t in path[4:-1:2]:
+            self.cap_tie[a, t] += 1
+
+    def counted_search(*args, **kwargs):
+        probes.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "augment", augment_miscounting_a_rerouted_tie)
+    monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
+    with pytest.raises(AssertionError):
+        run_gsdt(inst, ("a1", "a2", "a3"))
+    assert probes == [("a1", 0), ("a2", 0)]
+
+
+def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
+    # a0 and a1 take c1, c3, c4 and c5, and a2's first stage takes c2 from
+    # her second tie, which leaves no seat. Then a3, a4 (a longer list than
+    # any served so far) and a2 again (from her second tie) meet a full
+    # network, starting from an empty shared record tuple.
+    from camatch import gsdt
+
+    inst = Instance.build(
+        [(f"c{i}", 1) for i in range(1, 6)],
+        [("a0", 3, [["c3", "c4", "c5"]]), ("a1", 1, [["c1"]]),
+         ("a2", 2, [["c1"], ["c2"], ["c3"]]), ("a3", 1, [["c1"], ["c2"]]),
+         ("a4", 1, [[f"c{i}"] for i in range(1, 6)])],
+    )
+    stage = gsdt._stage
+    full = []
+
+    def spied_stage(net, a, probe):
+        first, was_full = net.curr[a], not net.free
+        probes = stage(net, a, probe)
+        if was_full:
+            full.append((a, first))
+            fresh = tuple(ProbeRecord(t, None) for t in range(first, len(inst.prefs[a])))
+            assert probes == fresh
+        return probes
+
+    monkeypatch.setattr(gsdt, "_FAILED", ())
+    monkeypatch.setattr(gsdt, "_stage", spied_stage)
+    result = run_gsdt(inst, ("a0", "a0", "a0", "a1", "a2", "a3", "a4", "a2"))
+    assert full == [("a3", 0), ("a4", 0), ("a2", 1)]
+    assert result.stage_probes[5:] == (
+        (ProbeRecord(0, None), ProbeRecord(1, None)),
+        tuple(ProbeRecord(t, None) for t in range(5)),
+        (ProbeRecord(1, None), ProbeRecord(2, None)),
+    )
+    assert [len(s.probes) for s in result.stages] == [1, 1, 1, 1, 2, 2, 5, 2]
 
 
 @pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])

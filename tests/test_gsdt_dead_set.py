@@ -272,7 +272,8 @@ def test_property_no_dead_node_reaches_the_sink_after_any_stage(inst, seed):
         check(net, *args, **kwargs)
         assert_dead_cannot_reach_sink(net)
 
-    # run_gsdt checks the network after every stage and once more at the end.
+    # run_gsdt checks the network after every stage that probes and once more
+    # at the end; a stage on a full network changes no arc the search crosses.
     with mock.patch.object(gsdt.FlowNetwork, "check", checked):
         run_gsdt(inst, shuffled_ordering(inst, seed))
 
