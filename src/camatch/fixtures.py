@@ -78,13 +78,10 @@ def fixture_instances(count: int = 50) -> list[Instance]:
         max_b = 1 if k % 2 == 0 else 2
         density = (k % 4) * 0.25
         attempt = 0
-        while True:
-            inst = generate_random_instance(
-                n1, n2, max_b, 2, density, seed=1000 + 37 * k + attempt)
-            if inst.total_quota() <= 6:
-                fleet.append(inst)
-                break
+        while (inst := generate_random_instance(
+                n1, n2, max_b, 2, density, seed=1000 + 37 * k + attempt)).total_quota() > 6:
             attempt += 1
+        fleet.append(inst)
     return fleet
 
 

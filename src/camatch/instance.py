@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, KeysView, Sequence
@@ -264,12 +265,10 @@ def serialize_ordering(ordering: PriorityOrdering) -> str:
 def check_ordering(instance: Instance, ordering: Sequence[str]) -> str | None:
     """Return an error message unless each applicant a occurs exactly
     quota(a) times in the ordering, else None."""
-    for x in ordering:
+    counts = Counter(ordering)  # keys in order of first appearance
+    for x in counts:
         if x not in instance.quota:
             return f"unknown applicant {x!r} in ordering"
-    counts = {a: 0 for a in instance.applicants}
-    for x in ordering:
-        counts[x] += 1
     for a in instance.applicants:
         if counts[a] != instance.quota[a]:
             return (f"{a} appears {counts[a]} time(s) in the ordering, "
@@ -289,8 +288,7 @@ def parse_matching_pairs(text: str, instance: Instance) -> tuple[tuple[str, str]
     Ids must exist in the instance and no pair may repeat; pairs keep file
     order (matchings themselves are order-insensitive).
     """
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], None] = {}  # an ordered set
     for lineno, words in _tokenize(text):
         if len(words) != 2:
             raise _syntax(text, lineno, 0, "expected '<applicant-id> <course-id>'")
@@ -299,10 +297,9 @@ def parse_matching_pairs(text: str, instance: Instance) -> tuple[tuple[str, str]
             raise InstanceSemanticError(f"unknown applicant {a!r} in matching")
         if c not in instance.capacity:
             raise InstanceSemanticError(f"unknown course {c!r} in matching")
-        if (a, c) in seen:
+        if (a, c) in pairs:
             raise InstanceSemanticError(f"duplicate pair ({a}, {c}) in matching")
-        seen.add((a, c))
-        pairs.append((a, c))
+        pairs[a, c] = None
     return tuple(pairs)
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import envy
 from .errors import SearchLimitExceeded
@@ -323,16 +323,20 @@ def find_beneficial_misreport(
     """First fabricated preference list whose outcome the applicant strictly
     prefers, under her true preferences, to the truthful outcome.
 
-    GSDT runs once per list, the truthful one first, through one
-    ``gsdt.SnapshotCache``, which resumes each list from the deepest stored
-    state the list fits. Her outcome is read off her own ties.
+    Her outcome under a list is at most ``quota`` of the courses it names
+    (the ordering serves her that many times), so under her true ties it
+    never beats her ``quota`` best listed courses. A list whose bound does
+    not beat the truthful outcome is counted in ``examined`` but not run.
 
-    A list whose ties each lie inside a true tie, the truthful one included,
-    runs only to ``last``, the stage after her last: from there her source
-    and tie capacities stay fixed and later paths move her only within a tie
-    of the list (nobody ever trades down), so her per-true-tie counts, all
-    ``compare_sets`` reads, are final. A list merging true ties runs in full,
-    and so do both lists of a FOUND, whose sets are those of full runs.
+    The other lists run, the truthful one first, through one
+    ``gsdt.SnapshotCache``, which resumes each from the deepest stored state
+    it fits; her outcome is read off her own ties. A list whose ties each lie
+    inside a true tie, the truthful one included, runs only to ``last``, the
+    stage after her last: from there her source and tie capacities stay
+    fixed and later paths move her only within a tie of the list (nobody
+    ever trades down), so her per-true-tie counts, all ``compare_sets``
+    reads, are final. A list merging true ties runs in full, and so do both
+    lists of a FOUND, whose sets are those of full runs.
 
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
@@ -349,13 +353,15 @@ def find_beneficial_misreport(
 
     truthful_set = outcome(truthful)
 
-    examined = 0
-    for fabricated in misreport_space(instance, applicant):
-        if examined >= search_limit:
-            return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined)
-        examined += 1
-        outcome_set = outcome(fabricated)
-        if compare_sets(instance, applicant, outcome_set, truthful_set) is SetRelation.PREFERS:
+    def prefers(courses: Iterable[str]) -> bool:  # to the truthful outcome, under her true ties
+        return compare_sets(instance, applicant, courses, truthful_set) is SetRelation.PREFERS
+
+    # The space starts with the empty list, so ``examined`` is always bound.
+    for examined, fabricated in enumerate(misreport_space(instance, applicant), start=1):
+        if examined > search_limit:
+            return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, search_limit)
+        best = sorted(itertools.chain(*fabricated), key=lambda c: instance.tie_of(applicant, c))
+        if prefers(best[:instance.quota[applicant]]) and prefers(outcome(fabricated)):
             finding = MisreportFinding(
                 applicant, truthful, tuple(fabricated), tuple(ordering),
                 outcome(truthful, full=True), outcome(fabricated, full=True), True)

@@ -5,7 +5,9 @@ it and comes out untouched, the misreport search equals a reference that runs
 every list from scratch, and the cache checks its applicant, its ordering and
 the liar's unread ties before it resumes. Runs the search stops after the
 liar's last stage leave her the vector of a full run, and only for lists that
-keep each tie inside a true tie."""
+keep each tie inside a true tie. No run beats her ``quota`` best listed
+courses, so a list whose bound does not beat the truthful outcome is counted
+without a run."""
 
 import copy
 import itertools
@@ -462,19 +464,35 @@ def fresh_vector(instance, ordering, applicant, prefs):
 def searched_with_final_vectors(instance, ordering, applicant, limit=200_000):
     """The misreport search, after checking that every run it makes, stopped
     or not, leaves her the vector a fresh full run of that list gives her.
-    Returns the search and the number of runs."""
+    Returns the search and, per run, its list and the stages it served."""
     runs, real = [], SnapshotCache.run
 
     def spy(cache, prefs, stop=None):
         state = real(cache, prefs, stop)
-        runs.append((tuple(prefs), her_vector(instance, state, applicant)))
+        runs.append((tuple(prefs), her_vector(instance, state, applicant),
+                     len(state.stage_probes)))
         return state
 
     with mock.patch.object(SnapshotCache, "run", spy):
         search = find_beneficial_misreport(instance, ordering, applicant, limit)
-    for prefs, vector in runs:
+    for prefs, vector, _ in runs:
         assert vector == fresh_vector(instance, ordering, applicant, prefs), prefs
-    return search, len(runs)
+    return search, [(prefs, stages) for prefs, _, stages in runs]
+
+
+def bound(instance, applicant, prefs):
+    """Her vector of her ``quota`` best courses that ``prefs`` lists, under
+    her true ties: no outcome of ``prefs`` beats it."""
+    listed = sorted((c for tie in prefs for c in tie), key=lambda c: instance.tie_of(applicant, c))
+    return characteristic_vector(instance, applicant, listed[:instance.quota[applicant]])
+
+
+def skipped_lists(instance, ordering, applicant, examined):
+    """How many of the first ``examined`` lists cannot beat the truthful
+    outcome, so that the search counts them without a run."""
+    truthful = fresh_vector(instance, ordering, applicant, instance.prefs[applicant])
+    lists = itertools.islice(misreport_space(instance, applicant), examined)
+    return sum(bound(instance, applicant, prefs) <= truthful for prefs in lists)
 
 
 def merging_counterexample():
@@ -496,11 +514,35 @@ def test_a_list_that_merges_true_ties_can_change_her_vector_after_her_last_stage
     assert her_vector(inst, finished, "a1") == (0, 1)
 
 
+def merging_case_the_bound_keeps():
+    """As ``merging_counterexample``, but a1's truthful outcome, her second
+    true tie, is not her best, so the search runs the merging list: after
+    her only stage she holds c1, and a2's last stage moves her to c2."""
+    inst = parse_instance(
+        "courses: c1=2 c2=1 c3=1\n"
+        "applicant a1 quota=1 prefs: ( c3 ) ( c1 ) ( c2 )\n"
+        "applicant a2 quota=2 prefs: ( c1 ) ( c2 c3 )\n"
+        "applicant a3 quota=2 prefs: ( c1 c2 )\n"
+        "applicant a4 quota=1 prefs: ( c3 ) ( c2 )\n")
+    return inst, ("a4", "a1", "a3", "a2", "a3", "a2"), [["c3"], ["c1", "c2"]]
+
+
 def test_the_search_runs_a_merging_list_to_the_end():
-    inst, ordering, merged = merging_counterexample()
+    inst, ordering, merged = merging_case_the_bound_keeps()
+    truthful = fresh_vector(inst, ordering, "a1", inst.prefs["a1"])
+    stopped = SnapshotCache(inst, ordering, "a1").run(merged, stop=2)  # after her only stage
+    assert truthful == her_vector(inst, stopped, "a1") == (0, 1, 0)
+    assert fresh_vector(inst, ordering, "a1", merged) == (0, 0, 1)
+    assert bound(inst, "a1", merged) > truthful
+
     search, runs = searched_with_final_vectors(inst, ordering, "a1")
     assert search == reference_misreport(inst, ordering, "a1")
-    assert runs == 1 + search.examined
+    assert search.status is MisreportStatus.NONE
+    skipped = skipped_lists(inst, ordering, "a1", search.examined)
+    assert 0 < skipped < search.examined
+    assert len(runs) == 1 + search.examined - skipped
+    merged = tuple(map(frozenset, merged))
+    assert [stages for prefs, stages in runs if prefs == merged] == [len(ordering)]
 
 
 def test_a_stop_at_one_of_her_stages_is_refused():
@@ -556,6 +598,67 @@ def test_stopping_search_equals_the_reference_on_bench_shaped_instances(k):
     inst, ordering = BENCH_SHAPED[k]
     search, _ = searched_with_final_vectors(inst, ordering, "a1")
     assert search == reference_misreport(inst, ordering, "a1")
+
+
+# ----------------------------------------------------------------------
+# Lists that cannot beat the truthful outcome are counted, not run.
+# ----------------------------------------------------------------------
+
+def test_no_fresh_run_beats_her_quota_best_listed_courses():
+    """Over small instances, every list of the space leaves her, in a fresh
+    full run, a vector no better than the bound, and some lists reach it."""
+    reached = 0
+    for inst, ordering, a in small_cases(120, 307):
+        for prefs in misreport_space(inst, a):
+            got = fresh_vector(inst, ordering, a, prefs)
+            assert got <= bound(inst, a, prefs), prefs
+            reached += got == bound(inst, a, prefs)
+    assert reached > 100
+
+
+def round_robin(instance):
+    """Each applicant once per round, in file order, while she has quota."""
+    rounds = range(max(instance.quota.values()))
+    return [a for r in rounds for a in instance.applicants if instance.quota[a] > r]
+
+
+def served_first(instance, ordering, applicant):
+    """``ordering`` with all of ``applicant``'s stages moved to the front."""
+    ordering = [b for b in ordering if b != applicant]
+    return [applicant] * instance.quota[applicant] + ordering
+
+
+def best_outcome_cases():
+    """A liar whose truthful outcome is already her ``quota`` best courses:
+    the merging counterexample, a five-course a1 under the round-robin
+    ordering, and the five-course bench-shaped liars served first."""
+    inst113 = generate_random_instance(10, 5, 3, 4, 0.4, 113)
+    cases = [merging_counterexample()[:2], (inst113, round_robin(inst113))]
+    return cases + [(inst, served_first(inst, ordering, "a1")) for inst, ordering in BENCH_SHAPED[-3:]]
+
+
+@pytest.mark.parametrize("k", range(len(best_outcome_cases())))
+def test_a_liar_with_her_best_outcome_runs_only_the_truthful_list(k):
+    inst, ordering = best_outcome_cases()[k]
+    true = inst.prefs["a1"]
+    assert fresh_vector(inst, ordering, "a1", true) == bound(inst, "a1", true)
+    search, runs = searched_with_final_vectors(inst, ordering, "a1")
+    space = sum(1 for _ in misreport_space(inst, "a1"))
+    assert search == MisreportSearch(MisreportStatus.NONE, None, space)
+    assert [prefs for prefs, _ in runs] == [true]
+
+
+def test_the_bound_skips_some_lists_and_runs_the_rest_on_bench_shaped_instances():
+    """Per search: the truthful run, one run per list the bound keeps, and
+    the two full runs of a FOUND. The totals are pinned."""
+    skipped = runs = found = 0
+    for inst, ordering in BENCH_SHAPED:
+        search, ran = searched_with_final_vectors(inst, ordering, "a1")
+        s = skipped_lists(inst, ordering, "a1", search.examined)
+        f = search.status is MisreportStatus.FOUND
+        assert len(ran) == 1 + search.examined - s + 2 * f
+        skipped, runs, found = skipped + s, runs + len(ran), found + f
+    assert (skipped, runs, found) == (2602, 1260, 2)
 
 
 @st.composite
