@@ -9,7 +9,7 @@ the stage quotas.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -47,7 +47,8 @@ class FlowNetwork:
     ``curr``, the arcs each probe inspected (``arc_visits``, one entry
     per probe) and the recorded probes.
     Tie-to-course arcs have capacity 1 and course-to-sink arcs capacity
-    q(c); source and tie arc capacities evolve with the stages.
+    q(c); source and tie arc capacities evolve with the stages, and
+    ``cap_tie`` has entries only for probed ties (any other has 0).
     ``holders[c]`` is the one record of tie-course flow: the arc from tie
     ``(a, t)`` to course ``c`` carries a unit exactly when ``(a, t)`` is in
     ``holders[c]``; matched pairs, residual arcs and the flow out of each
@@ -70,8 +71,7 @@ class FlowNetwork:
         self.instance = instance
         self.curr = dict.fromkeys(instance.applicants, 0)
         self.cap_src = dict.fromkeys(instance.applicants, 0)
-        self.cap_tie = {
-            (a, t): 0 for a in instance.applicants for t in range(len(instance.prefs[a]))}
+        self.cap_tie: defaultdict[tuple[str, int], int] = defaultdict(int)
         self.holders: dict[str, set[tuple[str, int]]] = {c: set() for c in instance.courses}
         self.flow_snk = dict.fromkeys(instance.courses, 0)
         self.free = sum(instance.capacity.values())
@@ -116,7 +116,8 @@ class FlowNetwork:
         arc sits at its capacity. Each invariant involves one node's own
         arcs, so ``ties`` (``(a, t)`` keys) and ``courses`` can scope the
         check; ``None`` means all. The full tie check counts held units once
-        off ``holders``; only it bounds each applicant's out by ``cap_src``."""
+        off ``holders`` against the nonzero ``cap_tie`` entries; only it
+        bounds each applicant's out by ``cap_src``. No check adds an entry."""
         inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
         for c in inst.courses if courses is None else courses:
             held = holders[c]
@@ -126,14 +127,14 @@ class FlowNetwork:
         if courses is None:
             assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
         for a, t in () if ties is None else ties:
-            assert cap_tie[a, t] == sum((a, t) in holders[c] for c in inst.prefs[a][t])
+            assert cap_tie.get((a, t), 0) == sum((a, t) in holders[c] for c in inst.prefs[a][t])
         if ties is None:
-            counted, out = dict.fromkeys(cap_tie, 0), dict.fromkeys(inst.applicants, 0)
+            counted, out = {}, dict.fromkeys(inst.applicants, 0)
             for held in holders.values():
                 for key in held:
-                    counted[key] += 1
+                    counted[key] = counted.get(key, 0) + 1
                     out[key[0]] += 1
-            assert counted == cap_tie
+            assert counted == {key: n for key, n in cap_tie.items() if n}
             assert all(n <= self.cap_src[a] for a, n in out.items())
 
 
@@ -380,8 +381,9 @@ class SnapshotCache:
         hers, so that ``_offer`` never stores the truncated state. A copy of
         the deepest state the list fits (the longest key: keys only grow along
         a run; it may lie past ``stop``) resumes once each of her unread ties
-        is shown to have zero capacity, no course and no dead node, and they
-        are rebuilt for ``prefs``. The result may be stored: do not change it."""
+        is shown to have zero capacity (read with ``get``: the stored state
+        gains no entry), no course and no dead node; never probed, they need
+        no rebuild for ``prefs``. The result may be stored: do not change it."""
         assert stop is None or self.ordering[stop:stop + 1] != (self.applicant,)
         instance = with_prefs(self.instance, self.applicant, prefs)
         a, prefs = self.applicant, instance.prefs[self.applicant]
@@ -391,11 +393,8 @@ class SnapshotCache:
         old = self.states[key]
         s, state = old.instance, old.copy(instance)
         for t in range(len(key[0]), len(s.prefs[a])):
-            assert old.cap_tie[a, t] == 0 and _tie(a, t) not in old.dead
+            assert not old.cap_tie.get((a, t)) and _tie(a, t) not in old.dead
             assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
-            del state.cap_tie[a, t]
-        for t in range(len(key[0]), len(prefs)):
-            state.cap_tie[a, t] = 0
         _serve(state, self.ordering[len(state.stage_probes):stop], None, self._offer)
         return state
 

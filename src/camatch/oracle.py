@@ -359,7 +359,7 @@ def find_beneficial_misreport(
     # The space starts with the empty list, so ``examined`` is always bound.
     for examined, fabricated in enumerate(misreport_space(instance, applicant), start=1):
         if examined > search_limit:
-            return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, search_limit)
+            return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined - 1)
         best = sorted(itertools.chain(*fabricated), key=lambda c: instance.tie_of(applicant, c))
         if prefers(best[:instance.quota[applicant]]) and prefers(outcome(fabricated)):
             finding = MisreportFinding(

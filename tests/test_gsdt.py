@@ -250,6 +250,23 @@ def test_flow_network_check_counts_the_courses_each_tie_holds(t1):
         net.check(courses=())
 
 
+@pytest.mark.parametrize("capacity", [1, -1])
+def test_full_check_catches_capacity_at_a_tie_never_probed(t1, capacity):
+    # The full check compares holder counts with the nonzero capacities
+    # only; a stray capacity at a tie that holds nothing must not slip
+    # through that filter, while a zero entry is the same as none.
+    from camatch import gsdt
+
+    net = FlowNetwork(t1)
+    gsdt._serve(net, WALKTHROUGH_ORDERING[:2], None)
+    unprobed = next((a, 0) for a in t1.applicants if not net.cap_src[a])  # never served
+    net.cap_tie[unprobed] = 0
+    net.check()
+    net.cap_tie[unprobed] = capacity
+    with pytest.raises(AssertionError):
+        net.check()
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda net: net.flow_snk.__setitem__("c1", 0),
     lambda net: net.holders["c1"].discard(("a1", 0)),

@@ -7,7 +7,8 @@ the liar's unread ties before it resumes. Runs the search stops after the
 liar's last stage leave her the vector of a full run, and only for lists that
 keep each tie inside a true tie. No run beats her ``quota`` best listed
 courses, so a list whose bound does not beat the truthful outcome is counted
-without a run."""
+without a run. A run keeps tie capacities only for the ties it probes, and a
+resume adds none to the state it resumes from."""
 
 import copy
 import itertools
@@ -184,7 +185,7 @@ def test_resumed_runs_equal_fresh_runs(k):
 def test_misreport_search_equals_fresh_run_search(k):
     inst, ordering, liars = CASES[k]
     for a in liars[:2]:
-        for limit in (0, 1, 30):
+        for limit in (-1, 0, 1, 30):
             got = find_beneficial_misreport(inst, ordering, a, search_limit=limit)
             assert got == reference_misreport(inst, ordering, a, limit)
 
@@ -281,6 +282,49 @@ def test_resume_asserts_catch_a_corrupt_unread_tie(corrupt, deeper):
     with pytest.raises(AssertionError) as raised:
         restricted(cache, [key]).run(prefs)
     assert raised.traceback[-1].name == "run"
+
+
+def test_resumes_add_no_tie_capacity_to_stored_states():
+    """The resume asserts read each unread tie's capacity without creating an
+    entry for it in the stored state."""
+    inst = walkthrough_instance()
+    cache = SnapshotCache(inst, ORDERING, "a1")
+    for prefs in [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 40)]:
+        stored = [(state, dict(state.cap_tie)) for state in cache.states.values()]
+        cache.run(prefs)
+        for state, before in stored:
+            assert dict(state.cap_tie) == before
+
+
+# ----------------------------------------------------------------------
+# Tie capacities exist only for the ties a run probes.
+# ----------------------------------------------------------------------
+
+def named_ties(state, ordering):
+    """The ties the stage records name: probed, or failed unprobed on a full network."""
+    return {(a, p.tie) for a, probes in zip(ordering, state.stage_probes) for p in probes}
+
+
+def test_a_run_holds_capacities_only_for_ties_its_records_name():
+    full = 0
+    for inst, ordering, liars in CASES:
+        assert not FlowNetwork(inst).cap_tie
+        state = SnapshotCache(inst, ordering, liars[0]).run(inst.prefs[liars[0]])
+        named = named_ties(state, ordering)
+        assert state.cap_tie.keys() <= named
+        full += state.cap_tie.keys() < named
+    assert full > 0  # some runs fill the network and leave named ties unprobed
+
+
+def test_a_search_regime_run_holds_capacities_for_exactly_its_probed_ties():
+    """Seats outnumber quota, as at 500x800, so no stage meets a full network
+    and every named tie is probed: 80 entries where the lists hold 1,196 ties."""
+    inst = generate_random_instance(50, 80, 3, 4, 0.4, 1)
+    assert sum(inst.capacity.values()) > sum(inst.quota.values())
+    ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
+    state = SnapshotCache(inst, ordering, "a1").run(inst.prefs["a1"])
+    assert state.cap_tie.keys() == named_ties(state, ordering)
+    assert (len(state.cap_tie), sum(map(len, inst.prefs.values()))) == (80, 1196)
 
 
 # ----------------------------------------------------------------------
