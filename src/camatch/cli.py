@@ -39,10 +39,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
-
-
 def _load_ordering(args: argparse.Namespace, instance: Instance) -> tuple[str, ...]:
     text = args.ordering if args.ordering is not None else _read(args.ordering_file)
     ordering = parse_ordering(text)
@@ -59,7 +55,7 @@ def _load_matching(path: str, instance: Instance) -> Matching:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     ordering = _load_ordering(args, instance)
     policy = None
     if args.guided is not None:
@@ -73,7 +69,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     matching = _load_matching(args.matching, instance)
     check = is_pareto_optimal(instance, matching)
     if check:
@@ -87,7 +83,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     catalog = enumerate_poms(instance, limit=args.limit)
     print(f"poms={len(catalog.poms)} examined={catalog.examined}")
     for m in catalog.poms:
@@ -97,7 +93,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_ordering_for(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     matching = _load_matching(args.matching, instance)
     try:
         ordering = derive_ordering(instance, matching)
@@ -110,7 +106,7 @@ def cmd_ordering_for(args: argparse.Namespace) -> int:
 
 
 def cmd_misreport(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = parse_instance(_read(args.instance))
     ordering = _load_ordering(args, instance)
     search = find_beneficial_misreport(
         instance, ordering, args.applicant, search_limit=args.limit)

@@ -373,10 +373,15 @@ class ParetoCheck:
 
 def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     """Decide Pareto optimality; on failure ship an improving coalition and
-    the strictly dominating matching obtained by satisfying it."""
+    the strictly dominating matching obtained by satisfying it. A positive
+    verdict is kept on the matching for this ``instance`` object (both are
+    immutable) and returned again building nothing; a negative one never is."""
+    if matching._optimal_in is instance:
+        return ParetoCheck(True)
     graph = build_envy_graph(instance, matching)
     witness = find_negative_cycle(graph)
     if witness is None:
+        matching._optimal_in = instance
         return ParetoCheck(True)
     coalition = _coalition_from_witness(instance, matching, graph, witness)
     return ParetoCheck(False, coalition, satisfy_coalition(instance, matching, coalition))

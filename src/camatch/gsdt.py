@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
+from . import envy
 from .errors import InstanceSemanticError, NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering, with_prefs
 from .matching import (
@@ -140,9 +141,10 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class GuidedToward:
-    """Prefer direct paths onto the target matching's courses, in the
-    target's derived pair-priority order; used to replay a specific
-    Pareto optimal matching."""
+    """Prefer direct paths onto the target matching's courses, each
+    applicant's in ascending id; used to replay a Pareto optimal matching.
+    Only her courses in the probed tie can be taken; they form one component
+    of the target's pair-priority order, sorted inside, so the paths match."""
 
     target: Matching
 
@@ -171,9 +173,9 @@ def find_augmenting_path(
     call appends its arc inspections to ``net.arc_visits``: |tie| for a tie
     it expands, 1 + |holders| for a course, 0 when it fails at once.
 
-    A ``guided_order`` (per applicant, a guided target's courses in pair-
-    priority order) is tried first: its first course in the probed tie that
-    the tie does not hold and that has a free seat is taken directly.
+    A ``guided_order`` (per applicant, a guided target's courses, ascending
+    from ``run_gsdt``) is tried first, one arc visit per course: its first
+    one in the probed tie that the tie does not hold and has a free seat is taken.
     """
     inst = net.instance
     holders = net.holders
@@ -430,16 +432,16 @@ def run_gsdt(
     lexicographically least shortest one; any augmenting path would do, so
     this only makes runs reproducible. A ``GuidedToward`` target must be a
     feasible matching; otherwise ``FeasibilityError`` is raised before any
-    stage runs.
+    stage runs. Its courses are tried in ascending id: the fast path reads only
+    the probed tie, where an applicant's target pairs form one component of
+    the target's pair-priority order, sorted, so the paths are that order's.
     """
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance)
     guided_order = None
     if policy is not None:
         require_feasible(instance, policy.target)
-        guided_order = {}
-        for a, c in _pair_priority_order(instance, policy.target):
-            guided_order.setdefault(a, []).append(c)
+        guided_order = {a: sorted(policy.target.of_applicant(a)) for a in instance.applicants}
 
     _serve(net, ordering, guided_order)
     return GsdtResult(
@@ -509,9 +511,7 @@ def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
     The matched pairs are served in pair-priority order; leftover quota
     copies are appended by applicant id and cannot change the outcome.
     """
-    from .envy import is_pareto_optimal
-
-    check = is_pareto_optimal(instance, pom)
+    check = envy.is_pareto_optimal(instance, pom)
     if not check:
         raise NotParetoOptimalError(
             "cannot derive an ordering for a dominated matching", check.coalition)

@@ -16,12 +16,14 @@ Pair = tuple[str, str]
 
 
 class Matching:
-    """An immutable set of (applicant, course) pairs with lookup maps."""
+    """An immutable set of (applicant, course) pairs with lookup maps. Eq, hash
+    and repr ignore ``_optimal_in`` (kept by ``envy.is_pareto_optimal``)."""
 
-    __slots__ = ("pairs", "_of_applicant", "_of_course")
+    __slots__ = ("pairs", "_of_applicant", "_of_course", "_optimal_in")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         self.pairs: frozenset[Pair] = frozenset(pairs)
+        self._optimal_in: Instance | None = None
         of_a: dict[str, set[str]] = {}
         of_c: dict[str, set[str]] = {}
         for a, c in self.pairs:
@@ -79,14 +81,11 @@ def is_feasible(instance: Instance, matching: Matching) -> str | None:
         if c not in instance.capacity:
             return f"unknown course {c!r}"
         return f"course {c} is not acceptable to {a}"
-    for a in instance.applicants:
-        got = len(matching.of_applicant(a))
-        if got > instance.quota[a]:
-            return f"|mu({a})| = {got} exceeds quota {instance.quota[a]}"
-    for c in instance.courses:
-        got = len(matching.of_course(c))
-        if got > instance.capacity[c]:
-            return f"|mu({c})| = {got} exceeds quota {instance.capacity[c]}"
+    for ids, held, bound in ((instance.applicants, matching.of_applicant, instance.quota),
+                             (instance.courses, matching.of_course, instance.capacity)):
+        for x in ids:
+            if len(held(x)) > bound[x]:
+                return f"|mu({x})| = {len(held(x))} exceeds quota {bound[x]}"
     return None
 
 

@@ -1,0 +1,115 @@
+"""A positive verdict is kept on the matching for the instance object it was
+reached under; a negative one is never kept, and the kept one never changes
+what a matching compares, hashes or prints as."""
+
+import pytest
+
+from camatch import (
+    Instance,
+    Matching,
+    NotParetoOptimalError,
+    check_reachability,
+    coalition_error,
+    derive_ordering,
+    enumerate_poms,
+    is_pareto_optimal,
+    pareto_dominates,
+)
+from camatch import envy
+from camatch.instance import with_prefs
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The envy graphs built while the test runs, one entry per build."""
+    built = []
+    original = envy.build_envy_graph
+
+    def counted(instance, matching):
+        built.append(matching)
+        return original(instance, matching)
+
+    monkeypatch.setattr(envy, "build_envy_graph", counted)
+    return built
+
+
+def swap_instance():
+    """Both applicants rank c1 over c2, so giving a1 c1 and a2 c2 is optimal."""
+    return Instance.build(
+        courses=[("c1", 1), ("c2", 1)],
+        applicants=[("a1", 1, [["c1"], ["c2"]]), ("a2", 1, [["c1"], ["c2"]])],
+    )
+
+
+def test_a_positive_verdict_does_not_carry_to_another_instance(builds):
+    inst = swap_instance()
+    mu = Matching([("a1", "c1"), ("a2", "c2")])
+    assert is_pareto_optimal(inst, mu)
+    # Once a1 ranks c2 first, she and a2 both gain by swapping.
+    lying = with_prefs(inst, "a1", [["c2"], ["c1"]])
+    check = is_pareto_optimal(lying, mu)
+    assert not check
+    assert coalition_error(lying, mu, check.coalition) is None
+    assert pareto_dominates(lying, check.dominating, mu)
+    assert check.dominating == Matching([("a1", "c2"), ("a2", "c1")])
+    assert len(builds) == 2
+    # The positive verdict under the first instance object still stands.
+    assert is_pareto_optimal(inst, mu)
+    assert len(builds) == 2
+
+
+def test_an_equal_instance_object_verifies_afresh(builds):
+    mu = Matching([("a1", "c1"), ("a2", "c2")])
+    assert is_pareto_optimal(swap_instance(), mu)
+    assert is_pareto_optimal(swap_instance(), mu)
+    assert len(builds) == 2
+
+
+def test_a_negative_verdict_is_built_afresh_every_time(builds):
+    inst = swap_instance()
+    dominated = Matching([("a2", "c2")])
+    first = is_pareto_optimal(inst, dominated)
+    second = is_pareto_optimal(inst, dominated)
+    assert not first and not second
+    assert len(builds) == 2
+    assert first == second
+    assert first.coalition is not second.coalition
+    assert coalition_error(inst, dominated, second.coalition) is None
+    assert pareto_dominates(inst, second.dominating, dominated)
+
+
+def test_the_kept_verdict_is_not_part_of_the_value():
+    inst = swap_instance()
+    marked = Matching([("a1", "c1"), ("a2", "c2")])
+    unmarked = Matching([("a2", "c2"), ("a1", "c1")])
+    assert is_pareto_optimal(inst, marked)
+    assert marked._optimal_in is inst and unmarked._optimal_in is None
+    assert marked == unmarked and unmarked == marked
+    assert hash(marked) == hash(unmarked)
+    assert repr(marked) == repr(unmarked)
+    assert {marked, unmarked} == {unmarked}
+
+
+def test_derive_ordering_after_a_positive_verdict_builds_no_graph(builds, t1):
+    for pom in enumerate_poms(t1).poms:
+        expected = derive_ordering(t1, Matching(pom.pairs))  # verifies an equal copy
+        assert is_pareto_optimal(t1, pom)
+        del builds[:]
+        assert derive_ordering(t1, pom) == expected
+        assert builds == []
+
+
+def test_derive_ordering_still_refuses_a_dominated_matching_afresh(builds, t1):
+    dominated = Matching([("a1", "c1")])
+    for _ in range(2):
+        with pytest.raises(NotParetoOptimalError):
+            derive_ordering(t1, dominated)
+    assert len(builds) == 2
+
+
+def test_check_reachability_builds_one_graph_per_optimum(builds, t1):
+    report = check_reachability(t1)
+    assert report.all_reproduced
+    assert len(builds) == len(report.entries) == 11
+    assert sorted(builds, key=lambda m: m.canonical_pairs()) == sorted(
+        (e.pom for e in report.entries), key=lambda m: m.canonical_pairs())
