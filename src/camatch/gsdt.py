@@ -9,21 +9,20 @@ the stage quotas.
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import envy
-from .errors import InstanceSemanticError, NotParetoOptimalError
-from .instance import Instance, PriorityOrdering, validate_ordering, with_prefs
+from .errors import NotParetoOptimalError
+from .instance import Instance, PriorityOrdering, validate_ordering
 from .matching import (
     Matching, Pair, _weakly_prefers_course, require_feasible, weakly_envied)
 from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
-SNAPSHOT_CAP = 64  # states held by one SnapshotCache
 _FAILED: tuple[ProbeRecord, ...] = ()  # ProbeRecord(t, None) at index t (see _stage)
 
 Node = tuple
@@ -153,7 +152,7 @@ def find_augmenting_path(
     net: FlowNetwork,
     applicant: str,
     tie: int,
-    guided_order: dict[str, list[str]] | None = None,
+    guided_order: dict[tuple[str, int], list[str]] | None = None,
 ) -> list[Node] | None:
     """Search the residual network for a source-sink path through the
     applicant's probed tie.
@@ -173,9 +172,9 @@ def find_augmenting_path(
     call appends its arc inspections to ``net.arc_visits``: |tie| for a tie
     it expands, 1 + |holders| for a course, 0 when it fails at once.
 
-    A ``guided_order`` (per applicant, a guided target's courses, ascending
-    from ``run_gsdt``) is tried first, one arc visit per course: its first
-    one in the probed tie that the tie does not hold and has a free seat is taken.
+    A ``guided_order`` (per ``(applicant, tie)``, a guided target's courses in
+    that tie, ascending, from ``run_gsdt``) is tried first for the probed tie,
+    one arc visit per course: its first that the tie does not hold and has a free seat is taken.
     """
     inst = net.instance
     holders = net.holders
@@ -193,14 +192,9 @@ def find_augmenting_path(
 
     if guided_order is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
-        probed = inst.prefs[applicant][tie]
-        for c in guided_order.get(applicant, ()):
+        for c in guided_order.get((applicant, tie), ()):
             visits += 1
-            if (
-                c in probed
-                and (applicant, tie) not in holders[c]
-                and net.flow_snk[c] < inst.capacity[c]
-            ):
+            if (applicant, tie) not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
                 return finish([SRC, ("app", applicant), start, ("crs", c), SNK])
 
     # Breadth-first search over live residual arcs, successors in ascending
@@ -341,77 +335,14 @@ class GsdtResult:
         return tuple(history)
 
 
-def _serve(net: FlowNetwork, stages: Sequence[str],
-           guided_order: dict[str, list[str]] | None, offer: Callable = lambda _: None) -> None:
+def serve(net: FlowNetwork, stages: Sequence[str],
+          guided_order: dict[tuple[str, int], list[str]] | None = None) -> None:
     """The stage loop: one ``_stage`` per entry, probed by the live search,
-    then the full check. ``offer`` sees the state before each stage and after the last."""
+    then the full check."""
     for a in stages:
-        offer(net)
         net.stage_probes.append(_stage(
             net, a, lambda t: find_augmenting_path(net, a, t, guided_order)))
     net.check()
-    offer(net)
-
-
-class SnapshotCache:
-    """Canonical runs of ``instance`` and ``ordering`` that vary only
-    ``applicant``'s list, as one misreport search makes them.
-
-    A run reads her list only at the stage loop's test ``curr[a] <
-    len(prefs[a])``, at the probe of tie ``curr[a]``, and in searches that
-    enter her ties through courses she holds, which lie in ties she has
-    probed. So the state before one of her stages, or after the last, depends
-    on her list only through ``read``, the ties she has probed, and
-    ``exhausted``, whether she has run out of ties: every list that starts
-    with ``read``, and equals it if ``exhausted``, fits that state. Up to
-    ``SNAPSHOT_CAP`` states are kept, keyed by ``(read, exhausted)``; the
-    least recently used goes first, but never the base state before her first
-    stage, which every list fits.
-    """
-
-    def __init__(self, instance: Instance, ordering: Sequence[str], applicant: str):
-        validate_ordering(instance, ordering)
-        if applicant not in instance.quota:
-            raise InstanceSemanticError(f"unknown applicant {applicant!r}")
-        self.instance, self.ordering, self.applicant = instance, tuple(ordering), applicant
-        # The first run replaces this empty state with the one before her first stage.
-        self.states = OrderedDict({((), False): FlowNetwork(instance)})
-
-    def run(self, prefs: Iterable[Iterable[str]], stop: int | None = None) -> FlowNetwork:
-        """The run with ``prefs`` as her list: finished, equal to a fresh
-        ``run_gsdt``'s with counters and probes, or up to a ``stop`` stage not
-        hers, so that ``_offer`` never stores the truncated state. A copy of
-        the deepest state the list fits (the longest key: keys only grow along
-        a run; it may lie past ``stop``) resumes once each of her unread ties
-        is shown to have zero capacity (read with ``get``: the stored state
-        gains no entry), no course and no dead node; never probed, they need
-        no rebuild for ``prefs``. The result may be stored: do not change it."""
-        assert stop is None or self.ordering[stop:stop + 1] != (self.applicant,)
-        instance = with_prefs(self.instance, self.applicant, prefs)
-        a, prefs = self.applicant, instance.prefs[self.applicant]
-        keys = [(prefs, True)] + [(prefs[:n], False) for n in range(len(prefs), -1, -1)]
-        key = next(k for k in keys if k in self.states)
-        self.states.move_to_end(key)
-        old = self.states[key]
-        s, state = old.instance, old.copy(instance)
-        for t in range(len(key[0]), len(s.prefs[a])):
-            assert not old.cap_tie.get((a, t)) and _tie(a, t) not in old.dead
-            assert not any((a, t) in old.holders[c] for c in s.prefs[a][t])
-        _serve(state, self.ordering[len(state.stage_probes):stop], None, self._offer)
-        return state
-
-    def _offer(self, state: FlowNetwork) -> None:
-        a, depth = self.applicant, len(state.stage_probes)
-        if depth < len(self.ordering) and self.ordering[depth] != a:
-            return
-        prefs, t, served = state.instance.prefs[a], state.curr[a], state.cap_src[a] > 0
-        key = (prefs[:t + 1] if served else (), served and t == len(prefs))
-        if key not in self.states or len(self.states[key].stage_probes) < depth:
-            # A finished run never changes its state again, so that one is kept as is.
-            self.states[key] = state if depth == len(self.ordering) else state.copy(state.instance)
-            self.states.move_to_end(key)
-            if len(self.states) > SNAPSHOT_CAP:
-                del self.states[next(k for k in self.states if k != ((), False))]
 
 
 def run_gsdt(
@@ -425,25 +356,28 @@ def run_gsdt(
     search; one full ``FlowNetwork.check`` runs before the final matching is
     read off. The run records only each stage's probes, which ``render_trace``
     reads unchecked (``solve --trace`` checks no more than ``solve``) and
-    ``GsdtResult.stages`` replays and checks. ``SnapshotCache`` runs many
-    lists of one applicant, each resumed from the stages it shares.
+    ``GsdtResult.stages`` replays and checks. The stage loop is ``serve``,
+    which the misreport search also runs on copies of one shared state.
 
     With no ``policy`` every probe takes the canonical path, the
     lexicographically least shortest one; any augmenting path would do, so
     this only makes runs reproducible. A ``GuidedToward`` target must be a
     feasible matching; otherwise ``FeasibilityError`` is raised before any
-    stage runs. Its courses are tried in ascending id: the fast path reads only
-    the probed tie, where an applicant's target pairs form one component of
-    the target's pair-priority order, sorted, so the paths are that order's.
+    stage runs. Its courses are grouped by the applicant's tie that lists
+    them and tried in ascending id: the fast path reads only the probed tie's
+    group, where an applicant's target pairs form one component of the
+    target's pair-priority order, sorted, so the paths are that order's.
     """
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance)
     guided_order = None
     if policy is not None:
         require_feasible(instance, policy.target)
-        guided_order = {a: sorted(policy.target.of_applicant(a)) for a in instance.applicants}
+        guided_order = {}
+        for a, c in policy.target.canonical_pairs():  # ascending
+            guided_order.setdefault((a, instance.tie_of(a, c)), []).append(c)
 
-    _serve(net, ordering, guided_order)
+    serve(net, ordering, guided_order)
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=net.matching(),
         stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits))

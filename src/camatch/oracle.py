@@ -3,7 +3,8 @@ based Pareto catalogs, reachability sweeps, and misreport search.
 
 Everything here is deliberately simple and auditable; the point is to check
 the clever machinery (envy graph, staged flow) against brute force, but for
-misreport search, which resumes shared GSDT states and stops runs early.
+misreport search, which shares the stages before the liar's first and skips or
+stops the runs that cannot change its answer.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from . import envy
-from .errors import SearchLimitExceeded
-from .gsdt import GuidedToward, SnapshotCache, derive_ordering, run_gsdt
+from .errors import InstanceSemanticError, SearchLimitExceeded
+from .gsdt import FlowNetwork, GuidedToward, derive_ordering, run_gsdt, serve
 # with_prefs and with_quotas are re-exported: callers use oracle.with_prefs.
 from .instance import (
     Instance,
     PriorityOrdering,
     format_preference_list,
+    validate_ordering,
     with_prefs,
     with_quotas,
 )
@@ -314,6 +316,16 @@ def misreport_space(
             yield from _ordered_partitions(subset)
 
 
+def run_list(base: FlowNetwork, ordering: Sequence[str], applicant: str,
+             prefs: Iterable[Iterable[str]], stop: int | None = None) -> FlowNetwork:
+    """The canonical run with ``prefs`` as her list, served on a copy of
+    ``base``, a state before her first stage, to the ``stop`` stage or to the
+    end, where it equals a fresh ``run_gsdt``'s, counters and probes included."""
+    net = base.copy(with_prefs(base.instance, applicant, prefs))
+    serve(net, ordering[len(base.stage_probes):stop])
+    return net
+
+
 def find_beneficial_misreport(
     instance: Instance,
     ordering: Sequence[str],
@@ -328,26 +340,36 @@ def find_beneficial_misreport(
     never beats her ``quota`` best listed courses. A list whose bound does
     not beat the truthful outcome is counted in ``examined`` but not run.
 
-    The other lists run, the truthful one first, through one
-    ``gsdt.SnapshotCache``, which resumes each from the deepest stored state
-    it fits; her outcome is read off her own ties. A list whose ties each lie
-    inside a true tie, the truthful one included, runs only to ``last``, the
-    stage after her last: from there her source and tie capacities stay
-    fixed and later paths move her only within a tie of the list (nobody
-    ever trades down), so her per-true-tie counts, all ``compare_sets``
-    reads, are final. A list merging true ties runs in full, and so do both
-    lists of a FOUND, whose sets are those of full runs.
+    The stages before her first one read no list of hers, so they are served
+    once, into a base state that holds nothing of hers. The other lists run,
+    the truthful one first, each from a copy of that base (``run_list``);
+    her outcome is read off her own ties. A list whose ties each lie inside a
+    true tie, the truthful one included, runs only to ``last``, the stage
+    after her last: from there her source and tie capacities stay fixed and
+    later paths move her only within a tie of the list (nobody ever trades
+    down), so her per-true-tie counts, all ``compare_sets`` reads, are final.
+    A list merging true ties runs in full, and so do both lists of a FOUND,
+    whose sets are those of full runs.
 
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
     """
-    runs = SnapshotCache(instance, ordering, applicant)
+    validate_ordering(instance, ordering)
+    if applicant not in instance.quota:
+        raise InstanceSemanticError(f"unknown applicant {applicant!r}")
     truthful = instance.prefs[applicant]
-    last = max((i + 1 for i, b in enumerate(ordering) if b == applicant), default=0)
+    first = ordering.index(applicant) if applicant in ordering else len(ordering)
+    last = max((i + 1 for i, b in enumerate(ordering) if b == applicant), default=first)
+    base = FlowNetwork(instance)
+    serve(base, ordering[:first])
+    ties = itertools.chain(base.cap_tie, *base.holders.values(),
+                           (n[1:] for n in base.dead if n[0] == "tie"))
+    assert all(a != applicant for a, _ in ties), "the base holds a tie of hers"
 
     def outcome(prefs: Sequence[frozenset[str]], full: bool = False) -> frozenset[str]:
         inside = all(any(tie <= true_tie for true_tie in truthful) for tie in prefs)
-        holders = runs.run(prefs, None if full or not inside else last).holders
+        holders = run_list(base, ordering, applicant, prefs,
+                           None if full or not inside else last).holders
         return frozenset(
             c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in holders[c])
 

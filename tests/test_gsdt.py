@@ -258,7 +258,7 @@ def test_full_check_catches_capacity_at_a_tie_never_probed(t1, capacity):
     from camatch import gsdt
 
     net = FlowNetwork(t1)
-    gsdt._serve(net, WALKTHROUGH_ORDERING[:2], None)
+    gsdt.serve(net, WALKTHROUGH_ORDERING[:2])
     unprobed = next((a, 0) for a in t1.applicants if not net.cap_src[a])  # never served
     net.cap_tie[unprobed] = 0
     net.check()

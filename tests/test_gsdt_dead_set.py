@@ -69,7 +69,7 @@ def least_shortest_path(net, applicant, tie, guided_order=None):
     search does."""
     inst, holders = net.instance, net.holders
     start = ("tie", applicant, tie)
-    for c in (guided_order or {}).get(applicant, ()):
+    for c in (guided_order or {}).get((applicant, tie), ()):
         held = holders[c]
         if c in inst.prefs[applicant][tie] and (applicant, tie) not in held \
                 and len(held) < inst.capacity[c]:
@@ -234,9 +234,9 @@ def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
     her first tie ( c2 ), so the augmentation marks it dead, and her second
     stage fails that tie at once."""
     net = gsdt.FlowNetwork(manipulation_instance())
-    gsdt._serve(net, ["a1"], None)
+    gsdt.serve(net, ["a1"])
     assert gsdt._tie("a1", 0) in net.dead
-    gsdt._serve(net, ["a2", "a1"], None)
+    gsdt.serve(net, ["a2", "a1"])
     assert net.stage_probes[2][0] == gsdt.ProbeRecord(0, None)
     assert net.arc_visits[2] == 0
 

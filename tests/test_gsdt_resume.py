@@ -1,19 +1,17 @@
-"""GSDT runs resumed from the states that one misreport search stores
-(``SnapshotCache``) against fresh runs. Every resumed run equals the run from
-scratch, every stored state resumes like a fresh run for each list that fits
-it and comes out untouched, the misreport search equals a reference that runs
-every list from scratch, and the cache checks its applicant, its ordering and
-the liar's unread ties before it resumes. Runs the search stops after the
-liar's last stage leave her the vector of a full run, and only for lists that
-keep each tie inside a true tie. No run beats her ``quota`` best listed
-courses, so a list whose bound does not beat the truthful outcome is counted
-without a run. A run keeps tie capacities only for the ties it probes, and a
-resume adds none to the state it resumes from."""
+"""GSDT runs of one misreport search against fresh runs. The search serves
+the stages before the liar's first once, into a base state, and runs every
+list from a copy of it (``oracle.run_list``). Every such run equals the run
+from scratch and leaves the base untouched, the misreport search equals a
+reference that runs every list from scratch, and the search checks its
+applicant, its ordering and that the base holds no tie of hers. Runs the
+search stops after the liar's last stage leave her the vector of a full run,
+and only for lists that keep each tie inside a true tie. No run beats her
+``quota`` best listed courses, so a list whose bound does not beat the
+truthful outcome is counted without a run. A run keeps tie capacities only
+for the ties it probes."""
 
-import copy
 import itertools
 import random
-from collections import OrderedDict
 from unittest import mock
 
 import pytest
@@ -24,7 +22,7 @@ from camatch import (
     render_trace, run_gsdt)
 from camatch.fixtures import fixture_instances, walkthrough_instance
 from camatch import gsdt, oracle
-from camatch.gsdt import SNAPSHOT_CAP, FlowNetwork, GsdtResult, SnapshotCache, _tie
+from camatch.gsdt import FlowNetwork, GsdtResult, _tie
 from camatch.matching import SetRelation, characteristic_vector, compare_sets
 from camatch.oracle import (
     MisreportFinding,
@@ -33,11 +31,10 @@ from camatch.oracle import (
     distinct_orderings,
     find_beneficial_misreport,
     misreport_space,
+    run_list,
     with_prefs,
     with_quotas,
 )
-
-BASE_KEY = ((), False)
 
 
 def reference_misreport(instance, ordering, applicant, search_limit=200_000):
@@ -59,26 +56,26 @@ def reference_misreport(instance, ordering, applicant, search_limit=200_000):
 
 
 def state_key(state):
-    """Everything a stored state holds, copied into comparable values (the
+    """Everything a run state holds, copied into comparable values (the
     items of its containers are immutable)."""
     return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.flow_snk, state.dead,
                                  state.curr, state.arc_visits, state.stage_probes)),
             {c: held.copy() for c, held in state.holders.items()})
 
 
-def fits(key, prefs):
-    """Whether a list reaches the state stored under ``key``: it starts with
-    the ties read so far, and equals them if she ran out of ties."""
-    read, exhausted = key
-    return tuple(prefs[:len(read)]) == read and not (exhausted and len(prefs) > len(read))
+def base_state(instance, ordering, applicant):
+    """The state before her first stage, served as the search serves it."""
+    base = FlowNetwork(instance)
+    gsdt.serve(base, ordering[:ordering.index(applicant)])
+    return base
 
 
-def assert_equals_fresh(cache, state, fresh, trace=True):
+def assert_equals_fresh(ordering, state, fresh, trace=True):
     """The finished ``state``, read as a ``GsdtResult``, equals ``fresh``. The
     trace is rendered from the ordering and probes compared first, so a
     caller with many runs may leave it out."""
     resumed = GsdtResult(
-        instance=state.instance, ordering=cache.ordering, matching=state.matching(),
+        instance=state.instance, ordering=tuple(ordering), matching=state.matching(),
         stage_probes=tuple(state.stage_probes), arc_visits=tuple(state.arc_visits))
     assert resumed.instance == fresh.instance
     assert resumed.matching == fresh.matching
@@ -88,58 +85,17 @@ def assert_equals_fresh(cache, state, fresh, trace=True):
     assert not trace or render_trace(resumed) == render_trace(fresh)
 
 
-def restricted(cache, keys=()):
-    """A copy of ``cache`` that holds only its base state and those of ``keys``."""
-    only = copy.copy(cache)
-    only.states = OrderedDict((k, cache.states[k]) for k in (BASE_KEY, *keys))
-    return only
-
-
-class Picked(Exception):
-    """Stops a run once it has picked the stored state to resume from."""
-
-
-def resumed_from(cache, prefs, keys=(), finish=True):
-    """Run ``prefs`` on ``restricted(cache, keys)``; return the finished state
-    (``None`` unless ``finish``) and the key of the stored state the run
-    resumed from."""
-    only = restricted(cache, keys)
-    sources = {id(state): k for k, state in only.states.items()}
-    copied, real = [], FlowNetwork.copy
-
-    def spy(state, instance):
-        copied.append(state)
-        if not finish:
-            raise Picked
-        return real(state, instance)
-
-    with mock.patch.object(FlowNetwork, "copy", spy):
-        try:
-            state = only.run(prefs)
-        except Picked:
-            state = None
-    return state, sources[id(copied[0])]
-
-
 def assert_resumes_like_fresh(instance, ordering, applicant, lists):
-    """Run the true list and each of ``lists`` through one cache, and again
-    from its state before her first stage alone; each run must equal a fresh
-    run, and every state the cache stored must come out untouched. Returns
-    the cache."""
-    cache = SnapshotCache(instance, ordering, applicant)
-    stored = {}
+    """Run the true list and each of ``lists`` from one base state; each run
+    must equal a fresh run, and the base must come out untouched. Returns
+    the base."""
+    base = base_state(instance, ordering, applicant)
+    before = state_key(base)
     for prefs in [instance.prefs[applicant], *lists]:
         fresh = run_gsdt(with_prefs(instance, applicant, prefs), ordering)
-        assert_equals_fresh(cache, cache.run(prefs), fresh)
-        state, source = resumed_from(cache, prefs)
-        assert source == BASE_KEY
-        assert_equals_fresh(cache, state, fresh)
-        for state in cache.states.values():
-            if id(state) not in stored:
-                stored[id(state)] = state, state_key(state)
-    for state, before in stored.values():
-        assert state_key(state) == before
-    return cache
+        assert_equals_fresh(ordering, run_list(base, ordering, applicant, prefs), fresh)
+        assert state_key(base) == before
+    return base
 
 
 def shuffled_ordering(inst, seed):
@@ -175,8 +131,7 @@ CASES = list(seeded_cases(12, 2718))
 def test_resumed_runs_equal_fresh_runs(k):
     inst, ordering, liars = CASES[k]
     shared = sum(
-        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a))
-            .states[BASE_KEY].stage_probes)
+        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a)).stage_probes)
         for a in liars)
     assert shared > 0
 
@@ -205,28 +160,64 @@ def test_every_fleet_ordering_resumes_like_fresh_and_searches_alike():
 
 
 # ----------------------------------------------------------------------
-# What the cache checks itself.
+# What the search checks itself.
 # ----------------------------------------------------------------------
 
 ORDERING = ("a2", "a3", "a1", "a2", "a1", "a3", "a2")
 
 
-def test_cache_refuses_an_unknown_applicant():
+def test_search_refuses_an_unknown_applicant():
     with pytest.raises(InstanceSemanticError, match="unknown applicant 'zz'"):
-        SnapshotCache(walkthrough_instance(), ORDERING, "zz")
+        find_beneficial_misreport(walkthrough_instance(), ORDERING, "zz")
 
 
-def test_cache_checks_the_ordering_once_when_built():
+def test_search_checks_the_ordering():
     with pytest.raises(OrderingError):
-        SnapshotCache(walkthrough_instance(), ORDERING[:-1], "a1")
+        find_beneficial_misreport(walkthrough_instance(), ORDERING[:-1], "a1")
 
 
-def test_the_first_run_stores_the_state_before_her_first_stage():
+def test_the_search_runs_from_the_state_before_her_first_stage():
     inst = walkthrough_instance()
-    cache = SnapshotCache(inst, ORDERING, "a1")
-    assert cache.states[BASE_KEY].stage_probes == []
-    assert_equals_fresh(cache, cache.run(inst.prefs["a1"]), run_gsdt(inst, ORDERING))
-    assert len(cache.states[BASE_KEY].stage_probes) == 2  # a2 and a3 went first
+    real, runs = run_list, []
+
+    def run(base, *args):
+        runs.append((base, real(base, *args)))
+        return runs[-1][1]
+
+    with mock.patch.object(oracle, "run_list", run):
+        find_beneficial_misreport(inst, ORDERING, "a1")
+    base, truthful = runs[0]
+    assert len(base.stage_probes) == 2  # a2 and a3 went first
+    assert len(truthful.stage_probes) == 5  # stopped after her last stage
+    assert tuple(truthful.stage_probes) == run_gsdt(inst, ORDERING).stage_probes[:5]
+
+
+def test_a_search_serves_the_stages_before_her_first_once():
+    """Counted in ``_stage`` calls: each stage before her first is served
+    once, and each run serves only the stages from her first on."""
+    real_stage, real_run = gsdt._stage, run_list
+    shared = 0
+    for inst, ordering, liars in CASES:
+        for a in liars:
+            served, runs = [], []
+
+            def stage(net, b, probe):
+                served.append(len(net.stage_probes))
+                return real_stage(net, b, probe)
+
+            def run(base, ordering, applicant, prefs, stop=None):
+                state = real_run(base, ordering, applicant, prefs, stop)
+                runs.append(len(state.stage_probes))
+                return state
+
+            with mock.patch.object(gsdt, "_stage", stage), mock.patch.object(oracle, "run_list", run):
+                find_beneficial_misreport(inst, ordering, a, search_limit=40)
+            first = ordering.index(a)
+            assert sorted(i for i in served if i < first) == list(range(first))
+            assert sum(i >= first for i in served) == sum(n - first for n in runs)
+            assert runs
+            shared += first
+    assert shared > 0
 
 
 def test_a_copy_shares_no_container_with_its_original():
@@ -234,7 +225,7 @@ def test_a_copy_shares_no_container_with_its_original():
     as it was."""
     inst = walkthrough_instance()
     original = FlowNetwork(inst)
-    gsdt._serve(original, ORDERING[:4], None)
+    gsdt.serve(original, ORDERING[:4])
     assert original.dead and any(original.holders.values())
     before = state_key(original)
     copied = original.copy(inst)
@@ -260,40 +251,42 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-@pytest.mark.parametrize("deeper", [False, True], ids=["base", "deeper"])
-def test_resume_asserts_catch_a_corrupt_unread_tie(corrupt, deeper):
-    """A stored state whose first unread tie of hers holds a course, is dead
-    or has capacity fails the resume's own asserts, before any stage runs."""
+@pytest.mark.parametrize("tie", [0, 2], ids=["listed", "unlisted"])
+def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
+    """A base in which a tie of hers, listed in her true list or only in a
+    fabricated one, holds a course, is dead or has capacity fails the
+    search's own assert before any list runs."""
+    inst, real = walkthrough_instance(), gsdt.serve
+    bases = []
+
+    def serve(net, stages, guided_order=None):
+        real(net, stages, guided_order)
+        if not bases:
+            bases.append(net)
+            corrupt(net, "a1", tie, "c1")
+
+    with mock.patch.object(oracle, "serve", serve), \
+            mock.patch.object(oracle, "run_list", side_effect=AssertionError("ran")):
+        with pytest.raises(AssertionError, match="the base holds a tie of hers") as raised:
+            find_beneficial_misreport(inst, ORDERING, "a1")
+    assert raised.traceback[-1].name == "find_beneficial_misreport"
+    assert len(bases[0].stage_probes) == ORDERING.index("a1")
+
+
+def test_a_search_adds_no_tie_capacity_to_its_base():
+    """The base assert reads tie capacities without creating an entry, and
+    the runs from copies of the base add none to it either."""
     inst = walkthrough_instance()
-    cache = SnapshotCache(inst, ORDERING, "a1")
-    for prefs in [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 20)]:
-        cache.run(prefs)
-    key, state = next(
-        (k, s) for k, s in cache.states.items()
-        if not k[1] and bool(k[0]) is deeper and len(k[0]) < len(s.instance.prefs["a1"]))
-    prefs = state.instance.prefs["a1"]
-    fresh = run_gsdt(with_prefs(inst, "a1", prefs), ORDERING)
-    resumed, source = resumed_from(cache, prefs, [key])
-    assert source == key
-    assert_equals_fresh(cache, resumed, fresh)
+    real, bases = run_list, []
 
-    t = len(key[0])
-    corrupt(state, "a1", t, min(prefs[t]))
-    with pytest.raises(AssertionError) as raised:
-        restricted(cache, [key]).run(prefs)
-    assert raised.traceback[-1].name == "run"
+    def run(base, *args):
+        bases.append(base)
+        return real(base, *args)
 
-
-def test_resumes_add_no_tie_capacity_to_stored_states():
-    """The resume asserts read each unread tie's capacity without creating an
-    entry for it in the stored state."""
-    inst = walkthrough_instance()
-    cache = SnapshotCache(inst, ORDERING, "a1")
-    for prefs in [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 40)]:
-        stored = [(state, dict(state.cap_tie)) for state in cache.states.values()]
-        cache.run(prefs)
-        for state, before in stored:
-            assert dict(state.cap_tie) == before
+    with mock.patch.object(oracle, "run_list", run):
+        find_beneficial_misreport(inst, ORDERING, "a1")
+    assert len(bases) > 1 and all(base is bases[0] for base in bases)
+    assert dict(bases[0].cap_tie) == dict(base_state(inst, ORDERING, "a1").cap_tie)
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +302,8 @@ def test_a_run_holds_capacities_only_for_ties_its_records_name():
     full = 0
     for inst, ordering, liars in CASES:
         assert not FlowNetwork(inst).cap_tie
-        state = SnapshotCache(inst, ordering, liars[0]).run(inst.prefs[liars[0]])
+        state = run_list(base_state(inst, ordering, liars[0]), ordering, liars[0],
+                         inst.prefs[liars[0]])
         named = named_ties(state, ordering)
         assert state.cap_tie.keys() <= named
         full += state.cap_tie.keys() < named
@@ -322,7 +316,7 @@ def test_a_search_regime_run_holds_capacities_for_exactly_its_probed_ties():
     inst = generate_random_instance(50, 80, 3, 4, 0.4, 1)
     assert sum(inst.capacity.values()) > sum(inst.quota.values())
     ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
-    state = SnapshotCache(inst, ordering, "a1").run(inst.prefs["a1"])
+    state = run_list(base_state(inst, ordering, "a1"), ordering, "a1", inst.prefs["a1"])
     assert state.cap_tie.keys() == named_ties(state, ordering)
     assert (len(state.cap_tie), sum(map(len, inst.prefs.values()))) == (80, 1196)
 
@@ -360,128 +354,57 @@ def test_property_resuming_equals_a_fresh_run(inst, seed, data):
 
 
 # ----------------------------------------------------------------------
-# Every state one misreport search stores.
+# Every run one misreport search makes.
 # ----------------------------------------------------------------------
 
-@pytest.fixture
-def caches(monkeypatch):
-    """Record every cache the misreport search builds, with every key it
-    ever stored, and check after each offer that it holds at most
-    SNAPSHOT_CAP states and its base state, which only the state before her
-    first stage ever replaces."""
-    made = []
-
-    class Recording(SnapshotCache):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.stored = set(self.states)
-            self.bases = [self.states[BASE_KEY]]
-            made.append(self)
-
-        def _offer(self, state):
-            super()._offer(state)
-            self.stored.update(self.states)
-            assert len(self.states) <= SNAPSHOT_CAP
-            if self.states[BASE_KEY] is not self.bases[-1]:
-                self.bases.append(self.states[BASE_KEY])
-                assert len(self.bases) == 2
-                assert len(self.bases[1].stage_probes) == self.ordering.index(self.applicant)
-
-    monkeypatch.setattr(oracle, "SnapshotCache", Recording)
-    return made
-
-
-def assert_snapshots_resume_like_fresh(cache, instance, ordering, applicant, lists):
-    """Every stored state resumes like a fresh run for each list that fits
-    it, no list that does not fit it resumes from it, and it comes out
-    untouched. Returns how many (state, list) pairs beyond the base ones fit."""
-    runs = {}
-    for prefs in lists:
-        inst = with_prefs(instance, applicant, prefs)
-        runs[inst.prefs[applicant]] = run_gsdt(inst, ordering)
-    deeper = 0
-    for key, state in list(cache.states.items()):
-        read, exhausted = key
-        assert state.instance.prefs[applicant][:len(read)] == read
-        assert not exhausted or state.curr[applicant] == len(read) == len(
-            state.instance.prefs[applicant])
-        before = state_key(state)
-        for prefs, fresh in runs.items():
-            if not fits(key, prefs):
-                assert resumed_from(cache, prefs, [key], finish=False)[1] == BASE_KEY
-                continue
-            resumed, source = resumed_from(cache, prefs, [key])
-            assert source == key
-            deeper += key != BASE_KEY
-            assert_equals_fresh(cache, resumed, fresh)
-        assert state_key(state) == before
-    return deeper
-
-
 @pytest.mark.parametrize("k", range(len(CASES)))
-def test_keyed_search_equals_reference_and_its_snapshots_resume_like_fresh(k, caches):
+def test_search_equals_reference_and_its_runs_equal_fresh_runs(k):
+    """Each run the search makes, stopped or not, holds the probes and arc
+    visits of the stages a fresh run of its list serves first."""
     inst, ordering, liars = CASES[k]
-    deeper = 0
-    for a in liars:
-        got = find_beneficial_misreport(inst, ordering, a, search_limit=40)
-        assert got == reference_misreport(inst, ordering, a, 40)
-        lists = [inst.prefs[a], *varied_lists(inst, a)]
-        deeper += assert_snapshots_resume_like_fresh(caches[-1], inst, ordering, a, lists)
-    assert len(caches) == len(liars)
-    assert deeper > 0
+    real, runs = run_list, []
 
+    def run(base, ordering, applicant, prefs, stop=None):
+        state = real(base, ordering, applicant, prefs, stop)
+        runs.append((applicant, prefs, state))
+        return state
 
-def test_an_exhausted_snapshot_fits_only_its_own_list(caches):
-    """A longer or a shorter list never resumes from an exhausted state, and
-    each list, run on the whole cache, still equals a fresh run."""
-    exhausted = 0
-    for inst, ordering, liars in CASES:
-        for a in liars[:2]:
-            find_beneficial_misreport(inst, ordering, a, search_limit=40)
-            cache, lists = caches[-1], set()
-            for key in [k for k in cache.states if k[1]]:
-                read = key[0]
-                exhausted += bool(read)
-                unread = sorted(inst.acceptable(a) - frozenset().union(*read))
-                others = [read + (frozenset([c]),) for c in unread[:1]]
-                others += [read[:-1]] if read else []
-                for prefs in [read, *others]:
-                    source = resumed_from(cache, prefs, [key], finish=False)[1]
-                    assert source == (key if prefs == read else BASE_KEY)
-                    lists.add(prefs)
-            for prefs in lists:
-                resumed, source = resumed_from(cache, prefs, list(cache.states))
-                assert not source[1] or source[0] == prefs
-                fresh = run_gsdt(with_prefs(inst, a, prefs), ordering)
-                assert_equals_fresh(cache, resumed, fresh, trace=False)
-    assert exhausted > 0
+    with mock.patch.object(oracle, "run_list", run):
+        for a in liars:
+            got = find_beneficial_misreport(inst, ordering, a, search_limit=40)
+            assert got == reference_misreport(inst, ordering, a, 40)
+    stopped = 0
+    for a, prefs, state in runs:
+        fresh = run_gsdt(with_prefs(inst, a, prefs), ordering)
+        n = len(state.stage_probes)
+        stopped += n < len(ordering)
+        assert tuple(state.stage_probes) == fresh.stage_probes[:n]
+        assert len(state.arc_visits) == sum(map(len, fresh.stage_probes[:n]))
+        assert tuple(state.arc_visits) == fresh.arc_visits[:len(state.arc_visits)]
+        if n == len(ordering):
+            assert_equals_fresh(ordering, state, fresh, trace=False)
+    assert stopped > 0
 
 
 def long_list_case():
     """A liar with ten singleton ties over ten courses and three seats spread
-    through the ordering: the first 400 lists of her misreport space store
-    far more than SNAPSHOT_CAP keys."""
+    through the ordering."""
     inst = generate_random_instance(14, 10, 3, 2, 0.4, 77)
     inst = with_quotas(inst, {**inst.quota, "a1": 3})
     inst = with_prefs(inst, "a1", [[c] for c in inst.courses])
     return inst, shuffled_ordering(inst, 5)
 
 
-def test_a_long_list_drives_the_cache_past_its_bound(caches):
+def test_a_long_list_search_equals_the_reference():
     inst, ordering = long_list_case()
+    assert ordering.index("a1") > 0
     got = find_beneficial_misreport(inst, ordering, "a1", search_limit=400)
     assert got == reference_misreport(inst, ordering, "a1", 400)
-    (cache,) = caches
-    assert len(cache.stored) > 2 * SNAPSHOT_CAP
-    assert len(cache.states) == SNAPSHOT_CAP
-    assert cache.states[BASE_KEY] is cache.bases[-1]
-    lists = [inst.prefs["a1"], *itertools.islice(misreport_space(inst, "a1"), 380, 400)]
-    assert assert_snapshots_resume_like_fresh(cache, inst, ordering, "a1", lists) > 0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(instances, st.integers(0, 2**32 - 1), st.integers(0, 60), st.data())
-def test_property_keyed_search_equals_the_reference(inst, seed, limit, data):
+def test_property_search_equals_the_reference(inst, seed, limit, data):
     liar = data.draw(st.sampled_from(inst.applicants), label="liar")
     ordering = shuffled_ordering(inst, seed)
     got = find_beneficial_misreport(inst, ordering, liar, search_limit=limit)
@@ -509,15 +432,15 @@ def searched_with_final_vectors(instance, ordering, applicant, limit=200_000):
     """The misreport search, after checking that every run it makes, stopped
     or not, leaves her the vector a fresh full run of that list gives her.
     Returns the search and, per run, its list and the stages it served."""
-    runs, real = [], SnapshotCache.run
+    runs, real = [], run_list
 
-    def spy(cache, prefs, stop=None):
-        state = real(cache, prefs, stop)
+    def spy(base, ordering, applicant, prefs, stop=None):
+        state = real(base, ordering, applicant, prefs, stop)
         runs.append((tuple(prefs), her_vector(instance, state, applicant),
                      len(state.stage_probes)))
         return state
 
-    with mock.patch.object(SnapshotCache, "run", spy):
+    with mock.patch.object(oracle, "run_list", spy):
         search = find_beneficial_misreport(instance, ordering, applicant, limit)
     for prefs, vector, _ in runs:
         assert vector == fresh_vector(instance, ordering, applicant, prefs), prefs
@@ -551,9 +474,9 @@ def merging_counterexample():
 
 def test_a_list_that_merges_true_ties_can_change_her_vector_after_her_last_stage():
     inst, ordering, merged = merging_counterexample()
-    # A fresh cache per run: one holding the finished state would return it.
-    stopped = SnapshotCache(inst, ordering, "a1").run(merged, stop=1)
-    finished = SnapshotCache(inst, ordering, "a1").run(merged)
+    base = base_state(inst, ordering, "a1")
+    stopped = run_list(base, ordering, "a1", merged, stop=1)
+    finished = run_list(base, ordering, "a1", merged)
     assert her_vector(inst, stopped, "a1") == (1, 0)
     assert her_vector(inst, finished, "a1") == (0, 1)
 
@@ -574,7 +497,8 @@ def merging_case_the_bound_keeps():
 def test_the_search_runs_a_merging_list_to_the_end():
     inst, ordering, merged = merging_case_the_bound_keeps()
     truthful = fresh_vector(inst, ordering, "a1", inst.prefs["a1"])
-    stopped = SnapshotCache(inst, ordering, "a1").run(merged, stop=2)  # after her only stage
+    base = base_state(inst, ordering, "a1")
+    stopped = run_list(base, ordering, "a1", merged, stop=2)  # after her only stage
     assert truthful == her_vector(inst, stopped, "a1") == (0, 1, 0)
     assert fresh_vector(inst, ordering, "a1", merged) == (0, 0, 1)
     assert bound(inst, "a1", merged) > truthful
@@ -587,13 +511,6 @@ def test_the_search_runs_a_merging_list_to_the_end():
     assert len(runs) == 1 + search.examined - skipped
     merged = tuple(map(frozenset, merged))
     assert [stages for prefs, stages in runs if prefs == merged] == [len(ordering)]
-
-
-def test_a_stop_at_one_of_her_stages_is_refused():
-    inst = walkthrough_instance()
-    cache = SnapshotCache(inst, ORDERING, "a1")
-    with pytest.raises(AssertionError):
-        cache.run(inst.prefs["a1"], stop=ORDERING.index("a1"))
 
 
 def small_cases(count, seed):
@@ -731,6 +648,6 @@ def test_property_an_inside_list_has_her_final_vector_after_her_last_stage(inst,
     prefs = data.draw(inside_lists(inst.prefs[liar]), label="prefs")
     ordering = shuffled_ordering(inst, seed)
     last = max(i for i, b in enumerate(ordering) if b == liar) + 1
-    stopped = SnapshotCache(inst, ordering, liar).run(prefs, stop=last)
+    stopped = run_list(base_state(inst, ordering, liar), ordering, liar, prefs, stop=last)
     assert len(stopped.stage_probes) == last
     assert her_vector(inst, stopped, liar) == fresh_vector(inst, ordering, liar, prefs)

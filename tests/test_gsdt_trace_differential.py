@@ -7,8 +7,9 @@ A guided run is also held to the eager loop guided, as it once was, by the
 target's pair-priority order: the fast path takes the first target course in
 the probed tie, the target pairs of one applicant in one tie form one
 component of that order, and a component is sorted, so the ascending order
-the live run uses makes the same paths. Only ``arc_visits``, which counts the
-courses the fast path passes over, tells the two apart."""
+the live run uses makes the same paths. Both references group the target's
+courses by the applicant's tie that lists them, as the live run does, and the
+fast path reads only the probed tie's group, so ``arc_visits`` agree too."""
 
 import random
 from types import SimpleNamespace
@@ -37,12 +38,12 @@ from camatch.oracle import distinct_orderings
 
 
 def guided_courses(instance, target, pair_priority):
-    """Each applicant's target courses, ascending or in pair-priority order."""
-    if not pair_priority:
-        return {a: sorted(target.of_applicant(a)) for a in instance.applicants}
+    """Each applicant's target courses per tie of hers that lists them,
+    ascending or in pair-priority order."""
+    pairs = _pair_priority_order(instance, target) if pair_priority else target.canonical_pairs()
     order = {}
-    for a, c in _pair_priority_order(instance, target):
-        order.setdefault(a, []).append(c)
+    for a, c in pairs:
+        order.setdefault((a, instance.tie_of(a, c)), []).append(c)
     return order
 
 
@@ -123,6 +124,7 @@ def assert_same_run(instance, ordering, policy=None):
         old = reference_run(instance, ordering, policy, pair_priority=True)
         assert got.matching == old.matching
         assert got.stage_probes == tuple(rec.probes for rec in old.stages)
+        assert got.arc_visits == old.arc_visits
         assert render_trace(got) == reference_render(old.stages)
         assert got.stages == old.stages
     assert got.stages == expected.stages
