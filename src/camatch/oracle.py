@@ -320,7 +320,9 @@ def run_list(base: FlowNetwork, ordering: Sequence[str], applicant: str,
              prefs: Iterable[Iterable[str]], stop: int | None = None) -> FlowNetwork:
     """The canonical run with ``prefs`` as her list, served on a copy of
     ``base``, a state before her first stage, to the ``stop`` stage or to the
-    end, where it equals a fresh ``run_gsdt``'s, counters and probes included."""
+    end, where it equals a fresh ``run_gsdt``'s, counters and probes included.
+    A stop just before one of her stages would leave that stage unread."""
+    assert stop is None or ordering[stop:stop + 1] != (applicant,)
     net = base.copy(with_prefs(base.instance, applicant, prefs))
     serve(net, ordering[len(base.stage_probes):stop])
     return net

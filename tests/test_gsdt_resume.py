@@ -513,6 +513,13 @@ def test_the_search_runs_a_merging_list_to_the_end():
     assert [stages for prefs, stages in runs if prefs == merged] == [len(ordering)]
 
 
+def test_a_stop_at_one_of_her_stages_is_refused():
+    inst = walkthrough_instance()
+    base = base_state(inst, ORDERING, "a1")
+    with pytest.raises(AssertionError):
+        run_list(base, ORDERING, "a1", inst.prefs["a1"], stop=ORDERING.index("a1"))
+
+
 def small_cases(count, seed):
     """Instances of 2-5 applicants and 2-4 courses with dense ties, each with
     a shuffled ordering and a liar."""
