@@ -8,8 +8,7 @@ import hashlib
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Iterable, KeysView, Sequence
 
 from .errors import (
@@ -32,23 +31,25 @@ def _check_id(token: str, role: str) -> None:
         raise InstanceSemanticError(f"invalid {role} id {token!r}")
 
 
-def _tie_sets(aid: str, ties: Iterable[Iterable[str]], capacity: dict[str, int]) -> PreferenceList:
-    """``aid``'s ties as sets; each must be nonempty, of known courses ranked once."""
-    seen: set[str] = set()
+def _tie_sets(
+    aid: str, ties: Iterable[Iterable[str]], capacity: dict[str, int]
+) -> tuple[PreferenceList, dict[str, int]]:
+    """``aid``'s ties as sets (nonempty, of known courses ranked once) and each course's tie."""
+    index: dict[str, int] = {}
     tie_sets: list[frozenset[str]] = []
-    for group in ties:
+    for t, group in enumerate(ties):
         group = list(group)
         if not group:
             raise InstanceSemanticError(f"applicant {aid!r} has an empty tie group")
         for cid in group:
             if cid not in capacity:
                 raise InstanceSemanticError(f"applicant {aid!r} ranks unknown course {cid!r}")
-            if cid in seen:
+            if cid in index:
                 raise InstanceSemanticError(
                     f"course {cid!r} appears twice in {aid!r}'s preference list")
-            seen.add(cid)
+            index[cid] = t
         tie_sets.append(frozenset(group))
-    return tuple(tie_sets)
+    return tuple(tie_sets), index
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,7 @@ class Instance:
     applicant to the number of courses she may take, ``capacity`` each course
     to the number of seats. ``prefs[a]`` is the tuple of indifference classes
     of ``a``, most preferred first; only nonempty classes are stored.
+    ``tie_index[a][c]`` is the index of ``c``'s class; equality and repr ignore it.
     """
 
     applicants: tuple[str, ...]
@@ -66,6 +68,7 @@ class Instance:
     quota: dict[str, int]
     capacity: dict[str, int]
     prefs: dict[str, PreferenceList]
+    tie_index: dict[str, dict[str, int]] = field(compare=False, repr=False)
 
     @staticmethod
     def build(
@@ -92,6 +95,7 @@ class Instance:
 
         quota: dict[str, int] = {}
         prefs: dict[str, PreferenceList] = {}
+        tie_index: dict[str, dict[str, int]] = {}
         for aid, b, ties in applicants:
             _check_id(aid, "applicant")
             if aid in quota or aid in capacity:
@@ -100,27 +104,20 @@ class Instance:
                 raise InstanceSemanticError(
                     f"applicant {aid!r} quota {b} out of range [1, {MAX_QUOTA}]")
             quota[aid] = b
-            prefs[aid] = _tie_sets(aid, ties, capacity)
+            prefs[aid], tie_index[aid] = _tie_sets(aid, ties, capacity)
 
         # Dicts keep insertion order, so their keys are the ids in input order.
-        return Instance(tuple(quota), tuple(capacity), quota, capacity, prefs)
-
-    @cached_property
-    def _tie_index(self) -> dict[str, dict[str, int]]:
-        return {
-            a: {c: t for t, tie in enumerate(ties) for c in tie}
-            for a, ties in self.prefs.items()
-        }
+        return Instance(tuple(quota), tuple(capacity), quota, capacity, prefs, tie_index)
 
     def acceptable(self, applicant: str) -> KeysView[str]:
         """All courses appearing in the applicant's preference list, as a
         read-only set-like view (``in``, ``-``, ``==`` with a set all work)."""
-        return self._tie_index[applicant].keys()
+        return self.tie_index[applicant].keys()
 
     def tie_of(self, applicant: str, course: str) -> int:
         """0-based indifference-class index of ``course`` for ``applicant``."""
         try:
-            return self._tie_index[applicant][course]
+            return self.tie_index[applicant][course]
         except KeyError:
             raise ValueError(
                 f"course {course!r} is not acceptable to {applicant!r}") from None
@@ -142,8 +139,9 @@ def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]
     checked as ``Instance.build`` checks it."""
     if applicant not in instance.quota:
         raise InstanceSemanticError(f"unknown applicant {applicant!r}")
-    prefs = {**instance.prefs, applicant: _tie_sets(applicant, ties, instance.capacity)}
-    return replace(instance, prefs=prefs)
+    prefs, index = _tie_sets(applicant, ties, instance.capacity)
+    return replace(instance, prefs={**instance.prefs, applicant: prefs},
+                   tie_index={**instance.tie_index, applicant: index})
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Callers number their nodes 0..n-1 in the order they want them compared and
 pass int adjacency lists, so one iterative Tarjan (SIAM J. Comput. 1972)
-keeps ``index``, ``low`` and the stack positions in plain arrays.
+keeps ``index``, ``low``, the stack positions and the successor iterators in
+plain arrays, and a tree arc costs one append to the DFS path of nodes.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def strongly_connected_components(
@@ -25,35 +25,37 @@ def strongly_connected_components(
     node order and successors in list order, so the result is deterministic.
     """
     fresh = dict.fromkeys(succ, -1) if isinstance(succ, Mapping) else [-1] * len(succ)
-    index, low, stack_pos = fresh, fresh.copy(), fresh.copy()  # -1: unset
+    index, low, stack_pos, outs = fresh, fresh.copy(), fresh.copy(), fresh.copy()  # -1: unset
     stack: list[int] = []
     components: list[list[int]] = []
-    visits = itertools.count()
+    visits = 0
     for root in nodes:
         if index[root] >= 0:
             continue
-        work: list[tuple[int, Iterator[int] | None]] = [(root, None)]
-        while work:
-            node, outs = work.pop()
-            if outs is None:  # first visit
-                index[node] = low[node] = next(visits)
+        path = [root]
+        while path:
+            node = path[-1]
+            if index[node] < 0:  # first visit
+                index[node] = low[node] = visits
+                visits += 1
                 stack_pos[node] = len(stack)
                 stack.append(node)
-                outs = iter(succ[node])
-            for nxt in outs:
+                outs[node] = iter(succ[node])
+            node_low = low[node]
+            for nxt in outs[node]:
                 if index[nxt] < 0:
-                    work += [(node, outs), (nxt, None)]
+                    low[node] = node_low
+                    path.append(nxt)
                     break
-                if stack_pos[nxt] >= 0 and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if stack_pos[nxt] >= 0 and index[nxt] < node_low:
+                    node_low = index[nxt]
             else:
-                if low[node] == index[node]:
-                    comp = stack[stack_pos[node]:]
+                path.pop()
+                if node_low == index[node]:
+                    components.append(stack[stack_pos[node]:])
                     del stack[stack_pos[node]:]
-                    for member in comp:
+                    for member in components[-1]:
                         stack_pos[member] = -1
-                    components.append(comp)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                elif node_low < low[path[-1]]:  # a non-root has a parent
+                    low[path[-1]] = node_low
     return components
