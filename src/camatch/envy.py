@@ -55,8 +55,8 @@ class EnvyGraph:
     listing real node ``i`` (-1 for an applicant). ``out[i]`` is a hub's list,
     an exposed course's shared fan, or the hubs an applicant or pair envies,
     unordered. Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
-    ``nodes``, the expanded ascending ``succ``, ``arcs`` and ``weights()`` are
-    views derived on first read; the verdict path reads none of them."""
+    ``nodes``, the expanded ascending ``succ`` and ``arcs`` are views derived
+    on first read; the verdict path reads none of them."""
 
     applicants: tuple[str, ...]
     courses: tuple[str, ...]
@@ -86,9 +86,6 @@ class EnvyGraph:
         n = self.nodes
         return tuple((n[u], n[v], -1 if self.hub_of[v] in self.strict[u] else 0)
                      for u, outs in enumerate(self.succ) for v in outs)
-
-    def weights(self) -> dict[tuple[Node, Node], int]:
-        return {(u, v): w for u, v, w in self.arcs}
 
 
 def _expanded(graph: EnvyGraph, i: int, comp: Mapping[int, int], cc: int) -> Sequence[int]:

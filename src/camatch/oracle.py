@@ -322,7 +322,7 @@ def run_list(base: FlowNetwork, ordering: Sequence[str], applicant: str,
     ``base``, a state before her first stage, to the ``stop`` stage or to the
     end, where it equals a fresh ``run_gsdt``'s, counters and probes included.
     A stop just before one of her stages would leave that stage unread."""
-    assert stop is None or ordering[stop:stop + 1] != (applicant,)
+    assert stop is None or applicant not in ordering[stop:stop + 1]
     net = base.copy(with_prefs(base.instance, applicant, prefs))
     serve(net, ordering[len(base.stage_probes):stop])
     return net
@@ -445,13 +445,31 @@ class ImpossibilityReport:
         return lines
 
 
+def impossibility_instance(variant: int) -> Instance:
+    """The four 2x2 strict instances of the no-truthful-selector argument,
+    also shipped as ``fixtures/impossibility_i{variant}.txt``.
+
+    All share quotas b(a1)=2, b(a2)=1, q(c1)=q(c2)=1 and differ only in the
+    declared lists.
+    """
+    lists = {
+        1: ([["c1"], ["c2"]], [["c1"], ["c2"]]),
+        2: ([["c1"], ["c2"]], [["c1"]]),
+        3: ([["c2"], ["c1"]], [["c1"]]),
+        4: ([["c2"], ["c1"]], [["c1"], ["c2"]]),
+    }
+    a1_prefs, a2_prefs = lists[variant]
+    return Instance.build(
+        courses=[("c1", 1), ("c2", 1)],
+        applicants=[("a1", 2, a1_prefs), ("a2", 1, a2_prefs)],
+    )
+
+
 def verify_impossibility_scenario() -> ImpossibilityReport:
     """Check, by direct computation, that a deterministic Pareto-optimal
     selector choosing mu1 on the first 2x2 instance is forced to mu2 on the
     second and third and has no manipulation-proof choice left on the
     fourth."""
-    from .fixtures import impossibility_instance
-
     instances = {f"I{k}": impossibility_instance(k) for k in (1, 2, 3, 4)}
     mu1 = Matching([("a1", "c1"), ("a2", "c2")])
     mu2 = Matching([("a1", "c1"), ("a1", "c2")])

@@ -1,14 +1,15 @@
 """Strongly connected components, shared by the verifier and gsdt.
 
-Callers number their nodes 0..n-1 in the order they want them compared and
-pass int adjacency lists, so one iterative Tarjan (SIAM J. Comput. 1972)
-keeps ``index``, ``low``, the stack positions and the successor iterators in
-plain arrays, and a tree arc costs one append to the DFS path of nodes.
+Nodes are ints only: callers number them 0..n-1 in the order they want them
+compared and pass int adjacency lists, so one iterative Tarjan (SIAM J.
+Comput. 1972) keeps ``index``, ``low``, the stack positions and the successor
+iterators in plain arrays, and a tree arc costs one append to the DFS path of
+nodes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def strongly_connected_components(
@@ -17,15 +18,13 @@ def strongly_connected_components(
     """Iterative Tarjan; ``succ[v]`` is the successor list of node ``v``.
 
     Nodes are ints ``0..len(succ)-1``; ``nodes`` gives the roots in the order
-    to try them. A mapping from other hashable nodes also works, with dicts
-    in place of the arrays.
+    to try them.
 
     A component completes only after everything it can reach, so components
     come back in completion order, which is sinks first. Roots are taken in
     node order and successors in list order, so the result is deterministic.
     """
-    fresh = dict.fromkeys(succ, -1) if isinstance(succ, Mapping) else [-1] * len(succ)
-    index, low, stack_pos, outs = fresh, fresh.copy(), fresh.copy(), fresh.copy()  # -1: unset
+    index, low, stack_pos, outs = ([-1] * len(succ) for _ in range(4))  # -1: unset
     stack: list[int] = []
     components: list[list[int]] = []
     visits = 0

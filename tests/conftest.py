@@ -2,43 +2,35 @@ from pathlib import Path
 
 import pytest
 
-from camatch.fixtures import (
-    WORKED_EXAMPLES,
-    manipulation_instance,
-    impossibility_instance,
-    fixture_instances,
-    walkthrough_instance,
-)
-
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+import instances
 
 
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
-    return FIXTURE_DIR
+    return instances.FIXTURE_DIR
 
 
 @pytest.fixture(scope="session")
 def t1():
-    return walkthrough_instance()
+    return instances.worked_example("walkthrough")
 
 
 @pytest.fixture(scope="session")
 def ex1():
-    return manipulation_instance()
+    return instances.worked_example("manipulation")
 
 
 @pytest.fixture(scope="session")
 def impossibility_family():
-    return {k: impossibility_instance(k) for k in (1, 2, 3, 4)}
+    return {k: instances.worked_example(f"impossibility_i{k}") for k in (1, 2, 3, 4)}
 
 
 @pytest.fixture(scope="session")
 def fleet():
     """The 50 small deterministic instances used by the sweep tests."""
-    return fixture_instances(50)
+    return instances.fixture_instances(50)
 
 
 @pytest.fixture(scope="session")
 def worked_examples():
-    return {name: builder() for name, builder in WORKED_EXAMPLES.items()}
+    return instances.worked_examples()

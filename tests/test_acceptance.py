@@ -28,14 +28,6 @@ from camatch import (
     run_gsdt,
     verify_impossibility_scenario,
 )
-from camatch.fixtures import (
-    WORKED_EXAMPLES,
-    manipulation_instance,
-    impossibility_instance,
-    fixture_instances,
-    random_small_instances,
-    walkthrough_instance,
-)
 from camatch.oracle import (
     consecutive_orderings,
     distinct_orderings,
@@ -44,6 +36,7 @@ from camatch.oracle import (
     with_prefs,
     with_quotas,
 )
+from instances import fixture_instances, random_small_instances, worked_example, worked_examples
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])
@@ -68,7 +61,7 @@ def criterion(num: int, name: str, budget: float | None):
 
 def test_criterion_1_manipulation_reproduction():
     with criterion(1, "manipulation-instance reproduction", 1.0):
-        ex1 = manipulation_instance()
+        ex1 = worked_example("manipulation")
         assert run_gsdt(ex1, ("a1", "a2", "a1")).matching == MU1
         lying = with_prefs(ex1, "a1", [["c1"], ["c2"]])
         assert run_gsdt(lying, ("a1", "a2", "a1")).matching == MU2
@@ -87,14 +80,14 @@ def test_criterion_2_figure2_catalogs():
             4: {MU2, MU1},
         }
         for k, poms in expected.items():
-            assert set(enumerate_poms(impossibility_instance(k)).poms) == poms
+            assert set(enumerate_poms(worked_example(f"impossibility_i{k}")).poms) == poms
         report = verify_impossibility_scenario()
         assert report.confirmed
 
 
 def test_criterion_3_walkthrough_trace():
     with criterion(3, "walkthrough capacity trace", 1.0):
-        t1 = walkthrough_instance()
+        t1 = worked_example("walkthrough")
         result = run_gsdt(t1, ("a1", "a1", "a2", "a2", "a3", "a2", "a3"))
         assert result.capacity_history == (
             (0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0),
@@ -201,7 +194,7 @@ def test_criterion_5_stagewise_pareto_optimality():
 
 def test_criterion_6_reachability():
     with criterion(6, "every catalogued optimum reproducible", 120.0):
-        instances = [b() for b in WORKED_EXAMPLES.values()]
+        instances = list(worked_examples().values())
         instances += fixture_instances(50)
         poms_seen = 0
         for inst in instances:
@@ -249,7 +242,8 @@ def test_criterion_8_witness_soundness(verifier_vs_oracle_sweep):
 
 def test_criterion_9_work_bounds():
     with criterion(9, "search counters within the linear work bound", None):
-        fleet = fixture_instances(50) + [walkthrough_instance(), manipulation_instance()]
+        fleet = fixture_instances(50) + [
+            worked_example("walkthrough"), worked_example("manipulation")]
         runs = 0
         for inst in fleet:
             ties = sum(len(inst.prefs[a]) for a in inst.applicants)

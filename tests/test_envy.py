@@ -24,12 +24,12 @@ from camatch import (
     reduce_pseudocoalition,
     satisfy_coalition,
 )
-from camatch.fixtures import random_small_instances
 from camatch.oracle import (
     enumerate_feasible_matchings,
     preference_profile,
     profile_dominates,
 )
+from instances import random_small_instances
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])
@@ -97,7 +97,7 @@ def test_negative_cycle_found_for_dominated_matching(t1):
     witness = find_negative_cycle(build_envy_graph(t1, mu))
     assert witness is not None
     assert witness.weight <= -1
-    weights = build_envy_graph(t1, mu).weights()
+    weights = {(u, v): w for u, v, w in build_envy_graph(t1, mu).arcs}
     n = len(witness.nodes)
     for i in range(n):
         assert (witness.nodes[i], witness.nodes[(i + 1) % n]) in weights

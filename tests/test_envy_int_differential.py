@@ -199,7 +199,7 @@ def test_int_graph_equals_tagged_reference(inst, matching):
     reference = reference_build_envy_graph(inst, matching)
     assert graph.nodes == reference.nodes
     assert graph.arcs == reference.arcs
-    assert graph.weights() == reference.weights()
+    assert {(u, v): w for u, v, w in graph.arcs} == reference.weights()
     assert find_negative_cycle(graph) == reference_find_negative_cycle(reference)
     assert is_pareto_optimal(inst, matching) == reference_is_pareto_optimal(inst, matching)
 

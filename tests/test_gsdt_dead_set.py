@@ -20,8 +20,8 @@ from camatch import (
     run_gsdt,
 )
 from camatch import gsdt
-from camatch.fixtures import manipulation_instance
 from camatch.gsdt import SNK, SRC
+from instances import worked_example
 
 
 def sink_reachers(net):
@@ -233,7 +233,7 @@ def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
     """Serving a1-a2-a1 on the manipulation instance: a1's first stage fills
     her first tie ( c2 ), so the augmentation marks it dead, and her second
     stage fails that tie at once."""
-    net = gsdt.FlowNetwork(manipulation_instance())
+    net = gsdt.FlowNetwork(worked_example("manipulation"))
     gsdt.serve(net, ["a1"])
     assert gsdt._tie("a1", 0) in net.dead
     gsdt.serve(net, ["a2", "a1"])

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from camatch import (
     InstanceSemanticError, OrderingError, generate_random_instance, parse_instance,
     render_trace, run_gsdt)
-from camatch.fixtures import fixture_instances, walkthrough_instance
 from camatch import gsdt, oracle
 from camatch.gsdt import FlowNetwork, GsdtResult, _tie
 from camatch.matching import SetRelation, characteristic_vector, compare_sets
@@ -35,6 +34,7 @@ from camatch.oracle import (
     with_prefs,
     with_quotas,
 )
+from instances import fixture_instances, worked_example
 
 
 def reference_misreport(instance, ordering, applicant, search_limit=200_000):
@@ -168,16 +168,16 @@ ORDERING = ("a2", "a3", "a1", "a2", "a1", "a3", "a2")
 
 def test_search_refuses_an_unknown_applicant():
     with pytest.raises(InstanceSemanticError, match="unknown applicant 'zz'"):
-        find_beneficial_misreport(walkthrough_instance(), ORDERING, "zz")
+        find_beneficial_misreport(worked_example("walkthrough"), ORDERING, "zz")
 
 
 def test_search_checks_the_ordering():
     with pytest.raises(OrderingError):
-        find_beneficial_misreport(walkthrough_instance(), ORDERING[:-1], "a1")
+        find_beneficial_misreport(worked_example("walkthrough"), ORDERING[:-1], "a1")
 
 
 def test_the_search_runs_from_the_state_before_her_first_stage():
-    inst = walkthrough_instance()
+    inst = worked_example("walkthrough")
     real, runs = run_list, []
 
     def run(base, *args):
@@ -223,7 +223,7 @@ def test_a_search_serves_the_stages_before_her_first_once():
 def test_a_copy_shares_no_container_with_its_original():
     """Mutating every container of a copy taken mid-run leaves the original
     as it was."""
-    inst = walkthrough_instance()
+    inst = worked_example("walkthrough")
     original = FlowNetwork(inst)
     gsdt.serve(original, ORDERING[:4])
     assert original.dead and any(original.holders.values())
@@ -256,7 +256,7 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
     """A base in which a tie of hers, listed in her true list or only in a
     fabricated one, holds a course, is dead or has capacity fails the
     search's own assert before any list runs."""
-    inst, real = walkthrough_instance(), gsdt.serve
+    inst, real = worked_example("walkthrough"), gsdt.serve
     bases = []
 
     def serve(net, stages, guided_order=None):
@@ -276,7 +276,7 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
 def test_a_search_adds_no_tie_capacity_to_its_base():
     """The base assert reads tie capacities without creating an entry, and
     the runs from copies of the base add none to it either."""
-    inst = walkthrough_instance()
+    inst = worked_example("walkthrough")
     real, bases = run_list, []
 
     def run(base, *args):
@@ -514,10 +514,11 @@ def test_the_search_runs_a_merging_list_to_the_end():
 
 
 def test_a_stop_at_one_of_her_stages_is_refused():
-    inst = walkthrough_instance()
+    inst = worked_example("walkthrough")
     base = base_state(inst, ORDERING, "a1")
-    with pytest.raises(AssertionError):
-        run_list(base, ORDERING, "a1", inst.prefs["a1"], stop=ORDERING.index("a1"))
+    for ordering in (ORDERING, list(ORDERING)):
+        with pytest.raises(AssertionError):
+            run_list(base, ordering, "a1", inst.prefs["a1"], stop=ordering.index("a1"))
 
 
 def small_cases(count, seed):

@@ -24,7 +24,6 @@ from camatch import (
     render_trace,
     run_gsdt,
 )
-from camatch.fixtures import fixture_instances
 from camatch.gsdt import (
     FlowNetwork,
     ProbeRecord,
@@ -35,6 +34,7 @@ from camatch.gsdt import (
 )
 from camatch.instance import validate_ordering
 from camatch.oracle import distinct_orderings
+from instances import fixture_instances
 
 
 def guided_courses(instance, target, pair_priority):

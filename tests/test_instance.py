@@ -1,5 +1,6 @@
 """Instance model: parsing, serialization, validation, generation."""
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from camatch import (
     validate_ordering,
 )
 from camatch.instance import with_prefs
+from camatch.oracle import impossibility_instance
+from instances import fixture_instances, random_small_instances
 
 WALKTHROUGH_TEXT = """\
 # worked three-applicant instance
@@ -232,7 +235,28 @@ def test_build_rejects_bad_ids():
         Instance.build([("c1", 1)], [("a1", 1, [[]])])
 
 
-def test_shipped_fixture_files_match_builders(fixture_dir, worked_examples):
-    for name, inst in worked_examples.items():
-        text = (fixture_dir / f"{name}.txt").read_text()
-        assert parse_instance(text) == inst
+def test_shipped_fixture_files_are_canonical(fixture_dir):
+    paths = sorted(fixture_dir.glob("*.txt"))
+    assert len(paths) == 6
+    for path in paths:
+        text = path.read_text()
+        assert serialize_instance(parse_instance(text)) == text, path.name
+
+
+def test_impossibility_builder_matches_its_fixture_files(impossibility_family):
+    """The package builds the four 2x2 instances itself, since it reads no
+    repository file; this keeps that copy equal to the shipped one."""
+    for k, inst in impossibility_family.items():
+        assert impossibility_instance(k) == inst
+
+
+def test_sweep_fleets_hold_their_pinned_instances():
+    """Neither a move of the fleets nor a change to `generate_random_instance`
+    may silently change the sweep inputs."""
+    def digest(fleet):
+        return hashlib.sha256("".join(map(serialize_instance, fleet)).encode()).hexdigest()
+
+    assert digest(fixture_instances(50)) == (
+        "3b33419574669c8e5f85417c91cfa312ce8573e416f881018bf4b0c1b68df433")
+    assert digest(random_small_instances(200)) == (
+        "46d163b20f454dcd115e12b5b5b3baac482114a91029ed63c7726932710b2e6c")

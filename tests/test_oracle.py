@@ -20,7 +20,6 @@ from camatch import (
     run_gsdt,
     verify_impossibility_scenario,
 )
-from camatch.fixtures import random_small_instances
 from camatch.oracle import (
     _applicant_choices,
     _ordered_partitions,
@@ -29,6 +28,7 @@ from camatch.oracle import (
     misreport_space,
     with_prefs,
 )
+from instances import random_small_instances
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from camatch import enumerate_poms, generate_random_instance, run_gsdt
-from camatch.fixtures import WORKED_EXAMPLES, fixture_instances
+from instances import fixture_instances, worked_examples
 from camatch.gsdt import _pair_priority_order
 from camatch.matching import Matching
 from camatch.scc import strongly_connected_components
@@ -29,12 +29,14 @@ def reference_pair_priority_order(instance, matching):
                 continue
             if instance.tie_of(a, c2) <= own_tie:
                 adj[(a, c)].append((a2, c2))
-    components = strongly_connected_components(pairs, adj)
-    return [p for comp in components for p in sorted(comp)]
+    number = {p: i for i, p in enumerate(pairs)}
+    succ = [[number[q] for q in adj[p]] for p in pairs]
+    components = strongly_connected_components(range(len(pairs)), succ)
+    return [p for comp in components for p in sorted(pairs[i] for i in comp)]
 
 
 def catalog_cases():
-    named = [(name, build()) for name, build in WORKED_EXAMPLES.items()]
+    named = list(worked_examples().items())
     named += [(f"fleet{k}", inst) for k, inst in enumerate(fixture_instances(50))]
     for name, inst in named:
         for j, pom in enumerate(enumerate_poms(inst).poms):

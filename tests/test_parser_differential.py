@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -31,8 +30,7 @@ from camatch import (
     serialize_matching_pairs,
     serialize_ordering,
 )
-
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+from instances import FIXTURE_DIR
 
 # ----------------------------------------------------------------------
 # Reference: the positioned-token parser.

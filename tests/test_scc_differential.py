@@ -86,18 +86,6 @@ def test_random_graphs_match_the_reference(chunk):
         assert strongly_connected_components(roots, succ) == reference_scc(roots, succ)
 
 
-def test_mapping_form_with_tuple_nodes_matches_the_reference():
-    rng = random.Random(1972)
-    for _ in range(50):
-        roots, succ = random_graph(rng)
-        name = {v: ("p", f"a{v % 7}", f"c{v}") for v in range(len(succ))}
-        adj = {name[v]: [name[w] for w in outs] for v, outs in enumerate(succ)}
-        keys = [name[v] for v in roots]
-        comps = strongly_connected_components(keys, adj)
-        assert comps == reference_scc(keys, adj)
-        assert comps == [[name[v] for v in comp] for comp in reference_scc(roots, succ)]
-
-
 def test_envy_graphs_at_audit_scale_match_the_reference():
     rng = random.Random(3020)
     for _ in range(12):

@@ -75,7 +75,7 @@ def test_scc_search_agrees_with_bellman_ford(cases, k):
         assert (witness is not None) == reference_has_negative_cycle(graph)
         if witness is None:
             continue
-        weights = graph.weights()
+        weights = {(u, v): w for u, v, w in graph.arcs}
         cycle = witness.nodes
         assert len(set(cycle)) == len(cycle)
         arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
