@@ -8,6 +8,7 @@ profitable misreport); 2 usage, parse or validation failure; 3 limit hit.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -194,6 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command's objects live until it ends, so cyclic collections only rescan them.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
@@ -207,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError, CamatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

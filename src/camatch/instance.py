@@ -9,7 +9,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, KeysView, Sequence
+from typing import Iterable, Iterator, KeysView, Sequence
 
 from .errors import (
     InstanceSemanticError,
@@ -59,8 +59,9 @@ class Instance:
     ``applicants`` and ``courses`` fix the display order; ``quota`` maps each
     applicant to the number of courses she may take, ``capacity`` each course
     to the number of seats. ``prefs[a]`` is the tuple of indifference classes
-    of ``a``, most preferred first; only nonempty classes are stored.
-    ``tie_index[a][c]`` is the index of ``c``'s class; equality and repr ignore it.
+    of ``a``, most preferred first; only nonempty classes are stored, and
+    ``build`` keeps equal classes as one frozenset. ``tie_index[a][c]`` is the
+    index of ``c``'s class; equality and repr ignore it.
     """
 
     applicants: tuple[str, ...]
@@ -96,6 +97,7 @@ class Instance:
         quota: dict[str, int] = {}
         prefs: dict[str, PreferenceList] = {}
         tie_index: dict[str, dict[str, int]] = {}
+        shared: dict[frozenset[str], frozenset[str]] = {}
         for aid, b, ties in applicants:
             _check_id(aid, "applicant")
             if aid in quota or aid in capacity:
@@ -104,7 +106,8 @@ class Instance:
                 raise InstanceSemanticError(
                     f"applicant {aid!r} quota {b} out of range [1, {MAX_QUOTA}]")
             quota[aid] = b
-            prefs[aid], tie_index[aid] = _tie_sets(aid, ties, capacity)
+            tie_sets, tie_index[aid] = _tie_sets(aid, ties, capacity)
+            prefs[aid] = tuple(map(shared.setdefault, tie_sets, tie_sets))
 
         # Dicts keep insertion order, so their keys are the ids in input order.
         return Instance(tuple(quota), tuple(capacity), quota, capacity, prefs, tie_index)
@@ -129,11 +132,6 @@ class Instance:
         return hashlib.sha256(serialize_instance(self).encode()).hexdigest()
 
 
-def with_quotas(instance: Instance, quota: dict[str, int]) -> Instance:
-    """Same instance, different applicant quotas (0 allowed, for stage-restricted instances)."""
-    return replace(instance, quota=dict(quota))
-
-
 def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]) -> Instance:
     """Same instance with one applicant's declared preference list replaced,
     checked as ``Instance.build`` checks it."""
@@ -155,10 +153,11 @@ def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]
 # and column of the word at fault.
 # ----------------------------------------------------------------------
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    """(1-based line number, words) for each line with a word outside comments."""
+def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, words) for each line with a word outside
+    comments, a line at a time: only the current line's words are held."""
     lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
-    return [(lineno, words) for lineno, words in enumerate(lines, start=1) if words]
+    return ((lineno, words) for lineno, words in enumerate(lines, start=1) if words)
 
 
 def _syntax(text: str, lineno: int, index: int, message: str) -> InstanceSyntaxError:
@@ -178,28 +177,32 @@ def _parse_int(digits: str, what: str, text: str, lineno: int, index: int) -> in
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file.
+    """Parse an instance file, a line at a time.
 
     Raises InstanceSyntaxError (with line/column) for malformed text and
     InstanceSemanticError for rule violations such as duplicate ids or
-    unknown courses.
+    unknown courses. Each course word in a tie becomes the header's own id
+    string, so the instance holds one string per course, however often listed.
     """
     lines = _tokenize(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise InstanceSyntaxError("missing 'courses:' line", 1, 1)
 
-    lineno, header = lines[0]
+    lineno, header = first
     if header[0] != "courses:":
         raise _syntax(text, lineno, 0, "expected 'courses:'")
     courses: list[tuple[str, int]] = []
+    ids: dict[str, str] = {}  # each course id to itself, the one copy kept
     for i, word in enumerate(header[1:], start=1):
         if "=" not in word:
             raise _syntax(text, lineno, i, f"expected <id>=<quota>, got {word!r}")
         cid, _, qtext = word.partition("=")
         courses.append((cid, _parse_int(qtext, f"quota of course {cid!r}", text, lineno, i)))
+        ids[cid] = cid
 
     applicants: list[tuple[str, int, list[list[str]]]] = []
-    for lineno, words in lines[1:]:
+    for lineno, words in lines:
         # A missing word is reported at the line's last one.
         last = len(words) - 1
         if words[0] != "applicant":
@@ -228,7 +231,7 @@ def parse_instance(text: str) -> Instance:
             elif group is None:
                 raise _syntax(text, lineno, i, f"expected '(', got {word!r}")
             else:
-                group.append(word)
+                group.append(ids.get(word, word))  # an unknown id stays, for build to report
         if group is not None:
             raise _syntax(text, lineno, last, "unclosed tie group")
         applicants.append((words[1], b, ties))

@@ -19,14 +19,13 @@ from typing import Iterable, Iterator, Sequence
 from . import envy
 from .errors import InstanceSemanticError, SearchLimitExceeded
 from .gsdt import FlowNetwork, GuidedToward, derive_ordering, run_gsdt, serve
-# with_prefs and with_quotas are re-exported: callers use oracle.with_prefs.
+# with_prefs is re-exported: callers use oracle.with_prefs.
 from .instance import (
     Instance,
     PriorityOrdering,
     format_preference_list,
     validate_ordering,
     with_prefs,
-    with_quotas,
 )
 # preference_profile and profile_dominates are re-exported: callers use
 # oracle.preference_profile.
@@ -135,15 +134,6 @@ def enumerate_poms(instance: Instance, limit: int = DEFAULT_LIMIT) -> PomCatalog
 # ----------------------------------------------------------------------
 # Orderings.
 # ----------------------------------------------------------------------
-
-def consecutive_orderings(instance: Instance) -> Iterator[PriorityOrdering]:
-    """All orderings in which each applicant's copies are adjacent."""
-    for perm in itertools.permutations(instance.applicants):
-        out: list[str] = []
-        for a in perm:
-            out.extend([a] * instance.quota[a])
-        yield tuple(out)
-
 
 def distinct_orderings(instance: Instance) -> Iterator[PriorityOrdering]:
     """All distinct priority multisequences, lexicographically.

@@ -1,7 +1,11 @@
 """Test inputs: the worked examples, read from ``fixtures/*.txt`` (their only
-copy), and the deterministic fleets the sweep tests run over."""
+copy), the deterministic fleets the sweep tests run over, and the instance
+and ordering helpers only tests use."""
 
+import dataclasses
+import itertools
 from pathlib import Path
+from typing import Iterator
 
 from camatch import Instance, generate_random_instance, parse_instance
 
@@ -55,3 +59,17 @@ def random_small_instances(count: int = 200) -> list[Instance]:
         )
         for i in range(count)
     ]
+
+
+def with_quotas(instance: Instance, quota: dict[str, int]) -> Instance:
+    """Same instance, different applicant quotas (0 allowed, for stage-restricted instances)."""
+    return dataclasses.replace(instance, quota=dict(quota))
+
+
+def consecutive_orderings(instance: Instance) -> Iterator[tuple[str, ...]]:
+    """All orderings in which each applicant's copies are adjacent."""
+    for perm in itertools.permutations(instance.applicants):
+        out: list[str] = []
+        for a in perm:
+            out.extend([a] * instance.quota[a])
+        yield tuple(out)

@@ -29,14 +29,19 @@ from camatch import (
     verify_impossibility_scenario,
 )
 from camatch.oracle import (
-    consecutive_orderings,
     distinct_orderings,
     preference_profile,
     profile_dominates,
     with_prefs,
-    with_quotas,
 )
-from instances import fixture_instances, random_small_instances, worked_example, worked_examples
+from instances import (
+    consecutive_orderings,
+    fixture_instances,
+    random_small_instances,
+    with_quotas,
+    worked_example,
+    worked_examples,
+)
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])

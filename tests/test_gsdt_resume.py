@@ -32,9 +32,8 @@ from camatch.oracle import (
     misreport_space,
     run_list,
     with_prefs,
-    with_quotas,
 )
-from instances import fixture_instances, worked_example
+from instances import fixture_instances, with_quotas, worked_example
 
 
 def reference_misreport(instance, ordering, applicant, search_limit=200_000):

@@ -23,12 +23,11 @@ from camatch import (
 from camatch.oracle import (
     _applicant_choices,
     _ordered_partitions,
-    consecutive_orderings,
     distinct_orderings,
     misreport_space,
     with_prefs,
 )
-from instances import random_small_instances
+from instances import consecutive_orderings, random_small_instances
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from camatch import Instance, generate_random_instance, parse_instance, serialize_instance
-from camatch.instance import with_prefs, with_quotas
+from camatch.instance import with_prefs
+from instances import with_quotas
 from test_instance import WALKTHROUGH_TEXT
 
 
