@@ -9,11 +9,12 @@ and -1 on strict envy. The matching is Pareto optimal exactly when no
 negative-cost cycle exists.
 
 Nodes are numbered in the sort order of their tagged tuples, so comparing
-ids compares nodes. Arcs into "course c and its holders" pass through one hub
-per course, and exposed courses share one fan. So |E| is C + P hub arcs, one
-arc per (exposed applicant, unheld acceptable course) and per (pair, weakly
-envied course), and one fan per exposed course, where the expanded graph
-repeats each arc into a hub once per node the hub lists.
+ids compares nodes. Every stored arc enters a hub: one per course lists the
+course and its holders, and one fan hub, shared by every exposed course,
+lists every applicant and pair. So |E| is C + A + 2P hub arcs, one arc per
+exposed course, per (exposed applicant, unheld acceptable course) and per
+(pair, weakly envied course), where the expanded graph repeats each arc into
+a hub once per node the hub lists.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ Arc = tuple[Node, Node, int]
 
 @dataclass(frozen=True)
 class EnvyGraph:
-    """The extended envy graph on int ids, with one hub per course.
+    """The extended envy graph on int ids, stored real -> hub -> real.
 
     Real node ``i < len(hub_of)`` is ``node(i)``: applicants, courses, then
     matched ``pairs``, each sorted. Hub ``len(hub_of) + k`` lists
     ``courses[k]`` and then its holders, ascending; ``hub_of[i]`` is the hub
-    listing real node ``i`` (-1 for an applicant). ``out[i]`` is a hub's list,
-    an exposed course's shared fan, or the hubs an applicant or pair envies,
-    unordered. Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
+    listing real node ``i`` (-1 for an applicant). The last hub, the fan,
+    lists every applicant and pair. A real node's ``out`` holds only hubs:
+    the fan for an exposed course, else the hubs it envies, unordered.
+    Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
     ``nodes``, the expanded ascending ``succ`` and ``arcs`` are views derived
     on first read; the verdict path reads none of them."""
 
@@ -89,10 +91,8 @@ class EnvyGraph:
 
 
 def _expanded(graph: EnvyGraph, i: int, comp: Mapping[int, int], cc: int) -> Sequence[int]:
-    """Real node ``i``'s successors, ascending, with each of its hubs in
-    component ``cc`` replaced by its list; a hub outside lists no node inside."""
-    if len(graph.applicants) <= i < len(graph.applicants) + len(graph.courses):
-        return graph.out[i]
+    """Real node ``i``'s successors, ascending: the lists of its hubs in
+    component ``cc``; a hub outside lists no node inside."""
     return sorted(v for h in graph.out[i] if comp[h] == cc for v in graph.out[h])
 
 
@@ -119,11 +119,12 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
         out[hub_of[k]].append(k)  # type: ignore[attr-defined]
     strict: list[Collection[int]] = [range(size, len(out))] * len(applicants) + [()] * len(courses)
 
-    # Exposed courses reach every non-course node at cost 0, through one list.
-    fan = [*range(len(applicants)), *range(first_pair, size)]
+    # Exposed courses reach every non-course node at cost 0, through the fan hub.
+    fan = len(out)
+    out.append([*range(len(applicants)), *range(first_pair, size)])
     for k, c in enumerate(courses, len(applicants)):
         if is_exposed_course(instance, matching, c):
-            out[k] = fan
+            out[k] = [fan]
 
     # Exposed applicants envy every acceptable course they do not hold, and
     # the pairs holding it (never their own).
@@ -346,8 +347,8 @@ def _coalition_from_witness(
             found = (graph.node(i), graph.node(j)) == (u, v)
         except (TypeError, IndexError):  # incomparable, or past the last node
             found = False
-        # An arc into a course or a pair enters that course's hub.
-        if not found or (j not in graph.out[i] and graph.hub_of[j] not in graph.out[i]):
+        # Every arc enters a hub: a course's hub or, from a course, the fan.
+        if not found or not any(j in graph.out[h] for h in graph.out[i]):
             raise CoalitionError(f"witness uses a non-arc {u} -> {v}")
         weights.append(-1 if graph.hub_of[j] in graph.strict[i] else 0)
     if sum(weights) >= 0:

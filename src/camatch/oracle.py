@@ -180,22 +180,6 @@ class ReachabilityReport:
     def all_reproduced(self) -> bool:
         return all(e.reproduced for e in self.entries)
 
-    def to_lines(self) -> list[str]:
-        lines = [f"poms={len(self.entries)}"]
-        for e in self.entries:
-            status = "ok" if e.reproduced else "FAILED"
-            lines.append(
-                f"{status} ordering={' '.join(e.ordering)} "
-                f"matching={' '.join(f'{a}:{c}' for a, c in e.pom)}"
-            )
-        if self.sweep_ran:
-            lines.append(
-                f"sweep orderings={self.sweep_orderings} "
-                f"outputs={len(self.sweep_outputs)} "
-                f"all-pom={'yes' if self.sweep_outputs_all_pom else 'NO'}"
-            )
-        return lines
-
 
 def check_reachability(instance: Instance) -> ReachabilityReport:
     """For every Pareto optimal matching, derive an ordering and replay it
@@ -401,15 +385,6 @@ class DeviationCheck:
     lying_outcome: frozenset[str]
     improves: bool
 
-    def line(self) -> str:
-        return (
-            f"{self.applicant} under {self.true_instance} reporting "
-            f"{self.borrowed_list}'s list vs selector={self.selector_choice}: "
-            f"{' '.join(sorted(self.truthful_outcome)) or '-'} -> "
-            f"{' '.join(sorted(self.lying_outcome)) or '-'} "
-            f"improves={'yes' if self.improves else 'no'}"
-        )
-
 
 @dataclass(frozen=True)
 class ImpossibilityReport:
@@ -420,19 +395,6 @@ class ImpossibilityReport:
     i4_choice_mu2_fails: DeviationCheck
     i4_choice_mu3_fails: DeviationCheck
     confirmed: bool
-
-    def to_lines(self) -> list[str]:
-        lines = ["impossibility case analysis (selector returns mu1 on I1)"]
-        lines += [f"poms {name}: {n}" for name, n in self.pom_counts]
-        lines += [
-            "I2 forced to mu2: " + self.forces_mu2_on_i2.line(),
-            "I3 forced to mu2: " + self.forces_mu2_on_i3.line(),
-            "I4 = mu2 refuted: " + self.i4_choice_mu2_fails.line(),
-            "I4 = mu3 refuted: " + self.i4_choice_mu3_fails.line(),
-            "no truthful selector covers all four: "
-            + ("CONFIRMED" if self.confirmed else "NOT CONFIRMED"),
-        ]
-        return lines
 
 
 def impossibility_instance(variant: int) -> Instance:

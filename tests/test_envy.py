@@ -1,5 +1,6 @@
 """Extended envy graph: construction, negative cycles, witness extraction."""
 
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from camatch.oracle import (
     preference_profile,
     profile_dominates,
 )
-from instances import random_small_instances
+from instances import random_small_instances, worked_examples
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])
@@ -347,6 +348,30 @@ def test_extract_rejects_witness_nodes_outside_the_graph(ex1, odd):
     for nodes in [(odd, ("c", "c1")), (("a", "a1"), odd)]:
         with pytest.raises(CoalitionError, match="witness uses a non-arc"):
             extract_improving_coalition(ex1, mu, CycleWitness(nodes, -1))
+
+
+def test_a_two_node_witness_is_refused_exactly_when_an_arc_is_missing():
+    """Every ordered pair of distinct nodes as a 2-cycle witness, on each
+    worked example and up to 40 of its feasible matchings: refused as a
+    non-arc exactly when either arc is missing from the expanded graph. Of
+    the 2-cycles accepted, 170 start at an exposed course, whose arcs enter
+    the fan hub."""
+    checked = from_course = 0
+    for inst in worked_examples().values():
+        for mu in enumerate_feasible_matchings(inst)[:40]:
+            graph = build_envy_graph(inst, mu)
+            arcs = {(u, v) for u, v, _ in graph.arcs}
+            for u, v in itertools.permutations(graph.nodes, 2):
+                missing = (u, v) not in arcs or (v, u) not in arcs
+                try:
+                    extract_improving_coalition(inst, mu, CycleWitness((u, v), -1))
+                    refused = False
+                except CoalitionError as error:
+                    refused = "witness uses a non-arc" in str(error)
+                assert refused == missing, (u, v)
+                checked += 1
+                from_course += not missing and u[0] == "c"
+    assert (checked, from_course) == (3742, 170)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The hub-compressed envy graph against the expanded-list construction it
 replaced: same arcs, same witness, same coalition and dominating matching,
 on seeded instances of 5-80 applicants and 2-30 courses at three tie
-densities, plus 80x30 instances shaped like the benchmark's audit inputs."""
+densities, plus 80x30 instances shaped like the benchmark's audit inputs.
+On the same cases the stored graph must keep its shape, real -> hub -> real
+with one fan hub, and its arc count is pinned at the 500x800 optimum."""
 
 import random
 from dataclasses import dataclass
@@ -191,6 +193,7 @@ def chunk_cases(chunk):
 def test_hub_graph_equals_expanded_reference(chunk):
     for inst, matching in chunk_cases(chunk):
         graph = build_envy_graph(inst, matching)
+        assert_real_hub_real(inst, matching, graph)
         reference = reference_build_envy_graph(inst, matching)
         witness = find_negative_cycle(graph)
         assert witness == reference_find_negative_cycle(reference)
@@ -211,6 +214,42 @@ def test_cases_cover_both_verdicts_and_all_shapes():
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
     sizes = [(len(inst.applicants), len(inst.courses)) for inst in INSTANCES]
     assert min(sizes) <= (10, 5) and (80, 30) in sizes
+
+
+# ----------------------------------------------------------------------
+# The stored graph's shape: real -> hub -> real, with one fan hub.
+# ----------------------------------------------------------------------
+
+def assert_real_hub_real(inst, matching, graph):
+    """Real nodes store only hubs, hubs list only real nodes, ascending, and
+    no two nodes share a non-empty list. An exposed course stores the fan
+    hub alone; the fan, the last hub, lists every applicant and pair."""
+    real, out = len(graph.hub_of), graph.out
+    first_pair = len(graph.applicants) + len(graph.courses)
+    assert len(out) == real + len(graph.courses) + 1
+    for i in range(real):
+        assert all(h >= real for h in out[i]), i
+    for h in range(real, len(out)):
+        assert all(v < real for v in out[h]), h
+        assert all(u < v for u, v in zip(out[h], out[h][1:])), h
+    lists = [id(outs) for outs in out if outs]
+    assert len(set(lists)) == len(lists)
+    fan = len(out) - 1
+    assert out[fan] == [*range(len(graph.applicants)), *range(first_pair, real)]
+    for k, c in enumerate(graph.courses, len(graph.applicants)):
+        assert (out[k] == [fan]) if is_exposed_course(inst, matching, c) else not out[k]
+
+
+def test_stored_arcs_at_the_wide_optimum():
+    """At the file-order optimum of the 500x800 rung 511 courses are exposed.
+    Each stores one arc, into the fan hub; a copy of the fan's 1,468 nodes
+    stored for each of them would make about 750,000 arcs."""
+    inst = generate_random_instance(500, 800, 3, 4, 0.4, 1)
+    optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
+    graph = build_envy_graph(inst, optimum)
+    assert_real_hub_real(inst, optimum, graph)
+    assert sum(map(len, graph.out)) <= 5_000
+    assert is_pareto_optimal(inst, optimum)
 
 
 # ----------------------------------------------------------------------
