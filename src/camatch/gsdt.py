@@ -88,6 +88,30 @@ class FlowNetwork:
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
 
+    def live_courses(self) -> set[str]:
+        """The courses that reach the sink in the residual network: one
+        reverse breadth-first search from it over the three arc types the
+        search crosses (a free seat's course-sink arc, a tie's arc to a
+        course it lists and does not hold, a course's backward arc to a tie
+        that holds it); empty with no free seat. By the dead-set argument
+        above, no later stage of the run gives a course outside it to anyone."""
+        inst, holders = self.instance, self.holders
+        listers: defaultdict[str, list[Node]] = defaultdict(list)  # arcs into each course
+        for a, ties in inst.prefs.items():
+            for t, tie in enumerate(ties):
+                for c in tie:
+                    if (a, t) not in holders[c]:
+                        listers[c].append(_tie(a, t))
+        reached = {("crs", c) for c in inst.courses if self.flow_snk[c] < inst.capacity[c]}
+        queue = list(reached)
+        for v in queue:  # the queue grows as the loop reads it
+            preds = listers[v[1]] if v[0] == "crs" else [
+                ("crs", c) for c in inst.prefs[v[1]][v[2]] if v[1:] in holders[c]]
+            fresh = [u for u in preds if u not in reached]  # preds repeat no node
+            reached.update(fresh)
+            queue += fresh
+        return {v[1] for v in reached if v[0] == "crs"}
+
     def matching(self) -> Matching:
         return Matching(
             (a, c) for c, held in self.holders.items() for a, _ in held)

@@ -311,14 +311,9 @@ def find_beneficial_misreport(
     """First fabricated preference list whose outcome the applicant strictly
     prefers, under her true preferences, to the truthful outcome.
 
-    Her outcome under a list is at most ``quota`` of the courses it names
-    (the ordering serves her that many times), so under her true ties it
-    never beats her ``quota`` best listed courses. A list whose bound does
-    not beat the truthful outcome is counted in ``examined`` but not run.
-
     The stages before her first one read no list of hers, so they are served
-    once, into a base state that holds nothing of hers. The other lists run,
-    the truthful one first, each from a copy of that base (``run_list``);
+    once, into a base state that holds nothing of hers. Each list that runs,
+    the truthful one first, runs from a copy of that base (``run_list``);
     her outcome is read off her own ties. A list whose ties each lie inside a
     true tie, the truthful one included, runs only to ``last``, the stage
     after her last: from there her source and tie capacities stay fixed and
@@ -326,6 +321,17 @@ def find_beneficial_misreport(
     down), so her per-true-tie counts, all ``compare_sets`` reads, are final.
     A list merging true ties runs in full, and so do both lists of a FOUND,
     whose sets are those of full runs.
+
+    A list runs only if it could win. Her outcome under it is at most
+    ``quota`` of the courses it names (the ordering serves her that many
+    times) among the base's ``live_courses``. She holds nothing in the
+    base, so no arc leaves a course for a tie of hers and that set is the
+    same under every list of hers. Later augmentations add residual arcs
+    only out of nodes on their paths, which reach the sink, so a course
+    outside the set is never on a path again and she never holds it. So
+    under her true ties her outcome never beats her ``quota`` best listed
+    live courses; a list whose bound does not beat the truthful outcome is
+    counted in ``examined`` but not run.
 
     Exhausting the space yields status NONE; hitting ``search_limit`` first
     yields INCONCLUSIVE, which is deliberately distinct from NONE.
@@ -341,6 +347,7 @@ def find_beneficial_misreport(
     ties = itertools.chain(base.cap_tie, *base.holders.values(),
                            (n[1:] for n in base.dead if n[0] == "tie"))
     assert all(a != applicant for a, _ in ties), "the base holds a tie of hers"
+    live = base.live_courses()
 
     def outcome(prefs: Sequence[frozenset[str]], full: bool = False) -> frozenset[str]:
         inside = all(any(tie <= true_tie for true_tie in truthful) for tie in prefs)
@@ -358,7 +365,8 @@ def find_beneficial_misreport(
     for examined, fabricated in enumerate(misreport_space(instance, applicant), start=1):
         if examined > search_limit:
             return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined - 1)
-        best = sorted(itertools.chain(*fabricated), key=lambda c: instance.tie_of(applicant, c))
+        best = sorted((c for c in itertools.chain(*fabricated) if c in live),
+                      key=lambda c: instance.tie_of(applicant, c))
         if prefers(best[:instance.quota[applicant]]) and prefers(outcome(fabricated)):
             finding = MisreportFinding(
                 applicant, truthful, tuple(fabricated), tuple(ordering),
@@ -377,10 +385,7 @@ def find_beneficial_misreport(
 class DeviationCheck:
     """One 'applicant X under instance Y gains by reporting Z's list' step."""
 
-    true_instance: str
     applicant: str
-    borrowed_list: str
-    selector_choice: str
     truthful_outcome: frozenset[str]
     lying_outcome: frozenset[str]
     improves: bool
@@ -438,24 +443,22 @@ def verify_impossibility_scenario() -> ImpossibilityReport:
     }
     catalogs_match = catalogs == expected
 
-    def deviation(true: str, a: str, borrowed: str, choice: str,
-                  truthful: Matching, lying: Matching) -> DeviationCheck:
+    def deviation(true: str, a: str, truthful: Matching, lying: Matching) -> DeviationCheck:
         before, after = truthful.of_applicant(a), lying.of_applicant(a)
         rel = compare_sets(instances[true], a, after, before)
-        return DeviationCheck(true, a, borrowed, choice, before, after,
-                              rel is SetRelation.PREFERS)
+        return DeviationCheck(a, before, after, rel is SetRelation.PREFERS)
 
     # Were the selector to answer mu3 on I2, a2 (truthful under I1, where she
     # gets c2 from mu1) profits by declaring only c1, i.e. I2's list.
-    dev_i2 = deviation("I1", "a2", "I2", "mu3", mu1, mu3)
+    dev_i2 = deviation("I1", "a2", mu1, mu3)
     # Given I2 -> mu2: were the selector to answer mu3 on I3, a1 (truthful
     # under I3) profits by reporting I2's list and collecting mu2.
-    dev_i3 = deviation("I3", "a1", "I2", "mu3", mu3, mu2)
+    dev_i3 = deviation("I3", "a1", mu3, mu2)
     # On I4: answering mu2 lets a1 under I1 profit by reporting I4's list...
-    dev_i4_mu2 = deviation("I1", "a1", "I4", "mu2", mu1, mu2)
+    dev_i4_mu2 = deviation("I1", "a1", mu1, mu2)
     # ... and answering mu3 lets a2 under I3 (empty-handed at mu2) profit by
     # reporting I4's list.
-    dev_i4_mu3 = deviation("I3", "a2", "I4", "mu3", mu2, mu3)
+    dev_i4_mu3 = deviation("I3", "a2", mu2, mu3)
 
     confirmed = catalogs_match and all(
         d.improves for d in (dev_i2, dev_i3, dev_i4_mu2, dev_i4_mu3))

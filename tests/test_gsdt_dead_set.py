@@ -3,8 +3,10 @@ references. No node marked dead, by a failed probe's search or by the
 augmentation that fills a tie, may reach the sink in the residual network,
 before or after any probe of seeded canonical and guided runs, and on
 Hypothesis-drawn instances after any stage; every canonical probe takes
-the lexicographically least shortest path of the whole network; and once
-every seat is taken the stage loop decides each probe without a search."""
+the lexicographically least shortest path of the whole network; once
+every seat is taken the stage loop decides each probe without a search; and
+``FlowNetwork.live_courses`` are the courses that reach the sink, before and
+after every stage."""
 
 import random
 from unittest import mock
@@ -163,6 +165,36 @@ def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
     full_probes = canonical.searches + guided.searches - searches
     assert dead_starts + full_probes > 0
     assert (dead_starts > 0) == (k not in DEAD_STARTS_ONLY_ON_A_FULL_NETWORK)
+
+
+def test_live_courses_are_the_courses_that_reach_the_sink(monkeypatch):
+    """Before and after every stage of every case's canonical and guided
+    runs, ``live_courses`` is the set of course nodes the reference reaches
+    and holds no dead course. Some full courses are live, and some courses
+    are not while seats are free."""
+    stage = gsdt._stage
+    full_and_live = cut_off = 0
+
+    def assert_live(net):
+        nonlocal full_and_live, cut_off
+        live, inst = net.live_courses(), net.instance
+        assert live == {v[1] for v in sink_reachers(net) if v[0] == "crs"}
+        assert not live & {v[1] for v in net.dead if v[0] == "crs"}
+        full_and_live += any(net.flow_snk[c] == inst.capacity[c] for c in live)
+        cut_off += net.free > 0 and len(live) < len(inst.courses)
+
+    def checked(net, a, probe):
+        if not net.stage_probes:  # a later stage starts where the one before ended
+            assert_live(net)
+        probes = stage(net, a, probe)
+        assert_live(net)
+        return probes
+
+    monkeypatch.setattr(gsdt, "_stage", checked)
+    for inst, ordering in CASES:
+        optimum = run_gsdt(inst, ordering).matching
+        run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+    assert (full_and_live, cut_off) == (469, 1017)
 
 
 @pytest.mark.parametrize("k", range(len(CASES)))

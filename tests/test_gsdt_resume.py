@@ -5,10 +5,11 @@ from scratch and leaves the base untouched, the misreport search equals a
 reference that runs every list from scratch, and the search checks its
 applicant, its ordering and that the base holds no tie of hers. Runs the
 search stops after the liar's last stage leave her the vector of a full run,
-and only for lists that keep each tie inside a true tie. No run beats her
-``quota`` best listed courses, so a list whose bound does not beat the
-truthful outcome is counted without a run. A run keeps tie capacities only
-for the ties it probes."""
+and only for lists that keep each tie inside a true tie. No run gives her
+a course that cannot reach the sink in her base or beats her ``quota`` best
+listed courses among those that can, so a list whose bound does not beat
+the truthful outcome is counted without a run. A run keeps tie capacities
+only for the ties it probes."""
 
 import itertools
 import random
@@ -34,6 +35,7 @@ from camatch.oracle import (
     with_prefs,
 )
 from instances import fixture_instances, with_quotas, worked_example
+from test_gsdt_dead_set import sink_reachers
 
 
 def reference_misreport(instance, ordering, applicant, search_limit=200_000):
@@ -274,7 +276,8 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
 
 def test_a_search_adds_no_tie_capacity_to_its_base():
     """The base assert reads tie capacities without creating an entry, and
-    the runs from copies of the base add none to it either."""
+    the runs from copies of the base add none to it either. The liar is a3:
+    her base holds a2's first stage, and her search makes 17 runs."""
     inst = worked_example("walkthrough")
     real, bases = run_list, []
 
@@ -283,9 +286,10 @@ def test_a_search_adds_no_tie_capacity_to_its_base():
         return real(base, *args)
 
     with mock.patch.object(oracle, "run_list", run):
-        find_beneficial_misreport(inst, ORDERING, "a1")
+        search = find_beneficial_misreport(inst, ORDERING, "a3")
+    assert search == reference_misreport(inst, ORDERING, "a3")
     assert len(bases) > 1 and all(base is bases[0] for base in bases)
-    assert dict(bases[0].cap_tie) == dict(base_state(inst, ORDERING, "a1").cap_tie)
+    assert dict(bases[0].cap_tie) == dict(base_state(inst, ORDERING, "a3").cap_tie)
 
 
 # ----------------------------------------------------------------------
@@ -446,19 +450,30 @@ def searched_with_final_vectors(instance, ordering, applicant, limit=200_000):
     return search, [(prefs, stages) for prefs, _, stages in runs]
 
 
-def bound(instance, applicant, prefs):
+def live_in_base(instance, ordering, applicant):
+    """The courses that reach the sink in the state before her first stage,
+    by the whole-network reference of ``test_gsdt_dead_set``."""
+    return {v[1] for v in sink_reachers(base_state(instance, ordering, applicant))
+            if v[0] == "crs"}
+
+
+def bound(instance, applicant, prefs, live=None):
     """Her vector of her ``quota`` best courses that ``prefs`` lists, under
-    her true ties: no outcome of ``prefs`` beats it."""
-    listed = sorted((c for tie in prefs for c in tie), key=lambda c: instance.tie_of(applicant, c))
+    her true ties, of those in ``live`` if given: no outcome of ``prefs``
+    beats it, with or without the base's live set."""
+    listed = sorted((c for tie in prefs for c in tie if live is None or c in live),
+                    key=lambda c: instance.tie_of(applicant, c))
     return characteristic_vector(instance, applicant, listed[:instance.quota[applicant]])
 
 
 def skipped_lists(instance, ordering, applicant, examined):
     """How many of the first ``examined`` lists cannot beat the truthful
-    outcome, so that the search counts them without a run."""
+    outcome within the base's live set, so that the search counts them
+    without a run."""
     truthful = fresh_vector(instance, ordering, applicant, instance.prefs[applicant])
+    live = live_in_base(instance, ordering, applicant)
     lists = itertools.islice(misreport_space(instance, applicant), examined)
-    return sum(bound(instance, applicant, prefs) <= truthful for prefs in lists)
+    return sum(bound(instance, applicant, prefs, live) <= truthful for prefs in lists)
 
 
 def merging_counterexample():
@@ -481,26 +496,31 @@ def test_a_list_that_merges_true_ties_can_change_her_vector_after_her_last_stage
 
 
 def merging_case_the_bound_keeps():
-    """As ``merging_counterexample``, but a1's truthful outcome, her second
-    true tie, is not her best, so the search runs the merging list: after
-    her only stage she holds c1, and a2's last stage moves her to c2."""
+    """As ``merging_counterexample``, but a1's truthful outcome is not her
+    best among the courses live in her base, so the search runs the merging
+    list. a5 fills c5 before her first stage, so c5 is dead. She takes c1,
+    a3 fills c2, and her second stage takes c3 of the merged tie ( c3 c4 );
+    a4's stage, the last, moves her to c4. She needs a quota of 2: her first
+    stage takes a course of her best live tie, so with one stage no list
+    could beat the truthful one."""
     inst = parse_instance(
-        "courses: c1=2 c2=1 c3=1\n"
-        "applicant a1 quota=1 prefs: ( c3 ) ( c1 ) ( c2 )\n"
-        "applicant a2 quota=2 prefs: ( c1 ) ( c2 c3 )\n"
-        "applicant a3 quota=2 prefs: ( c1 c2 )\n"
-        "applicant a4 quota=1 prefs: ( c3 ) ( c2 )\n")
-    return inst, ("a4", "a1", "a3", "a2", "a3", "a2"), [["c3"], ["c1", "c2"]]
+        "courses: c1=1 c2=1 c3=1 c4=1 c5=1\n"
+        "applicant a1 quota=2 prefs: ( c5 ) ( c1 ) ( c2 ) ( c3 ) ( c4 )\n"
+        "applicant a2 quota=1 prefs: ( c1 )\n"
+        "applicant a3 quota=1 prefs: ( c2 )\n"
+        "applicant a4 quota=1 prefs: ( c3 )\n"
+        "applicant a5 quota=1 prefs: ( c5 )\n")
+    return inst, ("a5", "a1", "a2", "a3", "a1", "a4"), [["c1"], ["c2"], ["c3", "c4"]]
 
 
 def test_the_search_runs_a_merging_list_to_the_end():
     inst, ordering, merged = merging_case_the_bound_keeps()
     truthful = fresh_vector(inst, ordering, "a1", inst.prefs["a1"])
     base = base_state(inst, ordering, "a1")
-    stopped = run_list(base, ordering, "a1", merged, stop=2)  # after her only stage
-    assert truthful == her_vector(inst, stopped, "a1") == (0, 1, 0)
-    assert fresh_vector(inst, ordering, "a1", merged) == (0, 0, 1)
-    assert bound(inst, "a1", merged) > truthful
+    stopped = run_list(base, ordering, "a1", merged, stop=5)  # after her last stage
+    assert truthful == her_vector(inst, stopped, "a1") == (0, 1, 0, 1, 0)
+    assert fresh_vector(inst, ordering, "a1", merged) == (0, 1, 0, 0, 1)
+    assert bound(inst, "a1", merged, live_in_base(inst, ordering, "a1")) > truthful
 
     search, runs = searched_with_final_vectors(inst, ordering, "a1")
     assert search == reference_misreport(inst, ordering, "a1")
@@ -584,6 +604,26 @@ def test_no_fresh_run_beats_her_quota_best_listed_courses():
     assert reached > 100
 
 
+def test_no_fresh_run_gives_her_a_course_her_base_cannot_lead_to_the_sink():
+    """Over the same instances, the base's ``live_courses`` are the
+    reference's, no list of the space gives her a course outside them in a
+    fresh full run, so her vector never beats the bound within them. Some
+    lists reach that bound, and for some it is below the bound over every
+    listed course."""
+    reached = tighter = 0
+    for inst, ordering, a in small_cases(120, 307):
+        live = base_state(inst, ordering, a).live_courses()
+        assert live == live_in_base(inst, ordering, a)
+        for prefs in misreport_space(inst, a):
+            held = run_gsdt(with_prefs(inst, a, prefs), ordering).matching.of_applicant(a)
+            assert held <= live, prefs
+            got, best = characteristic_vector(inst, a, held), bound(inst, a, prefs, live)
+            assert got <= best, prefs
+            reached += got == best
+            tighter += best < bound(inst, a, prefs)
+    assert (reached, tighter) == (826, 207)
+
+
 def round_robin(instance):
     """Each applicant once per round, in file order, while she has quota."""
     rounds = range(max(instance.quota.values()))
@@ -626,7 +666,7 @@ def test_the_bound_skips_some_lists_and_runs_the_rest_on_bench_shaped_instances(
         f = search.status is MisreportStatus.FOUND
         assert len(ran) == 1 + search.examined - s + 2 * f
         skipped, runs, found = skipped + s, runs + len(ran), found + f
-    assert (skipped, runs, found) == (2602, 1260, 2)
+    assert (skipped, runs, found) == (3769, 93, 2)
 
 
 @st.composite
