@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, KeysView, Sequence
 
@@ -19,15 +19,15 @@ from .errors import (
 
 MAX_QUOTA = 2**31 - 1
 
-# Characters with syntactic meaning in the file formats; ids may not use them.
-_ID_FORBIDDEN = set("()=#")
+# Ids may not use whitespace (``\s`` matches what ``str.isspace`` does) or ``()=#``.
+_ID_FORBIDDEN = re.compile(r"[\s()=#]")
 
 PreferenceList = tuple[frozenset[str], ...]
 PriorityOrdering = tuple[str, ...]
 
 
 def _check_id(token: str, role: str) -> None:
-    if not token or any(ch.isspace() or ch in _ID_FORBIDDEN for ch in token):
+    if not token or _ID_FORBIDDEN.search(token):
         raise InstanceSemanticError(f"invalid {role} id {token!r}")
 
 
@@ -74,15 +74,17 @@ class Instance:
     @staticmethod
     def build(
         courses: Sequence[tuple[str, int]],
-        applicants: Sequence[tuple[str, int, Sequence[Iterable[str]]]],
+        applicants: Iterable[tuple[str, int, Sequence[Iterable[str]]]],
     ) -> "Instance":
         """Validate and construct an instance.
 
-        ``courses`` holds (id, capacity) pairs, ``applicants`` holds
-        (id, quota, ties) triples where ``ties`` is a sequence of course-id
-        groups, most preferred first. Raises InstanceSemanticError on
-        duplicate ids, dangling course references, out-of-range quotas,
-        empty ties, or a course appearing twice in a preference list.
+        ``courses`` holds (id, capacity) pairs, ``applicants`` any iterable
+        of (id, quota, ties) triples, read once, in order, after the courses
+        (``parse_instance`` yields each line's once its syntax is checked);
+        ``ties`` is a sequence of course-id groups, most preferred first.
+        Raises InstanceSemanticError on duplicate ids, dangling course
+        references, out-of-range quotas, empty ties, or a course appearing
+        twice in a preference list.
         """
         capacity: dict[str, int] = {}
         for cid, cap in courses:
@@ -176,8 +178,45 @@ def _parse_int(digits: str, what: str, text: str, lineno: int, index: int) -> in
                       f"{what} must be an integer, got {digits!r}") from None
 
 
+def _applicant(text: str, lineno: int, words: list[str],
+               ids: dict[str, str]) -> tuple[str, int, list[list[str]]]:
+    """(id, quota, ties) of one applicant line, after its syntax checks."""
+    # A missing word is reported at the line's last one.
+    last = len(words) - 1
+    if words[0] != "applicant":
+        raise _syntax(text, lineno, 0, "expected 'applicant'")
+    if last < 1:
+        raise _syntax(text, lineno, last, "expected an applicant id")
+    if last < 2 or not words[2].startswith("quota="):
+        raise _syntax(text, lineno, min(2, last), "expected quota=<n>")
+    b = _parse_int(words[2][len("quota="):],
+                   f"quota of applicant {words[1]!r}", text, lineno, 2)
+    if last < 3 or words[3] != "prefs:":
+        raise _syntax(text, lineno, min(3, last), "expected 'prefs:'")
+
+    ties: list[list[str]] = []
+    group: list[str] | None = None
+    for i, word in enumerate(words[4:], start=4):
+        if word == "(":
+            if group is not None:
+                raise _syntax(text, lineno, i, "nested '(' in tie group")
+            group = []
+        elif word == ")":
+            if group is None:
+                raise _syntax(text, lineno, i, "')' without matching '('")
+            ties.append(group)
+            group = None
+        elif group is None:
+            raise _syntax(text, lineno, i, f"expected '(', got {word!r}")
+        else:
+            group.append(ids.get(word, word))  # an unknown id stays, for build to report
+    if group is not None:
+        raise _syntax(text, lineno, last, "unclosed tie group")
+    return words[1], b, ties
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file, a line at a time.
+    """Parse an instance file, building each applicant as its line is read.
 
     Raises InstanceSyntaxError (with line/column) for malformed text and
     InstanceSemanticError for rule violations such as duplicate ids or
@@ -201,42 +240,13 @@ def parse_instance(text: str) -> Instance:
         courses.append((cid, _parse_int(qtext, f"quota of course {cid!r}", text, lineno, i)))
         ids[cid] = cid
 
-    applicants: list[tuple[str, int, list[list[str]]]] = []
-    for lineno, words in lines:
-        # A missing word is reported at the line's last one.
-        last = len(words) - 1
-        if words[0] != "applicant":
-            raise _syntax(text, lineno, 0, "expected 'applicant'")
-        if last < 1:
-            raise _syntax(text, lineno, last, "expected an applicant id")
-        if last < 2 or not words[2].startswith("quota="):
-            raise _syntax(text, lineno, min(2, last), "expected quota=<n>")
-        b = _parse_int(words[2][len("quota="):],
-                       f"quota of applicant {words[1]!r}", text, lineno, 2)
-        if last < 3 or words[3] != "prefs:":
-            raise _syntax(text, lineno, min(3, last), "expected 'prefs:'")
-
-        ties: list[list[str]] = []
-        group: list[str] | None = None
-        for i, word in enumerate(words[4:], start=4):
-            if word == "(":
-                if group is not None:
-                    raise _syntax(text, lineno, i, "nested '(' in tie group")
-                group = []
-            elif word == ")":
-                if group is None:
-                    raise _syntax(text, lineno, i, "')' without matching '('")
-                ties.append(group)
-                group = None
-            elif group is None:
-                raise _syntax(text, lineno, i, f"expected '(', got {word!r}")
-            else:
-                group.append(ids.get(word, word))  # an unknown id stays, for build to report
-        if group is not None:
-            raise _syntax(text, lineno, last, "unclosed tie group")
-        applicants.append((words[1], b, ties))
-
-    return Instance.build(courses, applicants)
+    applicants = (_applicant(text, lineno, words, ids) for lineno, words in lines)
+    try:
+        return Instance.build(courses, applicants)
+    except InstanceSemanticError as error:
+        semantic = error
+    deque(applicants, maxlen=0)  # a later line's syntax error comes first, unchained
+    raise semantic
 
 
 def format_preference_list(ties: Sequence[Iterable[str]]) -> str:

@@ -312,15 +312,15 @@ def find_beneficial_misreport(
     prefers, under her true preferences, to the truthful outcome.
 
     The stages before her first one read no list of hers, so they are served
-    once, into a base state that holds nothing of hers. Each list that runs,
-    the truthful one first, runs from a copy of that base (``run_list``);
-    her outcome is read off her own ties. A list whose ties each lie inside a
-    true tie, the truthful one included, runs only to ``last``, the stage
-    after her last: from there her source and tie capacities stay fixed and
-    later paths move her only within a tie of the list (nobody ever trades
-    down), so her per-true-tie counts, all ``compare_sets`` reads, are final.
-    A list merging true ties runs in full, and so do both lists of a FOUND,
-    whose sets are those of full runs.
+    once, into a base state that holds nothing of hers. Every run starts from
+    a copy of that base (``run_list``), the truthful list's first; the space
+    lists it again, and then it is counted, not rerun. Her outcome is read
+    off her own ties. A list whose ties each lie inside a true tie, the
+    truthful one included, runs only to ``last``, the stage after her last:
+    from there her source and tie capacities stay fixed and later paths move
+    her only within a tie of the list (nobody trades down), so her
+    per-true-tie counts, all ``compare_sets`` reads, are final. A list merging
+    true ties runs in full, as do both lists of a FOUND (sets of full runs).
 
     A list runs only if it could win. Her outcome under it is at most
     ``quota`` of the courses it names (the ordering serves her that many
@@ -366,8 +366,8 @@ def find_beneficial_misreport(
         if examined > search_limit:
             return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined - 1)
         best = sorted((c for c in itertools.chain(*fabricated) if c in live),
-                      key=lambda c: instance.tie_of(applicant, c))
-        if prefers(best[:instance.quota[applicant]]) and prefers(outcome(fabricated)):
+                      key=lambda c: instance.tie_of(applicant, c))[:instance.quota[applicant]]
+        if fabricated != truthful and prefers(best) and prefers(outcome(fabricated)):
             finding = MisreportFinding(
                 applicant, truthful, tuple(fabricated), tuple(ordering),
                 outcome(truthful, full=True), outcome(fabricated, full=True), True)

@@ -277,7 +277,7 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
 def test_a_search_adds_no_tie_capacity_to_its_base():
     """The base assert reads tie capacities without creating an entry, and
     the runs from copies of the base add none to it either. The liar is a3:
-    her base holds a2's first stage, and her search makes 17 runs."""
+    her base holds a2's first stage, and her search makes 16 runs."""
     inst = worked_example("walkthrough")
     real, bases = run_list, []
 
@@ -467,13 +467,15 @@ def bound(instance, applicant, prefs, live=None):
 
 
 def skipped_lists(instance, ordering, applicant, examined):
-    """How many of the first ``examined`` lists cannot beat the truthful
-    outcome within the base's live set, so that the search counts them
-    without a run."""
-    truthful = fresh_vector(instance, ordering, applicant, instance.prefs[applicant])
+    """How many of the first ``examined`` lists the search counts without a
+    run: the truthful list, which ran before them, and those that cannot
+    beat the truthful outcome within the base's live set."""
+    true = instance.prefs[applicant]
+    truthful = fresh_vector(instance, ordering, applicant, true)
     live = live_in_base(instance, ordering, applicant)
     lists = itertools.islice(misreport_space(instance, applicant), examined)
-    return sum(bound(instance, applicant, prefs, live) <= truthful for prefs in lists)
+    return sum(prefs == true or bound(instance, applicant, prefs, live) <= truthful
+               for prefs in lists)
 
 
 def merging_counterexample():
@@ -657,8 +659,8 @@ def test_a_liar_with_her_best_outcome_runs_only_the_truthful_list(k):
 
 
 def test_the_bound_skips_some_lists_and_runs_the_rest_on_bench_shaped_instances():
-    """Per search: the truthful run, one run per list the bound keeps, and
-    the two full runs of a FOUND. The totals are pinned."""
+    """Per search: the truthful run, one run per other list the bound keeps,
+    and the two full runs of a FOUND. The totals are pinned."""
     skipped = runs = found = 0
     for inst, ordering in BENCH_SHAPED:
         search, ran = searched_with_final_vectors(inst, ordering, "a1")
@@ -666,7 +668,30 @@ def test_the_bound_skips_some_lists_and_runs_the_rest_on_bench_shaped_instances(
         f = search.status is MisreportStatus.FOUND
         assert len(ran) == 1 + search.examined - s + 2 * f
         skipped, runs, found = skipped + s, runs + len(ran), found + f
-    assert (skipped, runs, found) == (3769, 93, 2)
+    assert (skipped, runs, found) == (3772, 90, 2)
+
+
+def test_no_search_runs_a_list_to_the_same_stop_twice():
+    """The space lists the truthful list again after it has run first. Its
+    bound may let it through, yet a rerun to the same stop could only tie
+    with the truthful outcome, so the search makes none."""
+    rerun_before = 0
+    for inst, ordering in BENCH_SHAPED:
+        real, runs = run_list, []
+
+        def spy(base, ordering, applicant, prefs, stop=None):
+            runs.append((tuple(map(frozenset, prefs)), stop))
+            return real(base, ordering, applicant, prefs, stop)
+
+        with mock.patch.object(oracle, "run_list", spy):
+            search = find_beneficial_misreport(inst, ordering, "a1")
+        assert len(set(runs)) == len(runs)
+        true = inst.prefs["a1"]
+        listed = true in itertools.islice(misreport_space(inst, "a1"), search.examined)
+        live = live_in_base(inst, ordering, "a1")
+        rerun_before += listed and bound(inst, "a1", true, live) > fresh_vector(
+            inst, ordering, "a1", true)
+    assert rerun_before == 3
 
 
 @st.composite

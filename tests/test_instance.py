@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,33 @@ def test_syntax_error_reports_position():
         assert exc.column == 14
     else:
         pytest.fail("no error raised")
+
+
+@pytest.mark.parametrize("text", [
+    "courses: c1=1\napplicant a1 quota=1 prefs: ( c9 )\napplicant a2 quota=1 prefs: ( c1\n",
+    "courses: c1=1 c1=2\napplicant a1 quota=1 prefs: ( c1 )\napplicant a2 quota=1 prefs: c1\n",
+], ids=["applicant", "header"])
+def test_a_later_syntax_error_is_raised_unchained(text):
+    """A syntax error on line 3 comes before the semantic error found first,
+    and is not raised while handling it."""
+    with pytest.raises(InstanceSyntaxError, match="^line 3, ") as raised:
+        parse_instance(text)
+    assert raised.value.__context__ is None
+
+
+def test_the_parse_holds_only_the_current_lines_words():
+    """Each applicant is built as its line is parsed, so the parse peaks
+    little above what the parsed instance holds (tracemalloc). A parse that
+    kept every line's words until the build peaked at about 1.8 times."""
+    text = serialize_instance(generate_random_instance(640, 100, 3, 4, 0.4, 1))
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.applicants) == 640
+    assert peak / held < 1.4
 
 
 @pytest.mark.parametrize(
@@ -227,8 +255,14 @@ def test_parse_matching_pairs(t1):
 
 
 def test_build_rejects_bad_ids():
-    with pytest.raises(InstanceSemanticError):
-        Instance.build([("c 1", 1)], [])
+    # Every character ``str.split`` splits on, as ``str.isspace`` names them;
+    # a zero-width space, which it keeps, is allowed.
+    spaces = [ch for ch in map(chr, range(0x3001)) if ch.isspace()]
+    assert len(spaces) == 29
+    for ch in spaces:
+        with pytest.raises(InstanceSemanticError, match="invalid course id"):
+            Instance.build([(f"c{ch}1", 1)], [])
+    assert Instance.build([("c\u200b1", 1)], []).courses == ("c\u200b1",)
     with pytest.raises(InstanceSemanticError):
         Instance.build([("c1", 1)], [("a=1", 1, [])])
     with pytest.raises(InstanceSemanticError, match="empty tie"):

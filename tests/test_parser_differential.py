@@ -309,6 +309,15 @@ def mutated_corpus(rounds: int, seed: int = 12):
 # Texts no mutation of a valid one is likely to reach.
 EDGE_TEXTS = ["", "\n\n", "# only a comment\n", " \t\r\n", "courses:", "courses:\r\n",
               "\ufeffcourses: c1=1\n", "courses: c1=1\napplicant", "courses: c1=1\n(\n"]
+# A syntax error on any line comes before a semantic error on an earlier
+# one, or in the header, which is checked before any applicant line is read.
+EDGE_TEXTS += [
+    "courses: c1=1\napplicant a1 quota=1 prefs: ( c9 )\napplicant a2 quota=x prefs: ( c1 )\n",
+    "courses: c1=1 c1=2\napplicant a1 quota=1 prefs: ( c1 )\napplicant a2 quota=1 prefs: ( c1\n",
+    "courses: c1=1\napplicant a1 quota=1 prefs: ( c1 )\napplicant a1 quota=1 prefs: ( c1 )\n"
+    "applicant a3 quota=1 prefs: ( c1 )\napplicant a4 quota=1 prefs: c1\n",
+    "courses: c1=1 c1=2\napplicant a1 quota=1 prefs: ( c1 )\n",
+]
 
 # Every message the three parsers give an InstanceSyntaxError.
 SYNTAX_MESSAGES = [
