@@ -57,8 +57,8 @@ class EnvyGraph:
     lists every applicant and pair. A real node's ``out`` holds only hubs:
     the fan for an exposed course, else the hubs it envies, unordered.
     Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
-    ``nodes``, the expanded ascending ``succ`` and ``arcs`` are views derived
-    on first read; the verdict path reads none of them."""
+    ``nodes`` and the expanded ``arcs`` are views derived on first read; the
+    verdict path reads neither."""
 
     applicants: tuple[str, ...]
     courses: tuple[str, ...]
@@ -78,16 +78,11 @@ class EnvyGraph:
         return tuple(map(self.node, range(len(self.hub_of))))
 
     @cached_property
-    def succ(self) -> list[Sequence[int]]:
-        comp = dict.fromkeys(range(len(self.out)), 0)
-        return [_expanded(self, i, comp, 0) for i in range(len(self.hub_of))]
-
-    @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """All expanded arcs as (tail, head, weight), in canonical order."""
-        n = self.nodes
+        n, comp = self.nodes, dict.fromkeys(range(len(self.out)), 0)
         return tuple((n[u], n[v], -1 if self.hub_of[v] in self.strict[u] else 0)
-                     for u, outs in enumerate(self.succ) for v in outs)
+                     for u in range(len(n)) for v in _expanded(self, u, comp, 0))
 
 
 def _expanded(graph: EnvyGraph, i: int, comp: Mapping[int, int], cc: int) -> Sequence[int]:
@@ -155,7 +150,7 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     and deterministic. O(V + E) on the stored graph, plus the hubs expanded.
     """
     out, strict, size = graph.out, graph.strict, len(graph.hub_of)
-    components = strongly_connected_components(range(len(out)), out)
+    components = strongly_connected_components(out)
     comp = {v: i for i, members in enumerate(components) for v in members}
     for tail in range(size):
         # No arc is a loop, so a node alone in its component closes no cycle. A
@@ -326,17 +321,11 @@ def _unroll_cycle(
 
 
 def extract_improving_coalition(
-    instance: Instance, matching: Matching, witness: CycleWitness
-) -> ImprovingCoalition:
-    """Turn a negative-cycle witness into a valid improving coalition."""
-    graph = build_envy_graph(instance, matching)
-    return _coalition_from_witness(instance, matching, graph, witness)
-
-
-def _coalition_from_witness(
     instance: Instance, matching: Matching, graph: EnvyGraph, witness: CycleWitness
 ) -> ImprovingCoalition:
-    """Validate the witness against ``graph``, then unroll and reduce it."""
+    """Check each arc of ``witness`` against ``graph``, then unroll and reduce
+    the cycle into a coalition valid for ``matching``; ``CoalitionError`` if
+    either step fails, as it may when ``graph`` is another matching's."""
     cycle = list(witness.nodes)
     if not cycle:
         raise CoalitionError("empty witness cycle")
@@ -381,5 +370,5 @@ def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     if witness is None:
         matching._optimal_in = instance
         return ParetoCheck(True)
-    coalition = _coalition_from_witness(instance, matching, graph, witness)
+    coalition = extract_improving_coalition(instance, matching, graph, witness)
     return ParetoCheck(False, coalition, satisfy_coalition(instance, matching, coalition))

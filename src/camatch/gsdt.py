@@ -458,7 +458,7 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
             succ.extend(ids[a2, c2] for a2 in matching.of_course(c2))
         adj.append(sorted(succ))
 
-    components = strongly_connected_components(range(len(pairs)), adj)
+    components = strongly_connected_components(adj)
     return [pairs[i] for comp in components for i in sorted(comp)]
 
 

@@ -9,26 +9,23 @@ nodes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
-def strongly_connected_components(
-    nodes: Iterable[int], succ: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Iterative Tarjan; ``succ[v]`` is the successor list of node ``v``.
-
-    Nodes are ints ``0..len(succ)-1``; ``nodes`` gives the roots in the order
-    to try them.
+def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan on nodes ``0..len(succ)-1``; ``succ[v]`` is the
+    successor list of node ``v``.
 
     A component completes only after everything it can reach, so components
-    come back in completion order, which is sinks first. Roots are taken in
-    node order and successors in list order, so the result is deterministic.
+    come back in completion order, which is sinks first. Roots are tried in
+    ascending order and successors in list order, so the result is
+    deterministic.
     """
     index, low, stack_pos, outs = ([-1] * len(succ) for _ in range(4))  # -1: unset
     stack: list[int] = []
     components: list[list[int]] = []
     visits = 0
-    for root in nodes:
+    for root in range(len(succ)):
         if index[root] >= 0:
             continue
         path = [root]

