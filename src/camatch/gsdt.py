@@ -113,24 +113,23 @@ class FlowNetwork:
         return {v[1] for v in reached if v[0] == "crs"}
 
     def matching(self) -> Matching:
-        return Matching(
-            (a, c) for c, held in self.holders.items() for a, _ in held)
+        return Matching((a, c) for c, held in self.holders.items() for a, _ in held)
 
     def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
-        path toggle, which adds and removes matched pairs. The path's first
-        tie, the probed one, is marked dead once it holds all its courses."""
-        for u, v in zip(path[2:], path[3:]):
-            if u[0] == "tie":
-                held = self.holders[v[1]]
-                assert (u[1], u[2]) not in held
-                held.add((u[1], u[2]))
-            elif v[0] == "tie":
-                self.holders[u[1]].remove((v[1], v[2]))
+        path toggle, which adds and removes matched pairs. The probed tie,
+        the path's first, is marked dead once it holds all its courses, that
+        is once its capacity (the courses it holds, ``check``) is its size."""
+        for taker, course, giver in zip(path[2::2], path[3::2], path[4::2]):
+            held, key = self.holders[course[1]], (taker[1], taker[2])
+            assert key not in held
+            held.add(key)
+            if giver[0] == "tie":  # not the sink
+                held.remove((giver[1], giver[2]))
         self.flow_snk[path[-2][1]] += 1
         self.free -= 1
         _, a, t = path[2]
-        if all((a, t) in self.holders[c] for c in self.instance.prefs[a][t]):
+        if self.cap_tie.get((a, t)) == len(self.instance.prefs[a][t]):
             self.dead.add(path[2])
 
     def check(self, ties: Iterable[tuple[str, int]] | None = None,
@@ -150,8 +149,11 @@ class FlowNetwork:
                 assert c in inst.prefs[a][t]
         if courses is None:
             assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
-        for a, t in () if ties is None else ties:
-            assert cap_tie.get((a, t), 0) == sum((a, t) in holders[c] for c in inst.prefs[a][t])
+        for key in () if ties is None else ties:
+            held = 0
+            for c in inst.prefs[key[0]][key[1]]:
+                held += key in holders[c]
+            assert cap_tie.get(key, 0) == held
         if ties is None:
             counted, out = {}, dict.fromkeys(inst.applicants, 0)
             for held in holders.values():
@@ -172,12 +174,9 @@ class GuidedToward:
     target: Matching
 
 
-def find_augmenting_path(
-    net: FlowNetwork,
-    applicant: str,
-    tie: int,
-    guided_order: dict[tuple[str, int], list[str]] | None = None,
-) -> list[Node] | None:
+def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
+                         guided_order: dict[tuple[str, int], list[str]] | None = None,
+                         ) -> list[Node] | None:
     """Search the residual network for a source-sink path through the
     applicant's probed tie.
 
@@ -191,35 +190,29 @@ def find_augmenting_path(
     is the lexicographically least shortest one of the whole network. Dead
     nodes (``FlowNetwork.dead``) are skipped, and a dead probed tie fails at
     once, as does any probe with no free seat left (``FlowNetwork.free``); no
-    dead node reaches the sink, so the path is unchanged. A failed search
-    adds every node it reached to the dead set, a successful one none. Each
-    call appends its arc inspections to ``net.arc_visits``: |tie| for a tie
-    it expands, 1 + |holders| for a course, 0 when it fails at once.
+    dead node reaches the sink, so the path is unchanged. Each call appends
+    its arc inspections to ``net.arc_visits``: |tie| for a tie it expands,
+    1 + |holders| for a course, 0 when it fails at once.
 
     A ``guided_order`` (per ``(applicant, tie)``, a guided target's courses in
     that tie, ascending, from ``run_gsdt``) is tried first for the probed tie,
     one arc visit per course: its first that the tie does not hold and has a free seat is taken.
     """
-    inst = net.instance
-    holders = net.holders
-    dead = net.dead
-    visits = 0
-
-    def finish(path: list[Node] | None) -> list[Node] | None:
-        net.arc_visits.append(visits)
-        return path
-
+    inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
-    start = _tie(applicant, tie)
+    start = ("tie", applicant, tie)
     if start in dead or not net.free:
-        return finish(None)
+        net.arc_visits.append(visits)
+        return None
 
     if guided_order is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
-        for c in guided_order.get((applicant, tie), ()):
+        key = applicant, tie
+        for c in guided_order.get(key, ()):
             visits += 1
-            if (applicant, tie) not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
-                return finish([SRC, ("app", applicant), start, ("crs", c), SNK])
+            if key not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
+                net.arc_visits.append(visits)
+                return [SRC, ("app", applicant), start, ("crs", c), SNK]
 
     # Breadth-first search over live residual arcs, successors in ascending
     # key order; the sink's key sorts first, so a free course ends it at once.
@@ -227,10 +220,10 @@ def find_augmenting_path(
     queue = [start]
     for u in queue:  # the queue grows as the loop reads it
         if u[0] == "tie":
-            a, t = u[1], u[2]
-            courses = inst.prefs[a][t]
+            key = u[1], u[2]
+            courses = inst.prefs[key[0]][key[1]]
             visits += len(courses)
-            outs = [("crs", c) for c in courses if (a, t) not in holders[c]]
+            outs = [("crs", c) for c in courses if key not in holders[c]]
         else:
             c = u[1]
             held = holders[c]
@@ -244,13 +237,15 @@ def find_augmenting_path(
                 queue.append(v)
     else:  # no free course is reachable
         dead.update(parent)
-        return finish(None)
+        net.arc_visits.append(visits)
+        return None
+    net.arc_visits.append(visits)
     path = [SNK]
     node: Node | None = u
     while node is not None:
         path.append(node)
         node = parent[node]
-    return finish([SRC, ("app", applicant), *reversed(path)])
+    return [SRC, ("app", applicant), *reversed(path)]
 
 
 # ----------------------------------------------------------------------
@@ -270,38 +265,41 @@ def _stage(net: FlowNetwork, a: str,
 
     Raise her source capacity and probe her ties from ``net.curr[a]`` on;
     ``probe(t)`` gives a path through tie ``t`` or ``None``. A failed probe
-    rolls the tie capacity back and advances ``curr[a]``; the first success
-    augments. ``FlowNetwork.check`` then covers the ties probed and the ties
-    and courses on the path. Her bound ``out <= cap_src`` is left to the
-    full check: she gains a unit of source capacity and at most one of flow,
-    and the path's other ties each swap one course for another. With no free
-    seat her remaining ties fail unprobed, with 0 arc visits, as a slice of
-    ``_FAILED``, only ever replaced by a longer tuple. Then only ``cap_src[a]``
-    (her bound loosens) and ``curr[a]`` (read by no check) change: no check."""
+    rolls the tie capacity back and advances ``curr[a]``, and its record is
+    a slice of the shared ``_FAILED`` (only ever replaced by a longer tuple);
+    the first success augments. ``FlowNetwork.check`` (not under ``-O``)
+    then covers the ties probed and the ties and courses on the path. Her
+    bound ``out <= cap_src`` is left to the full check: she gains a unit of
+    source capacity and at most one of flow, and the path's other ties each
+    swap one course for another. With no free seat her remaining ties fail
+    unprobed, with 0 arc visits; only ``cap_src[a]`` (her bound loosens) and
+    ``curr[a]`` (read by no check) change: no check."""
     global _FAILED
     net.cap_src[a] += 1
     first, ties = net.curr[a], len(net.instance.prefs[a])
+    if len(_FAILED) < ties:
+        _FAILED = tuple(ProbeRecord(t, None) for t in range(2 * ties))
     if not net.free:
-        failed = _FAILED
-        if len(failed) < ties:
-            failed = _FAILED = tuple(ProbeRecord(t, None) for t in range(2 * ties))
         net.curr[a] = ties
         net.arc_visits += [0] * (ties - first)
-        return failed[first:ties]
-    path: Sequence[Node] = ()
-    probes = []
-    for t in range(first, ties):
-        net.cap_tie[a, t] += 1
+        return _FAILED[first:ties]
+    cap_tie, t, path = net.cap_tie, first, ()
+    while t < ties:
+        cap_tie[a, t] += 1
         path = probe(t) or ()
-        probes.append(ProbeRecord(t, tuple(path) or None))
         if path:
-            net.augment(path)
             break
-        net.cap_tie[a, t] -= 1
-        net.curr[a] += 1
-    net.check(ties=[(a, p.tie) for p in probes] + [u[1:] for u in path[3:] if u[0] == "tie"],
-              courses=[u[1] for u in path if u[0] == "crs"])
-    return tuple(probes)
+        cap_tie[a, t] -= 1
+        t += 1
+    net.curr[a] = t
+    probes = _FAILED[first:t]
+    if path:
+        net.augment(path)
+        probes, t = probes + (ProbeRecord(t, tuple(path)),), t + 1
+    if __debug__:  # the probed ties, then the ties and the courses on the path
+        net.check(ties=[(a, s) for s in range(first, t)] + [u[1:] for u in path[4:-1:2]],
+                  courses=[u[1] for u in path[3:-1:2]])
+    return probes
 
 
 @dataclass(frozen=True)
@@ -344,7 +342,8 @@ class GsdtResult:
         for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
             probes = _stage(net, a, {p.tie: p.path for p in recorded}.get)
             assert probes == recorded, f"stage {i}: the record breaks the stage rules"
-            net.check()
+            if __debug__:
+                net.check()
             stages.append(StageRecord(i, a, probes, net.matching(),
                                       tuple(sorted(net.curr.items()))))
         return tuple(stages)
@@ -362,18 +361,17 @@ class GsdtResult:
 def serve(net: FlowNetwork, stages: Sequence[str],
           guided_order: dict[tuple[str, int], list[str]] | None = None) -> None:
     """The stage loop: one ``_stage`` per entry, probed by the live search,
-    then the full check."""
+    then the full check; one probe callable reads each stage's applicant."""
+    def probe(t: int) -> list[Node] | None:
+        return find_augmenting_path(net, a, t, guided_order)
     for a in stages:
-        net.stage_probes.append(_stage(
-            net, a, lambda t: find_augmenting_path(net, a, t, guided_order)))
-    net.check()
+        net.stage_probes.append(_stage(net, a, probe))
+    if __debug__:
+        net.check()
 
 
-def run_gsdt(
-    instance: Instance,
-    ordering: Sequence[str],
-    policy: GuidedToward | None = None,
-) -> GsdtResult:
+def run_gsdt(instance: Instance, ordering: Sequence[str],
+             policy: GuidedToward | None = None) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
     Each entry of the ordering is one stage (``_stage``) probed by the live

@@ -72,6 +72,8 @@ def is_exposed_course(instance: Instance, matching: Matching, c: str) -> bool:
 def is_feasible(instance: Instance, matching: Matching) -> str | None:
     """Return None if the matching is feasible, else a description of the
     first violated constraint (unknown id, individual rationality, quota)."""
+    if matching._optimal_in is instance:  # it passed this scan before it was verified
+        return None
     bad = [(a, c) for a, c in matching.pairs if a not in instance.quota
            or c not in instance.capacity or c not in instance.acceptable(a)]
     if bad:  # the least violating pair is named

@@ -2,7 +2,11 @@
 tie-pointer monotonicity, ordering derivation."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +284,47 @@ def test_scoped_check_catches_corruption_at_its_course(t1, corrupt):
     net.check(ties=(), courses=("c2", "c3"))  # outside the scope
     with pytest.raises(AssertionError):
         net.check(ties=(), courses=("c1",))
+
+
+CHECK_REACHED = """
+import random
+from camatch import generate_random_instance, gsdt, run_gsdt
+from camatch.oracle import run_list
+
+inst = generate_random_instance(10, 5, 3, 4, 0.4, seed=3)
+ordering = [a for a in sorted(inst.applicants) for _ in range(inst.quota[a])]
+random.Random(0).shuffle(ordering)
+result = run_gsdt(inst, ordering)
+base = gsdt.FlowNetwork(inst)
+gsdt.serve(base, ordering[:ordering.index("a1")])
+
+def reached(self, ties=None, courses=None):
+    raise RuntimeError("check reached")
+
+gsdt.FlowNetwork.check = reached
+for name, call in [("run_gsdt", lambda: run_gsdt(inst, ordering)),
+                   ("stages", lambda: result.stages),
+                   ("run_list", lambda: run_list(base, ordering, "a1", inst.prefs["a1"]))]:
+    try:
+        call()
+        print(name, "skipped")
+    except RuntimeError:
+        print(name, "reached")
+"""
+
+
+@pytest.mark.parametrize("flags, status", [([], "reached"), (["-O"], "skipped")])
+def test_network_checks_run_unless_python_runs_with_O(flags, status):
+    # Each ``FlowNetwork.check`` call site sits under ``if __debug__:``, so
+    # ``python -O`` skips the checks and default runs keep every one.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, *flags, "-c", CHECK_REACHED],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [f"{name} {status}" for name in (
+        "run_gsdt", "stages", "run_list")] + [""]
 
 
 def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):

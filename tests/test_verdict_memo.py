@@ -113,3 +113,28 @@ def test_check_reachability_builds_one_graph_per_optimum(builds, t1):
     assert len(builds) == len(report.entries) == 11
     assert sorted(builds, key=lambda m: m.canonical_pairs()) == sorted(
         (e.pom for e in report.entries), key=lambda m: m.canonical_pairs())
+
+
+def test_a_verified_optimum_skips_the_pair_scan(monkeypatch):
+    # The kept verdict stands for a scan the matching passed before it was
+    # verified, so the guided replay's feasibility gate reads no pair; a
+    # matching verified under another instance object is scanned.
+    from camatch import GuidedToward, generate_random_instance, is_feasible, run_gsdt
+
+    inst = generate_random_instance(40, 15, 3, 4, 0.4, seed=1)
+    ordering = [a for a in sorted(inst.applicants) for _ in range(inst.quota[a])]
+    mu = run_gsdt(inst, ordering).matching
+    derived = derive_ordering(inst, mu)  # verifies mu and keeps the verdict
+    other = Instance.build(
+        [(c, inst.capacity[c]) for c in inst.courses],
+        [(a, inst.quota[a], [sorted(t) for t in inst.prefs[a]]) for a in inst.applicants])
+    assert other == inst and other is not inst
+
+    def no_scan(self, applicant):
+        raise AssertionError("a pair was scanned")
+
+    monkeypatch.setattr(Instance, "acceptable", no_scan)
+    assert is_feasible(inst, mu) is None
+    assert run_gsdt(inst, derived, GuidedToward(mu)).matching == mu
+    with pytest.raises(AssertionError, match="a pair was scanned"):
+        is_feasible(other, mu)
