@@ -28,10 +28,6 @@ _FAILED: tuple[ProbeRecord, ...] = ()  # ProbeRecord(t, None) at index t (see _s
 Node = tuple
 
 
-def _tie(a: str, t: int) -> Node:
-    return ("tie", a, t)
-
-
 def render_node(node: Node) -> str:
     if node == SRC:
         return "sigma"
@@ -89,28 +85,29 @@ class FlowNetwork:
         return new
 
     def live_courses(self) -> set[str]:
-        """The courses that reach the sink in the residual network: one
-        reverse breadth-first search from it over the three arc types the
-        search crosses (a free seat's course-sink arc, a tie's arc to a
-        course it lists and does not hold, a course's backward arc to a tie
-        that holds it); empty with no free seat. By the dead-set argument
-        above, no later stage of the run gives a course outside it to anyone."""
+        """The courses that reach the sink in the residual network, empty
+        with no free seat; by the dead-set argument above, no later stage of
+        the run gives a course outside it to anyone. Between stages every
+        applicant-to-tie arc is full, so no path to the sink crosses an
+        applicant, and a tie's arcs on such a path run in from a course it
+        holds and out to one it lists and does not hold. Contracted, a tie
+        passes liveness from the latter to the former, and a tie that holds
+        nothing passes none: one search over courses, from those with a free
+        seat, reads only the ties in ``holders``."""
         inst, holders = self.instance, self.holders
-        listers: defaultdict[str, list[Node]] = defaultdict(list)  # arcs into each course
-        for a, ties in inst.prefs.items():
-            for t, tie in enumerate(ties):
-                for c in tie:
-                    if (a, t) not in holders[c]:
-                        listers[c].append(_tie(a, t))
-        reached = {("crs", c) for c in inst.courses if self.flow_snk[c] < inst.capacity[c]}
-        queue = list(reached)
-        for v in queue:  # the queue grows as the loop reads it
-            preds = listers[v[1]] if v[0] == "crs" else [
-                ("crs", c) for c in inst.prefs[v[1]][v[2]] if v[1:] in holders[c]]
-            fresh = [u for u in preds if u not in reached]  # preds repeat no node
-            reached.update(fresh)
+        feeds: defaultdict[str, list[str]] = defaultdict(list)  # d -> courses live once d is
+        for c, keys in holders.items():
+            for a, t in keys:
+                for d in inst.prefs[a][t]:
+                    if (a, t) not in holders[d]:
+                        feeds[d].append(c)
+        live = {c for c in inst.courses if self.flow_snk[c] < inst.capacity[c]}
+        queue = list(live)
+        for d in queue:  # the queue grows as the loop reads it
+            fresh = set(feeds[d]) - live
+            live |= fresh
             queue += fresh
-        return {v[1] for v in reached if v[0] == "crs"}
+        return live
 
     def matching(self) -> Matching:
         return Matching((a, c) for c, held in self.holders.items() for a, _ in held)
@@ -320,9 +317,10 @@ class GsdtResult:
     ``stages`` and ``capacity_history`` are built on first read and cached.
     ``stages`` replays the recorded paths through ``_stage`` on a fresh
     network, with the full ``FlowNetwork.check`` after every stage, and
-    asserts that the rules re-derive the recorded probes, which only it does:
-    ``render_trace`` renders a forged record as it is. ``capacity_history``
-    holds the source-arc capacities before the first stage and after each one.
+    raises ``AssertionError``, under ``-O`` too, unless the rules re-derive
+    the recorded probes; ``render_trace`` renders a forged record as it is.
+    ``capacity_history`` holds the source-arc capacities before the first
+    stage and after each one.
     """
 
     instance: Instance
@@ -341,7 +339,8 @@ class GsdtResult:
         stages = []
         for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
             probes = _stage(net, a, {p.tie: p.path for p in recorded}.get)
-            assert probes == recorded, f"stage {i}: the record breaks the stage rules"
+            if probes != recorded:
+                raise AssertionError(f"stage {i}: the record breaks the stage rules")
             if __debug__:
                 net.check()
             stages.append(StageRecord(i, a, probes, net.matching(),

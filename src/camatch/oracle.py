@@ -325,8 +325,8 @@ def find_beneficial_misreport(
     A list runs only if it could win. Her outcome under it is at most
     ``quota`` of the courses it names (the ordering serves her that many
     times) among the base's ``live_courses``. She holds nothing in the
-    base, so no arc leaves a course for a tie of hers and that set is the
-    same under every list of hers. Later augmentations add residual arcs
+    base, so no tie of hers passes liveness and that set is the same under
+    every list of hers. Later augmentations add residual arcs
     only out of nodes on their paths, which reach the sink, so a course
     outside the set is never on a path again and she never holds it. So
     under her true ties her outcome never beats her ``quota`` best listed
@@ -340,8 +340,8 @@ def find_beneficial_misreport(
     if applicant not in instance.quota:
         raise InstanceSemanticError(f"unknown applicant {applicant!r}")
     truthful = instance.prefs[applicant]
-    first = ordering.index(applicant) if applicant in ordering else len(ordering)
-    last = max((i + 1 for i, b in enumerate(ordering) if b == applicant), default=first)
+    first = ordering.index(applicant)  # she has a stage: her quota is at least 1
+    last = 1 + max(i for i, b in enumerate(ordering) if b == applicant)
     base = FlowNetwork(instance)
     serve(base, ordering[:first])
     ties = itertools.chain(base.cap_tie, *base.holders.values(),

@@ -457,6 +457,41 @@ def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, pro
         forged.stages
 
 
+FORGE_UNDER_O = """
+import dataclasses, sys
+from camatch import parse_instance, run_gsdt
+from camatch.gsdt import ProbeRecord
+
+path, ordering, stage, probe, tie = sys.argv[1], sys.argv[2].split(), *map(int, sys.argv[3:])
+result = run_gsdt(parse_instance(open(path).read()), ordering)
+probes = list(result.stage_probes[stage - 1])
+probes[probe] = ProbeRecord(tie, None)
+stage_probes = list(result.stage_probes)
+stage_probes[stage - 1] = tuple(probes)
+forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+print(__debug__)
+try:
+    forged.stages
+except AssertionError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
+def test_trace_rejects_a_forged_record_under_python_O(stage, probe, tie):
+    # The same forgery as above, in a ``python -O`` process, where every
+    # ``assert`` statement is skipped: the replay must still refuse it.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGE_UNDER_O, str(root / "fixtures" / "walkthrough.txt"),
+         " ".join(WALKTHROUGH_ORDERING), str(stage), str(probe), str(tie)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"False\nstage {stage}: the record breaks the stage rules\n"
+
+
 def test_trace_does_not_replay_the_stages(t1):
     # ``stages`` is a cached property, so it shows in vars() once built.
     canonical = run_gsdt(t1, WALKTHROUGH_ORDERING)

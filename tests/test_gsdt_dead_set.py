@@ -197,6 +197,37 @@ def test_live_courses_are_the_courses_that_reach_the_sink(monkeypatch):
     assert (full_and_live, cut_off) == (469, 1017)
 
 
+# (n1, n2): checks, checks with a free seat and a course not live, and the
+# least live set. At 160x40 the network fills; at 200x300 there are 743 seats
+# for 402 units of quota, so live sets stay large.
+LARGER_RUNS = {(160, 40): (31, 10, 0), (200, 300): (40, 40, 194)}
+
+
+@pytest.mark.parametrize("n1, n2", LARGER_RUNS)
+def test_live_courses_reach_the_sink_at_every_tenth_stage_of_larger_runs(monkeypatch, n1, n2):
+    """The cases above are at most 60x15. After every 10th stage of a
+    canonical file-order run, ``live_courses`` is the set of course nodes the
+    whole-network reference reaches."""
+    inst = generate_random_instance(n1, n2, 3, 4, 0.4, seed=1)
+    stage = gsdt._stage
+    served, sizes = 0, []
+
+    def checked(net, a, probe):
+        nonlocal served
+        probes = stage(net, a, probe)
+        served += 1
+        if served % 10 == 0:
+            live = net.live_courses()
+            assert live == {v[1] for v in sink_reachers(net) if v[0] == "crs"}
+            sizes.append((len(live), net.free > 0 and len(live) < n2))
+        return probes
+
+    monkeypatch.setattr(gsdt, "_stage", checked)
+    run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])])
+    assert (len(sizes), sum(cut for _, cut in sizes), min(size for size, _ in sizes)) \
+        == LARGER_RUNS[n1, n2]
+
+
 @pytest.mark.parametrize("k", range(len(CASES)))
 def test_canonical_path_is_the_whole_network_least_shortest_one(monkeypatch, k):
     """Every canonical probe returns the reference path of the whole residual
@@ -267,7 +298,7 @@ def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
     stage fails that tie at once."""
     net = gsdt.FlowNetwork(worked_example("manipulation"))
     gsdt.serve(net, ["a1"])
-    assert gsdt._tie("a1", 0) in net.dead
+    assert ("tie", "a1", 0) in net.dead
     gsdt.serve(net, ["a2", "a1"])
     assert net.stage_probes[2][0] == gsdt.ProbeRecord(0, None)
     assert net.arc_visits[2] == 0

@@ -22,7 +22,7 @@ from camatch import (
     InstanceSemanticError, OrderingError, generate_random_instance, parse_instance,
     render_trace, run_gsdt)
 from camatch import gsdt, oracle
-from camatch.gsdt import FlowNetwork, GsdtResult, _tie
+from camatch.gsdt import FlowNetwork, GsdtResult
 from camatch.matching import SetRelation, characteristic_vector, compare_sets
 from camatch.oracle import (
     MisreportFinding,
@@ -238,7 +238,7 @@ def test_a_copy_shares_no_container_with_its_original():
     for counts in (copied.cap_src, copied.cap_tie, copied.flow_snk, copied.curr):
         for key in counts:
             counts[key] += 1
-    copied.dead.add(_tie("zz", 0))
+    copied.dead.add(("tie", "zz", 0))
     copied.arc_visits.append(0)
     copied.stage_probes.append(())
     assert state_key(original) == before
@@ -246,7 +246,7 @@ def test_a_copy_shares_no_container_with_its_original():
 
 CORRUPTIONS = {
     "held": lambda net, a, t, c: net.holders[c].add((a, t)),
-    "dead": lambda net, a, t, c: net.dead.add(_tie(a, t)),
+    "dead": lambda net, a, t, c: net.dead.add(("tie", a, t)),
     "capacity": lambda net, a, t, c: net.cap_tie.__setitem__((a, t), 1),
 }
 

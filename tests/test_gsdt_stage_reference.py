@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import pytest
 
 from camatch import GuidedToward, derive_ordering, generate_random_instance, gsdt, run_gsdt
-from camatch.gsdt import SNK, SRC, FlowNetwork, Node, ProbeRecord, _tie
+from camatch.gsdt import SNK, SRC, FlowNetwork, Node, ProbeRecord
 from camatch.instance import with_prefs
 from camatch.oracle import misreport_space, run_list
 
@@ -86,7 +86,7 @@ def find_augmenting_path(
         return path
 
     # A dead tie has no free course to take directly either.
-    start = _tie(applicant, tie)
+    start = ("tie", applicant, tie)
     if start in dead or not net.free:
         return finish(None)
 
