@@ -262,20 +262,18 @@ def _sequence_error(
             return "alternating path needs r >= 1 with r+1 courses"
         if is_exposed_applicant(instance, matching, applicants[0]):
             return f"{applicants[0]} must be full"
-        if not is_exposed_course(instance, matching, courses[r]):
-            return f"terminal course {courses[r]} must be exposed"
     elif kind is CoalitionKind.AUGMENTING_PATH:
         if r < 1 or len(courses) != r:
             return "augmenting path needs r >= 1 with r courses"
         if not is_exposed_applicant(instance, matching, applicants[0]):
             return f"{applicants[0]} must be exposed"
-        if not is_exposed_course(instance, matching, courses[-1]):
-            return f"terminal course {courses[-1]} must be exposed"
     elif kind is CoalitionKind.CYCLIC:
         if r < 2 or len(courses) != r:
             return "cyclic coalition needs r >= 2 with r courses"
     else:  # pragma: no cover
         return f"unknown kind {kind}"
+    if kind is not CoalitionKind.CYCLIC and not is_exposed_course(instance, matching, courses[-1]):
+        return f"terminal course {courses[-1]} must be exposed"
 
     # Membership: each applicant holds the course before her and does not
     # hold the course after her.

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from camatch import (
+    CoalitionKind,
     GuidedToward,
     derive_ordering,
     generate_random_instance,
@@ -38,21 +39,30 @@ def random_feasible_matching(inst, seed):
     return Matching(chosen)
 
 
-# (n1, n2): instances, and how many climbed optima differ from the canonical
-# output under the file-order ordering (all of them).
-SIZES = {(40, 15): (30, 30), (80, 30): (15, 15), (160, 40): (3, 3)}
+CYCLIC, AUGMENTING = CoalitionKind.CYCLIC, CoalitionKind.AUGMENTING_PATH
+
+# (n1, n2): instances, how many climbed optima differ from the canonical
+# output under the file-order ordering (all of them), and the coalition
+# kinds the climbs meet: no alternating path at any of these sizes.
+SIZES = {
+    (40, 15): (30, 30, {CYCLIC, AUGMENTING}),
+    (80, 30): (15, 15, {CYCLIC}),
+    (160, 40): (3, 3, {CYCLIC}),
+}
 
 
 @pytest.mark.parametrize("n1, n2", SIZES)
 def test_climbed_optima_replay_exactly(n1, n2):
-    count, pinned = SIZES[n1, n2]
+    count, pinned, pinned_kinds = SIZES[n1, n2]
     differ = 0
+    kinds = set()
     for seed in range(100, 100 + count):
         inst = generate_random_instance(n1, n2, 3, 4, 0.4, seed)
         mu = random_feasible_matching(inst, seed)
         steps = 0
         while not (check := is_pareto_optimal(inst, mu)):
             assert pareto_dominates(inst, check.dominating, mu)
+            kinds.add(check.coalition.kind)
             mu, steps = check.dominating, steps + 1
         assert steps > 0  # the random start is dominated
         replay = run_gsdt(inst, derive_ordering(inst, mu), GuidedToward(mu))
@@ -60,3 +70,4 @@ def test_climbed_optima_replay_exactly(n1, n2):
         file_order = [a for a in inst.applicants for _ in range(inst.quota[a])]
         differ += run_gsdt(inst, file_order).matching != mu
     assert differ == pinned
+    assert kinds == pinned_kinds

@@ -252,6 +252,20 @@ def test_coalition_rejections(ex1, kind, applicants, courses, why):
     assert error is not None and why in error
 
 
+@pytest.mark.parametrize(
+    "kind,applicants,courses,pairs,error",
+    [
+        (CoalitionKind.AUGMENTING_PATH, ("a1",), ("c1",), [("a2", "c1")],
+         "terminal course c1 must be exposed"),
+        (CoalitionKind.ALTERNATING_PATH, ("a2",), ("c1", "c2"), [("a2", "c1"), ("a1", "c2")],
+         "terminal course c2 must be exposed"),
+    ],
+)
+def test_coalition_rejects_a_full_terminal_course(ex1, kind, applicants, courses, pairs, error):
+    coalition = ImprovingCoalition(kind, applicants, courses)
+    assert coalition_error(ex1, Matching(pairs), coalition) == error
+
+
 def test_coalition_rejects_repeats_only():
     # every positional condition holds; only the no-repetition rule trips
     inst = Instance.build(
