@@ -11,6 +11,7 @@ import argparse
 import gc
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .envy import is_pareto_optimal
@@ -62,9 +63,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.guided is not None:
         policy = GuidedToward(_load_matching(args.guided, instance))
     result = run_gsdt(instance, ordering, policy)
-    if args.trace:
-        for line in render_trace(result):
-            print(line)
+    trace = render_trace(result) if args.trace else iter(())
+    while chunk := list(islice(trace, 4096)):  # one write per 4,096 lines
+        sys.stdout.write("\n".join(chunk) + "\n")
     sys.stdout.write(serialize_matching_pairs(result.matching.pairs))
     return EXIT_OK
 

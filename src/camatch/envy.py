@@ -14,7 +14,9 @@ course and its holders, and one fan hub, shared by every exposed course,
 lists every applicant and pair. So |E| is C + A + 2P hub arcs, one arc per
 exposed course, per (exposed applicant, unheld acceptable course) and per
 (pair, weakly envied course), where the expanded graph repeats each arc into
-a hub once per node the hub lists.
+a hub once per node the hub lists. Only the fan lists applicants, and only
+exposed courses store an arc into it, so an applicant is on a cycle exactly
+when she reaches the fan.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 from .errors import CoalitionError
 from .instance import Instance
@@ -80,21 +82,19 @@ class EnvyGraph:
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """All expanded arcs as (tail, head, weight), in canonical order."""
-        n, comp = self.nodes, dict.fromkeys(range(len(self.out)), 0)
+        n = self.nodes
         return tuple((n[u], n[v], -1 if self.hub_of[v] in self.strict[u] else 0)
-                     for u in range(len(n)) for v in _expanded(self, u, comp, 0))
+                     for u in range(len(n)) for v in _expanded(self, u))
 
 
-def _expanded(graph: EnvyGraph, i: int, comp: Mapping[int, int], cc: int) -> Sequence[int]:
-    """Real node ``i``'s successors, ascending: the lists of its hubs in
-    component ``cc``; a hub outside lists no node inside."""
-    return sorted(v for h in graph.out[i] if comp[h] == cc for v in graph.out[h])
+def _expanded(graph: EnvyGraph, i: int) -> Sequence[int]:
+    """Real node ``i``'s successors, ascending: the lists of its hubs."""
+    return sorted(v for h in graph.out[i] for v in graph.out[h])
 
 
 @dataclass(frozen=True)
 class CycleWitness:
-    """A simple negative-cost cycle; consecutive nodes (wrapping around) are
-    joined by arcs of the graph."""
+    """A simple negative-cost cycle: arcs join consecutive nodes, wrapping."""
 
     nodes: tuple[Node, ...]
     weight: int
@@ -137,39 +137,58 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
     return EnvyGraph(applicants, courses, pairs, out, strict, hub_of)
 
 
+def _applicant_arc(graph: EnvyGraph) -> tuple[int, int] | None:
+    """The first -1 arc from an applicant into her component: to the least
+    node her hubs list that reaches the fan. A node a failed search reached
+    stays ``dead`` for every later search, as the target is always the fan."""
+    out, a, dead = graph.out, len(graph.applicants), set()
+    exposed = any(out[a:a + len(graph.courses)])  # else no arc enters the fan
+    for tail in (t for t in range(a) if exposed and out[t]):  # applicants with arcs
+        for head in _expanded(graph, tail):
+            stack = [] if head in dead else [head]
+            dead.add(head)  # a success ends the scan, so only failures stay
+            while stack:
+                step = [h for h in out[stack.pop()] if h not in dead]
+                if len(out) - 1 in step:
+                    return tail, head
+                dead.update(step)
+                stack += step
+    return None
+
+
 def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     """Find a negative-cost cycle from the strongly connected components.
 
     Arcs weigh 0 or -1, so a negative cycle exists exactly when some -1 arc
-    has both ends in one component. Hubs change no reachability between real
-    nodes, so Tarjan on the stored graph gives the expanded graph's
-    components. The first -1 arc in canonical order is closed by a
-    breadth-first shortest path inside its component, from head back to tail,
-    expanding each dequeued node's successors in ascending order until the
-    tail has its parent. The witness starts at the arc's tail and is simple
-    and deterministic. O(V + E) on the stored graph, plus the hubs expanded.
+    has both ends in one component. The first in canonical order leaves an
+    applicant if any does (``_applicant_arc``); else Tarjan on the stored
+    graph, whose hubs change no reachability between real nodes, finds it.
+    A breadth-first path from head to tail, successors in ascending order,
+    closes the cycle. Not kept in the component, it takes the same path: a
+    node the head reaches that reaches the tail is in the component, so no
+    node outside discovers one inside. O(V + E) stored, plus hubs expanded.
     """
     out, strict, size = graph.out, graph.strict, len(graph.hub_of)
-    components = strongly_connected_components(out)
-    comp = {v: i for i, members in enumerate(components) for v in members}
-    for tail in range(size):
-        # No arc is a loop, so a node alone in its component closes no cycle. A
-        # hub in the component lists nodes in it; the least is its least head.
-        cc = comp[tail]
-        if strict[tail] and len(components[cc]) > 1:
-            heads = [next(v for v in out[h] if comp[v] == cc)
-                     for h in out[tail] if h in strict[tail] and comp[h] == cc]
-            if heads:
-                head = min(heads)
-                break
-    else:
-        return None
-    parent = [-1] * size
+    if (arc := _applicant_arc(graph)) is None:
+        components = strongly_connected_components(out)
+        comp = {v: i for i, members in enumerate(components) for v in members}
+        for tail in range(size):
+            # No arc is a loop, so a lone node closes no cycle; a hub in cc lists its head.
+            cc = comp[tail]
+            if strict[tail] and len(components[cc]) > 1:
+                heads = [next(v for v in out[h] if comp[v] == cc)
+                         for h in out[tail] if h in strict[tail] and comp[h] == cc]
+                if heads:
+                    arc = tail, min(heads)
+                    break
+        else:
+            return None
+    tail, head = arc
+    parent, queue = [-1] * size, [head]
     parent[head] = head
-    queue = [head]
     for x in queue:  # breadth-first: the loop also visits appended nodes
-        for y in _expanded(graph, x, comp, cc):
-            if parent[y] < 0 and comp[y] == cc:
+        for y in _expanded(graph, x):
+            if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)
         if parent[tail] >= 0:
@@ -236,10 +255,7 @@ def reduce_pseudocoalition(
     kind, elements = pseudo.kind, pseudo.elements()
 
     rounds = len(elements)  # every repair strictly shortens the sequence
-    while True:
-        repeat = _first_repeat(elements)
-        if repeat is None:
-            break
+    while repeat := _first_repeat(elements):
         rounds -= 1
         if rounds < 0:  # pragma: no cover
             raise AssertionError("pseudocoalition reduction failed to shrink")

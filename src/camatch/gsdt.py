@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import envy
 from .errors import NotParetoOptimalError
@@ -404,27 +404,25 @@ def run_gsdt(instance: Instance, ordering: Sequence[str],
         stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits))
 
 
-def render_trace(result: GsdtResult) -> list[str]:
+def render_trace(result: GsdtResult) -> Iterator[str]:
     """Line-oriented stage trace, read off the record unchecked: the ordering
     gives each stage's applicant, a successful probe's path the course it adds.
 
-    One line per probed tie; a stage whose active tie is already exhausted
-    (no probe at all) renders a single line with ``tie=-``. Tie numbers are
-    1-based in the rendering.
+    Yields one line per probed tie; a stage whose active tie is already
+    exhausted (no probe at all) renders a single line with ``tie=-``. Tie
+    numbers are 1-based in the rendering.
     """
-    lines = []
     for i, (a, probes) in enumerate(zip(result.ordering, result.stage_probes), start=1):
         stage = f"stage={i} applicant={a}"
         if not probes:
-            lines.append(f"{stage} tie=- path=FAIL added=none")
+            yield f"{stage} tie=- path=FAIL added=none"
         for probe in probes:
             if probe.path is None:
                 shown, delta = "FAIL", "none"
             else:
                 shown = ",".join(render_node(n) for n in probe.path)
                 delta = f"{a},{probe.path[3][1]}"
-            lines.append(f"{stage} tie={probe.tie + 1} path={shown} added={delta}")
-    return lines
+            yield f"{stage} tie={probe.tie + 1} path={shown} added={delta}"
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,19 @@ replaced: same arcs, same witness, same coalition and dominating matching,
 on seeded instances of 5-80 applicants and 2-30 courses at three tie
 densities, plus 80x30 instances shaped like the benchmark's audit inputs.
 On the same cases the stored graph must keep its shape, real -> hub -> real
-with one fan hub, and its arc count is pinned at the 500x800 optimum."""
+with one fan hub, and its arc count is pinned at the 500x800 optimum. The
+cases reach every way the verifier decides: a witness from an applicant
+found by searches toward the fan alone, and Tarjan after the fan searches
+fail or when no course is exposed, for negative and positive verdicts."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
 
-from camatch import generate_random_instance, run_gsdt
+from camatch import envy, generate_random_instance, run_gsdt
 from camatch.envy import (
     CycleWitness,
     EnvyGraph,
@@ -130,13 +134,17 @@ def reference_certificate(instance, matching, graph, witness):
 
 
 # ----------------------------------------------------------------------
-# Seeded cases: the optimum, half of it, and one bounded greedy draw.
+# Seeded cases: the optimum, half of it, a bounded greedy draw and a greedy
+# draw that fills each applicant to quota where it can.
 # ----------------------------------------------------------------------
 
-def greedy_draw(instance, rng):
+def greedy_draw(instance, rng, fill=False):
     """One random greedy matching: applicants in shuffled order each take
     random acceptable courses with free seats, up to a random count within
-    their quota. One draw, never retried, so it may be Pareto optimal."""
+    their quota, or up to the quota itself with ``fill``. One draw, never
+    retried, so it may be Pareto optimal. A filled draw seldom leaves an
+    applicant exposed, so its witnesses tend to start at a pair even where
+    courses are exposed."""
     free = dict(instance.capacity)
     visit = sorted(instance.applicants)
     rng.shuffle(visit)
@@ -144,7 +152,7 @@ def greedy_draw(instance, rng):
     for a in visit:
         options = sorted(instance.acceptable(a))
         rng.shuffle(options)
-        want = rng.randint(0, instance.quota[a])
+        want = instance.quota[a] if fill else rng.randint(0, instance.quota[a])
         for c in options:
             if want == 0:
                 break
@@ -155,7 +163,9 @@ def greedy_draw(instance, rng):
     return Matching(pairs)
 
 
-def case_matchings(inst, rng):
+def case_matchings(inst, rng, fill_rng):
+    """The filled draw takes its own generator, so the other three kinds
+    stay the draws they were before it was added."""
     ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
     rng.shuffle(ordering)
     optimum = run_gsdt(inst, ordering).matching
@@ -164,6 +174,7 @@ def case_matchings(inst, rng):
         "optimum": optimum,
         "half": Matching(rng.sample(pairs, len(pairs) // 2)),
         "greedy": greedy_draw(inst, rng),
+        "filled": greedy_draw(inst, fill_rng, fill=True),
     }
 
 
@@ -183,9 +194,9 @@ CHUNKS = [INSTANCES[i:i + CHUNK] for i in range(0, len(INSTANCES), CHUNK)]
 
 
 def chunk_cases(chunk):
-    rng = random.Random(chunk)
+    rng, fill_rng = random.Random(chunk), random.Random(f"filled {chunk}")
     for inst in CHUNKS[chunk]:
-        for matching in case_matchings(inst, rng).values():
+        for matching in case_matchings(inst, rng, fill_rng).values():
             yield inst, matching
 
 
@@ -207,6 +218,31 @@ def test_hub_graph_equals_expanded_reference(chunk):
         assert graph.arcs == reference.arcs
 
 
+def regime(inst, matching):
+    """Where the witness starts ("a" or "p", or "positive" when there is
+    none), and whether some course is exposed, so that an arc enters the fan."""
+    witness = find_negative_cycle(build_envy_graph(inst, matching))
+    start = "positive" if witness is None else witness.nodes[0][0]
+    return start, any(is_exposed_course(inst, matching, c) for c in inst.courses)
+
+
+# Over the 1,248 cases; every ("p", True) case is a filled draw.
+REGIME_COUNTS = {("a", True): 494, ("p", True): 43, ("p", False): 330,
+                 ("positive", True): 63, ("positive", False): 318}
+
+
+@cache
+def regimes():
+    """Each regime's count over every case, and its first case."""
+    counts, first = Counter(), {}
+    for chunk in range(len(CHUNKS)):
+        for inst, matching in chunk_cases(chunk):
+            key = regime(inst, matching)
+            counts[key] += 1
+            first.setdefault(key, (inst, matching))
+    return counts, first
+
+
 def test_cases_cover_both_verdicts_and_all_shapes():
     assert len(INSTANCES) >= 300
     verdicts = [bool(is_pareto_optimal(inst, matching))
@@ -214,6 +250,35 @@ def test_cases_cover_both_verdicts_and_all_shapes():
     assert 10 <= sum(verdicts) <= len(verdicts) - 10
     sizes = [(len(inst.applicants), len(inst.courses)) for inst in INSTANCES]
     assert min(sizes) <= (10, 5) and (80, 30) in sizes
+    # An applicant's witness needs an arc into the fan, so ("a", False) is no
+    # regime; ("p", True) is a pair witness found after the fan searches fail.
+    assert regimes()[0] == REGIME_COUNTS
+
+
+# ----------------------------------------------------------------------
+# Only a witness from an applicant skips Tarjan.
+# ----------------------------------------------------------------------
+
+def test_an_applicant_witness_never_runs_tarjan(monkeypatch):
+    """Searches toward the fan find an applicant's witness, certificate and
+    all, with Tarjan refused; a pair witness, and a positive verdict with or
+    without an exposed course, still reach it."""
+    class TarjanRan(Exception):
+        pass
+
+    def refuse(succ):
+        raise TarjanRan
+
+    first = regimes()[1]
+    inst, matching = first["a", True]
+    expected = is_pareto_optimal(inst, matching)
+    monkeypatch.setattr(envy, "strongly_connected_components", refuse)
+    check = is_pareto_optimal(inst, matching)
+    assert not check and (check.coalition, check.dominating) == (
+        expected.coalition, expected.dominating)
+    for key in [("p", True), ("p", False), ("positive", True), ("positive", False)]:
+        with pytest.raises(TarjanRan):
+            find_negative_cycle(build_envy_graph(*first[key]))
 
 
 # ----------------------------------------------------------------------

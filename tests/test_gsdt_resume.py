@@ -83,7 +83,7 @@ def assert_equals_fresh(ordering, state, fresh, trace=True):
     assert resumed.stage_probes == fresh.stage_probes
     assert resumed.searches == fresh.searches
     assert resumed.arc_visits == fresh.arc_visits
-    assert not trace or render_trace(resumed) == render_trace(fresh)
+    assert not trace or list(render_trace(resumed)) == list(render_trace(fresh))
 
 
 def assert_resumes_like_fresh(instance, ordering, applicant, lists):

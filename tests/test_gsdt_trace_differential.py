@@ -119,13 +119,13 @@ def assert_same_run(instance, ordering, policy=None):
     assert got.matching == expected.matching
     assert got.searches == expected.searches
     assert got.arc_visits == expected.arc_visits
-    assert render_trace(got) == reference_render(expected.stages)
+    assert list(render_trace(got)) == reference_render(expected.stages)
     if isinstance(policy, GuidedToward):
         old = reference_run(instance, ordering, policy, pair_priority=True)
         assert got.matching == old.matching
         assert got.stage_probes == tuple(rec.probes for rec in old.stages)
         assert got.arc_visits == old.arc_visits
-        assert render_trace(got) == reference_render(old.stages)
+        assert list(render_trace(got)) == reference_render(old.stages)
         assert got.stages == old.stages
     assert got.stages == expected.stages
     assert got.capacity_history == expected.capacity_history
