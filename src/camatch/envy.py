@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import CoalitionError
 from .instance import Instance
@@ -59,21 +59,37 @@ class EnvyGraph:
     lists every applicant and pair. A real node's ``out`` holds only hubs:
     the fan for an exposed course, else the hubs it envies, unordered.
     Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
-    ``nodes`` and the expanded ``arcs`` are views derived on first read; the
-    verdict path reads neither."""
+    ``out_of(i)`` builds ``out[i]`` and ``strict[i]`` on first read, ``out``
+    and ``strict`` all the rest. ``nodes`` and the expanded ``arcs`` are
+    views derived on first read; the verdict path reads neither."""
 
     applicants: tuple[str, ...]
     courses: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
-    out: list[Sequence[int]]
-    strict: list[Collection[int]]
     hub_of: list[int]
+    _out: list[Sequence[int] | None]  # None until built
+    _strict: list[Collection[int] | None]
+    _build: Callable[[Iterable[int]], None]  # builds the given unbuilt slots in one loop
 
     def node(self, i: int) -> Node:
         a, c = len(self.applicants), len(self.courses)
         if i < a:
             return ("a", self.applicants[i])
         return ("c", self.courses[i - a]) if i < a + c else ("p", *self.pairs[i - a - c])
+
+    def out_of(self, i: int) -> Sequence[int]:
+        if self._out[i] is None:
+            self._build((i,))
+        return self._out[i]  # type: ignore[return-value]
+
+    @cached_property
+    def out(self) -> list[Sequence[int]]:
+        self._build([k for k, built in enumerate(self._out) if built is None])
+        return self._out  # type: ignore[return-value]
+
+    @cached_property
+    def strict(self) -> list[Collection[int]]:
+        return self.out and self._strict  # out, never empty, builds every strict set
 
     @cached_property
     def nodes(self) -> tuple[Node, ...]:
@@ -89,7 +105,7 @@ class EnvyGraph:
 
 def _expanded(graph: EnvyGraph, i: int) -> Sequence[int]:
     """Real node ``i``'s successors, ascending: the lists of its hubs."""
-    return sorted(v for h in graph.out[i] for v in graph.out[h])
+    return sorted(v for h in graph.out_of(i) for v in graph._out[h])  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)
@@ -109,46 +125,44 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
     size = first_pair + len(pairs)
     hub = {c: k for k, c in enumerate(courses, size)}
     hub_of = [-1] * len(applicants) + list(hub.values()) + [hub[c] for _, c in pairs]
-    out: list[Sequence[int]] = [()] * size + [[k] for k in range(len(applicants), first_pair)]
+    out = [None] * size + [[k] for k in range(len(applicants), first_pair)]
     for k in range(first_pair, size):
         out[hub_of[k]].append(k)  # type: ignore[attr-defined]
-    strict: list[Collection[int]] = [range(size, len(out))] * len(applicants) + [()] * len(courses)
+    strict = [range(size, len(out))] * len(applicants) + [()] * len(courses) + [None] * len(pairs)
 
     # Exposed courses reach every non-course node at cost 0, through the fan hub.
     fan = len(out)
     out.append([*range(len(applicants)), *range(first_pair, size)])
     for k, c in enumerate(courses, len(applicants)):
-        if is_exposed_course(instance, matching, c):
-            out[k] = [fan]
+        out[k] = [fan] if is_exposed_course(instance, matching, c) else ()
 
-    # Exposed applicants envy every acceptable course they do not hold, and
-    # the pairs holding it (never their own).
-    for k, a in enumerate(applicants):
-        if is_exposed_applicant(instance, matching, a):
-            out[k] = [hub[c] for c in instance.acceptable(a) - matching.of_applicant(a)]
+    def build(ids: Iterable[int]) -> None:
+        for k in ids:
+            if k < first_pair:  # an applicant, as every course's list is built
+                a = applicants[k]  # if exposed, she envies each acceptable course she lacks
+                out[k] = ([hub[c] for c in instance.acceptable(a) - matching.of_applicant(a)]
+                          if is_exposed_applicant(instance, matching, a) else ())
+            else:  # a pair ac envies each course a weakly prefers: -1 above c's tie, 0 in it
+                a, c = pairs[k - first_pair]
+                envied = [(hub[c2], w) for c2, w in weakly_envied(instance, matching, a, c)]
+                out[k] = [h for h, _ in envied]
+                strict[k] = {h for h, w in envied if w}
 
-    # A pair node ac reaches each course it weakly envies, and the pairs
-    # holding it; cost 0 within the same tie, -1 above it.
-    for k, (a, c) in enumerate(pairs, first_pair):
-        envied = [(hub[c2], w) for c2, w in weakly_envied(instance, matching, a, c)]
-        out[k] = [h for h, _ in envied]
-        strict.append({h for h, w in envied if w})
-
-    return EnvyGraph(applicants, courses, pairs, out, strict, hub_of)
+    return EnvyGraph(applicants, courses, pairs, hub_of, out, strict, build)
 
 
 def _applicant_arc(graph: EnvyGraph) -> tuple[int, int] | None:
     """The first -1 arc from an applicant into her component: to the least
     node her hubs list that reaches the fan. A node a failed search reached
     stays ``dead`` for every later search, as the target is always the fan."""
-    out, a, dead = graph.out, len(graph.applicants), set()
+    out, out_of, a, dead = graph._out, graph.out_of, len(graph.applicants), set()
     exposed = any(out[a:a + len(graph.courses)])  # else no arc enters the fan
-    for tail in (t for t in range(a) if exposed and out[t]):  # applicants with arcs
+    for tail in (t for t in range(a) if exposed and out_of(t)):  # applicants with arcs
         for head in _expanded(graph, tail):
             stack = [] if head in dead else [head]
             dead.add(head)  # a success ends the scan, so only failures stay
             while stack:
-                step = [h for h in out[stack.pop()] if h not in dead]
+                step = [h for h in out_of(stack.pop()) if h not in dead]
                 if len(out) - 1 in step:
                     return tail, head
                 dead.update(step)
@@ -168,11 +182,11 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     node the head reaches that reaches the tail is in the component, so no
     node outside discovers one inside. O(V + E) stored, plus hubs expanded.
     """
-    out, strict, size = graph.out, graph.strict, len(graph.hub_of)
     if (arc := _applicant_arc(graph)) is None:
+        out, strict = graph.out, graph.strict  # every list, built in one loop
         components = strongly_connected_components(out)
         comp = {v: i for i, members in enumerate(components) for v in members}
-        for tail in range(size):
+        for tail in range(len(strict)):  # the real nodes
             # No arc is a loop, so a lone node closes no cycle; a hub in cc lists its head.
             cc = comp[tail]
             if strict[tail] and len(components[cc]) > 1:
@@ -184,7 +198,7 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
         else:
             return None
     tail, head = arc
-    parent, queue = [-1] * size, [head]
+    parent, queue = [-1] * len(graph.hub_of), [head]
     parent[head] = head
     for x in queue:  # breadth-first: the loop also visits appended nodes
         for y in _expanded(graph, x):
@@ -193,11 +207,13 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
                 queue.append(y)
         if parent[tail] >= 0:
             break
+    if parent[tail] < 0:  # the head lies outside the tail's component
+        raise AssertionError(f"head {head} does not reach tail {tail} of arc {tail} -> {head}")
     back = [tail]  # the BFS path read backwards, tail to head
     while back[-1] != head:
         back.append(parent[back[-1]])
-    cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent
-    total = -sum(graph.hub_of[v] in strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent: the searches built each
+    total = -sum(graph.hub_of[v] in graph._strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
     return CycleWitness(tuple(map(graph.node, cycle)), total)
 
 
@@ -248,8 +264,7 @@ def reduce_pseudocoalition(
     the membership and preference conditions it needs from the original
     sequence, case by case.
     """
-    error = pseudocoalition_error(instance, matching, pseudo)
-    if error is not None:
+    if (error := pseudocoalition_error(instance, matching, pseudo)) is not None:
         raise CoalitionError(f"not a pseudocoalition: {error}")
 
     kind, elements = pseudo.kind, pseudo.elements()
@@ -353,9 +368,9 @@ def extract_improving_coalition(
         except (TypeError, IndexError):  # incomparable, or past the last node
             found = False
         # Every arc enters a hub: a course's hub or, from a course, the fan.
-        if not found or not any(j in graph.out[h] for h in graph.out[i]):
+        if not found or not any(j in graph.out_of(h) for h in graph.out_of(i)):
             raise CoalitionError(f"witness uses a non-arc {u} -> {v}")
-        weights.append(-1 if graph.hub_of[j] in graph.strict[i] else 0)
+        weights.append(-1 if graph.hub_of[j] in graph._strict[i] else 0)
     if sum(weights) >= 0:
         raise CoalitionError("witness cycle is not negative")
     pseudo = _unroll_cycle(instance, matching, cycle, weights)

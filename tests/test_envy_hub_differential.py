@@ -6,7 +6,10 @@ On the same cases the stored graph must keep its shape, real -> hub -> real
 with one fan hub, and its arc count is pinned at the 500x800 optimum. The
 cases reach every way the verifier decides: a witness from an applicant
 found by searches toward the fan alone, and Tarjan after the fan searches
-fail or when no course is exposed, for negative and positive verdicts."""
+fail or when no course is exposed, for negative and positive verdicts.
+Applicant and pair lists are built on first read: each regime's count of
+lists built is pinned, and the graph a verdict leaves completes to a fresh
+build's lists exactly."""
 
 import random
 from collections import Counter
@@ -279,6 +282,96 @@ def test_an_applicant_witness_never_runs_tarjan(monkeypatch):
     for key in [("p", True), ("p", False), ("positive", True), ("positive", False)]:
         with pytest.raises(TarjanRan):
             find_negative_cycle(build_envy_graph(*first[key]))
+
+
+# ----------------------------------------------------------------------
+# Applicant and pair lists are built on first read.
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def built_graphs(monkeypatch):
+    """Every graph the verdicts build while the test runs, in order."""
+    graphs = []
+
+    def spy(inst, matching):
+        graphs.append(build_envy_graph(inst, matching))
+        return graphs[-1]
+
+    monkeypatch.setattr(envy, "build_envy_graph", spy)
+    return graphs
+
+
+def lists_built(graph):
+    """How many applicant and pair lists the graph has built, and how many
+    it has; read before ``out`` or ``strict``, which build the rest."""
+    lazy = [*range(len(graph.applicants)),
+            *range(len(graph.applicants) + len(graph.courses), len(graph.hub_of))]
+    return sum(graph._out[k] is not None for k in lazy), len(lazy)
+
+
+# Per regime, over the 1,248 cases: applicant and pair lists in all.
+LISTS = {("a", True): 31_062, ("p", True): 1_749, ("p", False): 31_168,
+         ("positive", True): 2_819, ("positive", False): 26_118}
+
+
+def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_graphs, monkeypatch):
+    """Each verdict's own graph, spied on: Tarjan (a pair witness, or a
+    positive verdict) first builds every applicant and pair list, while a
+    witness from an applicant builds about 6% of them. Which ones depends on
+    the order of the unordered lists its searches pop, which follows string
+    hashing: 1,861-1,905 lists under PYTHONHASHSEED 0-5. Read afterwards,
+    ``out`` and ``strict`` equal a fresh build's entry by entry, in order."""
+    witnesses = []
+
+    def spy_find(graph):
+        witnesses.append(find_negative_cycle(graph))
+        return witnesses[-1]
+
+    monkeypatch.setattr(envy, "find_negative_cycle", spy_find)
+    built, total = Counter(), Counter()
+    for chunk in range(len(CHUNKS)):
+        for inst, matching in chunk_cases(chunk):
+            built_graphs.clear()
+            witnesses.clear()
+            check = is_pareto_optimal(inst, matching)
+            (graph,), (witness,) = built_graphs, witnesses
+            assert check.is_optimal == (witness is None)
+            key = ("positive" if witness is None else witness.nodes[0][0],
+                   any(is_exposed_course(inst, matching, c) for c in inst.courses))
+            done, lists = lists_built(graph)
+            built[key] += done
+            total[key] += lists
+            fresh = build_envy_graph(inst, matching)
+            assert graph.out == fresh.out
+            assert graph.strict == fresh.strict
+            assert_real_hub_real(inst, matching, graph)
+    assert total == LISTS
+    assert all(built[key] == total[key] for key in total if key != ("a", True))
+    assert built["a", True] <= 2_000
+
+
+def test_the_wide_half_verdict_builds_few_lists(built_graphs):
+    """Every other pair of the 640x100 file-order optimum: the first
+    applicant's first head is an exposed course, which closes a 2-node
+    cycle through the fan, so the verdict builds 1 of its 772 applicant and
+    pair lists."""
+    inst = generate_random_instance(640, 100, 3, 4, 0.4, 1)
+    optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
+    half = Matching(optimum.canonical_pairs()[::2])
+    assert not is_pareto_optimal(inst, half)
+    assert lists_built(built_graphs[0]) == (1, 772)
+
+
+def test_a_head_that_misses_the_tail_raises(monkeypatch):
+    """A broken arc choice, an applicant and a full course (which has no
+    successor), fails the breadth-first search at once, naming the arc."""
+    inst, matching = regimes()[1]["a", True]
+    graph = build_envy_graph(inst, matching)
+    full = next(k for k, c in enumerate(graph.courses, len(graph.applicants))
+                if not is_exposed_course(inst, matching, c))
+    monkeypatch.setattr(envy, "_applicant_arc", lambda graph: (0, full))
+    with pytest.raises(AssertionError, match=f"arc 0 -> {full}$"):
+        find_negative_cycle(graph)
 
 
 # ----------------------------------------------------------------------
