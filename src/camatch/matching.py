@@ -71,7 +71,9 @@ def is_exposed_course(instance: Instance, matching: Matching, c: str) -> bool:
 
 def is_feasible(instance: Instance, matching: Matching) -> str | None:
     """Return None if the matching is feasible, else a description of the
-    first violated constraint (unknown id, individual rationality, quota)."""
+    first violated constraint (unknown id, individual rationality, quota).
+    Only matched ids can exceed a bound, so the bounds are tested over the
+    matching's maps; ids are walked in input order only to name the first."""
     if matching._optimal_in is instance:  # it passed this scan before it was verified
         return None
     bad = [(a, c) for a, c in matching.pairs if a not in instance.quota
@@ -83,11 +85,11 @@ def is_feasible(instance: Instance, matching: Matching) -> str | None:
         if c not in instance.capacity:
             return f"unknown course {c!r}"
         return f"course {c} is not acceptable to {a}"
-    for ids, held, bound in ((instance.applicants, matching.of_applicant, instance.quota),
-                             (instance.courses, matching.of_course, instance.capacity)):
-        for x in ids:
-            if len(held(x)) > bound[x]:
-                return f"|mu({x})| = {len(held(x))} exceeds quota {bound[x]}"
+    for ids, held, bound in ((instance.applicants, matching._of_applicant, instance.quota),
+                             (instance.courses, matching._of_course, instance.capacity)):
+        if any(len(xs) > bound[x] for x, xs in held.items()):
+            x = next(x for x in ids if len(held.get(x, ())) > bound[x])
+            return f"|mu({x})| = {len(held[x])} exceeds quota {bound[x]}"
     return None
 
 
@@ -322,13 +324,27 @@ def satisfy_coalition(
 ) -> Matching:
     """Apply the coalition's trades: each member applicant swaps the course
     behind her for the course ahead of her; on an augmenting path the leading
-    applicant simply gains a course. The result is feasible and Pareto
-    dominates the input."""
+    applicant simply gains a course. ``CoalitionError`` unless the coalition
+    is valid; the result is then feasible and Pareto dominates the input."""
     error = coalition_error(instance, matching, coalition)
     if error is not None:
         raise CoalitionError(error)
-    pairs = set(matching.pairs)
+    return _traded(matching, coalition)
+
+
+def _traded(matching: Matching, coalition: ImprovingCoalition) -> Matching:
+    """``matching`` after a valid coalition's trades, unchecked: its pairs less
+    those given up plus those taken, and copies of its maps with only the
+    traders' entries redone."""
     given_up, taken = _trades(coalition.kind, coalition.applicants, coalition.courses)
-    pairs.difference_update(given_up)
-    pairs.update(taken)
-    return Matching(pairs)
+    traded = Matching.__new__(Matching)
+    traded.pairs = matching.pairs.difference(given_up).union(taken)
+    traded._optimal_in = None
+    traded._of_applicant, traded._of_course = of_a, of_c = (
+        dict(matching._of_applicant), dict(matching._of_course))
+    for trades, change in ((given_up, frozenset.difference), (taken, frozenset.union)):
+        for a, c in trades:
+            for held, x, y in ((of_a, a, c), (of_c, c, a)):
+                if ids := change(held.pop(x, frozenset()), (y,)):
+                    held[x] = ids
+    return traded
