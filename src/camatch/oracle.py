@@ -13,6 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -278,16 +279,28 @@ def _ordered_partitions(
             yield step[0]
 
 
+@cache
+def _ordered_partition_count(k: int) -> int:
+    """Fubini(k), the lists ``_ordered_partitions`` yields over k courses: a
+    first block of j, then a list of the other k - j; the empty list alone for 0."""
+    return sum(comb(k, j) * _ordered_partition_count(k - j) for j in range(1, k + 1)) or 1
+
+
+def _course_subsets(instance: Instance, applicant: str) -> Iterator[tuple[str, ...]]:
+    """The subsets of her acceptable courses, by size, in combinations order."""
+    acceptable = sorted(instance.acceptable(applicant))
+    return itertools.chain.from_iterable(
+        itertools.combinations(acceptable, k) for k in range(len(acceptable) + 1))
+
+
 def misreport_space(
     instance: Instance, applicant: str
 ) -> Iterator[tuple[frozenset[str], ...]]:
     """Every preference list over a subset of the applicant's true acceptable
     set: drop courses, merge ties, reorder, or any combination. Unacceptable
     courses are never added."""
-    acceptable = tuple(sorted(instance.acceptable(applicant)))
-    for k in range(len(acceptable) + 1):
-        for subset in itertools.combinations(acceptable, k):
-            yield from _ordered_partitions(subset)
+    for subset in _course_subsets(instance, applicant):
+        yield from _ordered_partitions(subset)
 
 
 def run_list(base: FlowNetwork, ordering: Sequence[str], applicant: str,
@@ -322,32 +335,27 @@ def find_beneficial_misreport(
     per-true-tie counts, all ``compare_sets`` reads, are final. A list merging
     true ties runs in full, as do both lists of a FOUND (sets of full runs).
 
-    A list runs only if it could win. Her outcome under it is at most
-    ``quota`` of the courses it names (the ordering serves her that many
-    times) among the base's ``live_courses``. She holds nothing in the
-    base, so no tie of hers passes liveness and that set is the same under
-    every list of hers. Later augmentations add residual arcs
-    only out of nodes on their paths, which reach the sink, so a course
-    outside the set is never on a path again and she never holds it. So
-    under her true ties her outcome never beats her ``quota`` best listed
-    live courses; a list whose bound does not beat the truthful outcome is
-    counted in ``examined`` but not run.
-
-    Exhausting the space yields status NONE; hitting ``search_limit`` first
-    yields INCONCLUSIVE, which is deliberately distinct from NONE.
+    A list runs only if it could win. Her outcome holds at most ``quota`` of
+    the courses it names (her stages), all in the base's ``live_courses``,
+    which no list of hers changes: the base holds nothing of hers. So her
+    bound, her ``quota`` best such courses under her true ties, depends only
+    on the list's course subset. A subset whose bound does not beat the
+    truthful outcome adds its Fubini(k) lists to ``examined`` unwalked. A
+    superset's bound is lexicographically no smaller, so if her whole set's
+    loses, the search returns NONE with the space's size, the sum over k of
+    C(n, k)·Fubini(k). Passing ``search_limit`` first yields INCONCLUSIVE
+    at ``search_limit`` (0 if negative), not NONE.
     """
     validate_ordering(instance, ordering)
     if applicant not in instance.quota:
         raise InstanceSemanticError(f"unknown applicant {applicant!r}")
     truthful = instance.prefs[applicant]
-    first = ordering.index(applicant)  # she has a stage: her quota is at least 1
     last = 1 + max(i for i, b in enumerate(ordering) if b == applicant)
     base = FlowNetwork(instance)
-    serve(base, ordering[:first])
+    serve(base, ordering[:ordering.index(applicant)])  # she has a stage: her quota is at least 1
     ties = itertools.chain(base.cap_tie, *base.holders.values(),
                            (n[1:] for n in base.dead if n[0] == "tie"))
     assert all(a != applicant for a, _ in ties), "the base holds a tie of hers"
-    live = base.live_courses()
 
     def outcome(prefs: Sequence[frozenset[str]], full: bool = False) -> frozenset[str]:
         inside = all(any(tie <= true_tie for true_tie in truthful) for tie in prefs)
@@ -361,18 +369,25 @@ def find_beneficial_misreport(
     def prefers(courses: Iterable[str]) -> bool:  # to the truthful outcome, under her true ties
         return compare_sets(instance, applicant, courses, truthful_set) is SetRelation.PREFERS
 
-    # The space starts with the empty list, so ``examined`` is always bound.
-    for examined, fabricated in enumerate(misreport_space(instance, applicant), start=1):
-        if examined > search_limit:
-            return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, examined - 1)
-        best = sorted((c for c in itertools.chain(*fabricated) if c in live),
-                      key=lambda c: instance.tie_of(applicant, c))[:instance.quota[applicant]]
-        if fabricated != truthful and prefers(best) and prefers(outcome(fabricated)):
-            finding = MisreportFinding(
-                applicant, truthful, tuple(fabricated), tuple(ordering),
-                outcome(truthful, full=True), outcome(fabricated, full=True), True)
-            return MisreportSearch(MisreportStatus.FOUND, finding, examined)
-    return MisreportSearch(MisreportStatus.NONE, None, examined)
+    ranked = sorted(base.live_courses() & instance.acceptable(applicant),
+                    key=lambda c: instance.tie_of(applicant, c))
+    inconclusive = MisreportSearch(MisreportStatus.INCONCLUSIVE, None, max(search_limit, 0))
+    n, whole = len(instance.acceptable(applicant)), prefers(ranked[:instance.quota[applicant]])
+    # Unless her whole set's bound wins, no subset's does: the space is counted in closed form.
+    examined = 0 if whole else sum(comb(n, k) * _ordered_partition_count(k) for k in range(n + 1))
+    for subset in _course_subsets(instance, applicant) if whole else ():
+        walked = prefers([c for c in ranked if c in subset][:instance.quota[applicant]])
+        for fabricated in _ordered_partitions(subset) if walked else [None]:  # else one step
+            examined += 1 if walked else _ordered_partition_count(len(subset))
+            if examined > search_limit:
+                return inconclusive
+            if walked and fabricated != truthful and prefers(outcome(fabricated)):
+                finding = MisreportFinding(
+                    applicant, truthful, tuple(fabricated), tuple(ordering),
+                    outcome(truthful, full=True), outcome(fabricated, full=True), True)
+                return MisreportSearch(MisreportStatus.FOUND, finding, examined)
+    return (MisreportSearch(MisreportStatus.NONE, None, examined)
+            if examined <= search_limit else inconclusive)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ search stops after the liar's last stage leave her the vector of a full run,
 and only for lists that keep each tie inside a true tie. No run gives her
 a course that cannot reach the sink in her base or beats her ``quota`` best
 listed courses among those that can, so a list whose bound does not beat
-the truthful outcome is counted without a run. A run keeps tie capacities
-only for the ties it probes."""
+the truthful outcome is counted without a run, and a course subset whose
+bound loses is counted as one block, at any search limit. A run keeps tie
+capacities only for the ties it probes."""
 
 import itertools
 import random
@@ -144,6 +145,115 @@ def test_misreport_search_equals_fresh_run_search(k):
         for limit in (-1, 0, 1, 30):
             got = find_beneficial_misreport(inst, ordering, a, search_limit=limit)
             assert got == reference_misreport(inst, ordering, a, limit)
+
+
+def liar_cases(count, seed):
+    """10x5 instances drawn as the benchmark draws them, whose liar a1 lists
+    three or four of the five courses, each with a shuffled ordering."""
+    cases = []
+    while len(cases) < count:
+        inst = generate_random_instance(10, 5, 3, 4, 0.4, seed)
+        if len(inst.acceptable("a1")) in (3, 4):
+            cases.append((inst, shuffled_ordering(inst, seed)))
+        seed += 1
+    return cases
+
+
+# The CI's two cases whose liar a1 lists all five courses, with its
+# orderings: at seed 113 no list can beat the truthful one, at seed 32 the
+# bound leaves 912 lists to run. Then twenty three- and four-course liars.
+SUBSET_CASES = [
+    (generate_random_instance(10, 5, 3, 4, 0.4, 113),
+     "a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a3 a4 a6 a9 a6".split()),
+    (generate_random_instance(10, 5, 3, 4, 0.4, 32),
+     "a10 a9 a8 a7 a6 a5 a4 a3 a2 a1 a9 a8 a6 a3 a1 a9 a8 a6".split()),
+] + liar_cases(20, 8000)
+
+
+def subset_ends(instance, applicant):
+    """How many lists of the misreport space come up to the end of each
+    course subset's lists; the last is the size of the space."""
+    subsets = [frozenset().union(*prefs) for prefs in misreport_space(instance, applicant)]
+    return [i for i in range(1, len(subsets) + 1)
+            if i == len(subsets) or subsets[i] != subsets[i - 1]]
+
+
+@pytest.mark.parametrize("k", range(len(SUBSET_CASES)))
+def test_a_limit_anywhere_in_the_space_stops_the_search_where_the_reference_implies(k):
+    """The search counts a losing subset's lists as one block, and may count
+    the whole space at once. At limits -1 and 0, at the end of each subset's
+    lists and one either side, and so also at the size of the space and one
+    either side, it gives INCONCLUSIVE at the limit (0 if negative) while
+    the limit is below where the reference stops, and from there on the
+    reference's own result."""
+    inst, ordering = SUBSET_CASES[k]
+    want = reference_misreport(inst, ordering, "a1")
+    ends = subset_ends(inst, "a1")
+    assert ends[-1] == sum(1 for _ in misreport_space(inst, "a1"))
+    for limit in sorted({-1, 0} | {end + d for end in ends for d in (-1, 0, 1)}):
+        got = find_beneficial_misreport(inst, ordering, "a1", search_limit=limit)
+        if limit < want.examined:
+            assert got == MisreportSearch(MisreportStatus.INCONCLUSIVE, None, max(limit, 0)), limit
+        else:
+            assert got == want, limit
+
+
+def lists_run_and_subsets_walked(instance, ordering, applicant):
+    """The search, the lists it runs in order, and the course subsets whose
+    lists it enumerates."""
+    runs, walked = [], []
+    real_run, real_walk = run_list, oracle._ordered_partitions
+
+    def run(base, ordering, applicant, prefs, stop=None):
+        runs.append(tuple(map(frozenset, prefs)))
+        return real_run(base, ordering, applicant, prefs, stop)
+
+    def walk(items):
+        walked.append(items)
+        return real_walk(items)
+
+    with mock.patch.object(oracle, "run_list", run), \
+            mock.patch.object(oracle, "_ordered_partitions", walk):
+        search = find_beneficial_misreport(instance, ordering, applicant)
+    return search, runs, walked
+
+
+def lists_a_per_list_bound_runs(instance, ordering, applicant, search):
+    """The lists a search that bounds each list on its own runs up to
+    ``search.examined``: the truthful one, each other list whose bound
+    within the base's live courses beats the truthful outcome, and a
+    finding's two lists again."""
+    true = instance.prefs[applicant]
+    truthful = fresh_vector(instance, ordering, applicant, true)
+    live = live_in_base(instance, ordering, applicant)
+    lists = itertools.islice(misreport_space(instance, applicant), search.examined)
+    kept = [prefs for prefs in lists
+            if prefs != true and bound(instance, applicant, prefs, live) > truthful]
+    found = search.finding
+    return [true] + kept + ([true, found.fabricated_prefs] if found else [])
+
+
+def test_a_liar_no_list_can_help_costs_one_run_and_no_enumeration():
+    inst, ordering = SUBSET_CASES[0]
+    search, runs, walked = lists_run_and_subsets_walked(inst, ordering, "a1")
+    assert search == MisreportSearch(MisreportStatus.NONE, None, 1082)
+    assert runs == [inst.prefs["a1"]]
+    assert walked == []
+
+
+def test_the_search_runs_the_lists_a_per_list_bound_runs_in_the_same_order():
+    """Per search from seed 32 on, the lists run are those a per-list bound
+    runs, in its order. Their counts are those a search bounding each list on
+    its own made. 38 of the 240 course subsets are walked."""
+    runs_per_search, walked_subsets, subsets = [], 0, 0
+    for inst, ordering in SUBSET_CASES[1:]:
+        search, runs, walked = lists_run_and_subsets_walked(inst, ordering, "a1")
+        assert runs == lists_a_per_list_bound_runs(inst, ordering, "a1", search)
+        runs_per_search.append(len(runs))
+        walked_subsets += len(walked)
+        subsets += len(subset_ends(inst, "a1"))
+    assert runs_per_search == [912, 1, 1, 5, 4, 19, 1, 120, 1, 1, 19, 1, 1, 1, 7, 1, 142, 1, 1, 1, 1]
+    assert (walked_subsets, subsets) == (38, 240)
 
 
 def test_every_fleet_ordering_resumes_like_fresh_and_searches_alike():

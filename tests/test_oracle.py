@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,9 @@ from camatch import (
     run_gsdt,
     verify_impossibility_scenario,
 )
+from camatch import oracle
 from camatch.oracle import (
+    MisreportSearch,
     _applicant_choices,
     _ordered_partitions,
     distinct_orderings,
@@ -201,6 +204,34 @@ def test_misreport_space_size(ex1):
         [("a1", 1, [["c1"], ["c2"], ["c3"]])],
     )
     assert sum(1 for _ in misreport_space(inst3, "a1")) == 26
+
+
+def test_the_per_size_count_is_the_number_of_ordered_partitions():
+    counts = [oracle._ordered_partition_count(k) for k in range(8)]
+    assert counts == [sum(1 for _ in _ordered_partitions(tuple(range(k)))) for k in range(8)]
+    assert counts == [1, 1, 3, 13, 75, 541, 4683, 47293]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_a_search_no_list_can_win_counts_the_space_in_closed_form(n):
+    """a1, served first, takes her ``quota`` best courses, so no subset's
+    bound beats the truthful outcome: the search enumerates no list and
+    returns the space's size in closed form, which is the number of lists
+    ``misreport_space`` yields. One less as a limit leaves it INCONCLUSIVE."""
+    courses = [f"c{i}" for i in range(1, n + 1)]
+    prefs = [ties for ties in (courses[:2], *([c] for c in courses[2:])) if ties]
+    inst = Instance.build([(c, 1) for c in courses or ["c1"]],
+                          [("a1", 2, prefs), ("a2", 1, [["c1"]])])
+    space = sum(1 for _ in misreport_space(inst, "a1"))
+    assert space == [1, 2, 6, 26, 150, 1082][n]
+    real, walked = _ordered_partitions, []
+    with mock.patch.object(oracle, "_ordered_partitions",
+                           lambda items: walked.append(items) or real(items)):
+        assert find_beneficial_misreport(inst, ("a1", "a1", "a2"), "a1") == MisreportSearch(
+            MisreportStatus.NONE, None, space)
+        assert find_beneficial_misreport(inst, ("a1", "a1", "a2"), "a1", space - 1) == (
+            MisreportSearch(MisreportStatus.INCONCLUSIVE, None, space - 1))
+    assert walked == []
 
 
 def recursive_ordered_partitions(items):
