@@ -285,11 +285,7 @@ def reduce_pseudocoalition(
         elif role == "course":
             # Splice out everything between the two occurrences.
             del elements[x:y]
-        elif x == 0:
-            # Leading applicant of an augmenting path seen again: she can
-            # aim directly at the course after the second occurrence.
-            elements = [elements[0]] + elements[y + 1:]
-        elif _strictly_prefers_course(instance, a, elements[x + 1][1], elements[y - 1][1]):
+        elif x and _strictly_prefers_course(instance, a, elements[x + 1][1], elements[y - 1][1]):
             # The stretch between the occurrences closes into a cycle
             # entered at the course before the second occurrence.
             elements = [elements[y - 1]] + elements[x:y - 1]
@@ -297,7 +293,8 @@ def reduce_pseudocoalition(
         else:
             # Skip the stretch; the course after the second occurrence is
             # weakly better than the one before the first. If she ends a
-            # cycle, the tail is cut and she weakly gains the leading course.
+            # cycle, the tail is cut and she weakly gains the leading course;
+            # if she leads an augmenting path, she aims directly at it.
             elements = elements[:x + 1] + elements[y + 1:]
 
     coalition = ImprovingCoalition(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import envy
 from .errors import NotParetoOptimalError
@@ -61,10 +61,16 @@ class FlowNetwork:
     full course's sink arc), and source and tie capacities act on arcs the
     search never crosses. So no arc from a dead node to a live one ever
     appears. A full tie has no residual arc out, so no path passes through
-    it and it never gains one."""
+    it and it never gains one. ``guided_order`` is the run's policy as the
+    search reads it, ``None`` or a ``GuidedToward``'s courses (``run_gsdt``)."""
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
+    def __init__(self, instance: Instance, policy: GuidedToward | None = None):
+        self.instance, self.guided_order = instance, None
+        if policy is not None:  # FeasibilityError before any stage runs
+            require_feasible(instance, policy.target)
+            self.guided_order = order = {}
+            for a, c in policy.target.canonical_pairs():  # ascending
+                order.setdefault((a, instance.tie_of(a, c)), []).append(c)
         self.curr = dict.fromkeys(instance.applicants, 0)
         self.cap_src = dict.fromkeys(instance.applicants, 0)
         self.cap_tie: defaultdict[tuple[str, int], int] = defaultdict(int)
@@ -80,7 +86,7 @@ class FlowNetwork:
         new = object.__new__(FlowNetwork)
         new.__dict__ = {name: getattr(self, name).copy() for name in (
             "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "stage_probes")}
-        new.instance, new.free = instance, self.free
+        new.instance, new.free, new.guided_order = instance, self.free, self.guided_order
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
 
@@ -191,9 +197,9 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
     its arc inspections to ``net.arc_visits``: |tie| for a tie it expands,
     1 + |holders| for a course, 0 when it fails at once.
 
-    A ``guided_order`` (per ``(applicant, tie)``, a guided target's courses in
-    that tie, ascending, from ``run_gsdt``) is tried first for the probed tie,
-    one arc visit per course: its first that the tie does not hold and has a free seat is taken.
+    A ``guided_order`` (``FlowNetwork.guided_order``, which ``_stage`` passes)
+    is tried first for the probed tie, one arc visit per course: its first
+    that the tie does not hold and has a free seat is taken.
     """
     inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
@@ -255,13 +261,11 @@ class ProbeRecord:
     path: tuple[Node, ...] | None
 
 
-def _stage(net: FlowNetwork, a: str,
-           probe: Callable[[int], Sequence[Node] | None]) -> tuple[ProbeRecord, ...]:
-    """The stage rules, shared by the live run and the checked replay in
-    ``GsdtResult.stages``: serve one quota unit of ``a``; return its probes.
+def _stage(net: FlowNetwork, a: str) -> tuple[ProbeRecord, ...]:
+    """The stage rules: serve one quota unit of ``a``; return its probes.
 
-    Raise her source capacity and probe her ties from ``net.curr[a]`` on;
-    ``probe(t)`` gives a path through tie ``t`` or ``None``. A failed probe
+    Raise her source capacity and probe her ties from ``net.curr[a]`` on,
+    each by ``find_augmenting_path`` under ``net.guided_order``. A failed probe
     rolls the tie capacity back and advances ``curr[a]``, and its record is
     a slice of the shared ``_FAILED`` (only ever replaced by a longer tuple);
     the first success augments. ``FlowNetwork.check`` (not under ``-O``)
@@ -280,10 +284,10 @@ def _stage(net: FlowNetwork, a: str,
         net.curr[a] = ties
         net.arc_visits += [0] * (ties - first)
         return _FAILED[first:ties]
-    cap_tie, t, path = net.cap_tie, first, ()
+    cap_tie, guided_order, t, path = net.cap_tie, net.guided_order, first, ()
     while t < ties:
         cap_tie[a, t] += 1
-        path = probe(t) or ()
+        path = find_augmenting_path(net, a, t, guided_order) or ()
         if path:
             break
         cap_tie[a, t] -= 1
@@ -313,14 +317,16 @@ class GsdtResult:
     """The final matching and the arc inspections of each probe of a run,
     plus what the run recorded to explain itself: each stage's probes.
     ``searches`` counts the probes, one per entry of ``arc_visits``.
+    ``policy`` is the run's third input, so the run can be served again.
 
     ``stages`` and ``capacity_history`` are built on first read and cached.
-    ``stages`` replays the recorded paths through ``_stage`` on a fresh
-    network, with the full ``FlowNetwork.check`` after every stage, and
-    raises ``AssertionError``, under ``-O`` too, unless the rules re-derive
-    the recorded probes; ``render_trace`` renders a forged record as it is.
-    ``capacity_history`` holds the source-arc capacities before the first
-    stage and after each one.
+    ``stages`` serves the run again, one ``serve`` call per stage on a fresh
+    network under the same policy, with the full ``FlowNetwork.check`` after
+    every stage (not under ``-O``), and raises ``AssertionError``, under
+    ``-O`` too, unless each stage's probes equal the recorded ones;
+    ``render_trace`` renders a forged record as it is. ``capacity_history``
+    holds the source-arc capacities before the first stage and after each
+    one.
     """
 
     instance: Instance
@@ -328,6 +334,7 @@ class GsdtResult:
     matching: Matching
     stage_probes: tuple[tuple[ProbeRecord, ...], ...]
     arc_visits: tuple[int, ...]
+    policy: GuidedToward | None = None
 
     @property
     def searches(self) -> int:
@@ -335,15 +342,12 @@ class GsdtResult:
 
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
-        net = FlowNetwork(self.instance)
-        stages = []
+        net, stages = FlowNetwork(self.instance, self.policy), []
         for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
-            probes = _stage(net, a, {p.tie: p.path for p in recorded}.get)
-            if probes != recorded:
+            serve(net, (a,))
+            if net.stage_probes[-1] != recorded:
                 raise AssertionError(f"stage {i}: the record breaks the stage rules")
-            if __debug__:
-                net.check()
-            stages.append(StageRecord(i, a, probes, net.matching(),
+            stages.append(StageRecord(i, a, recorded, net.matching(),
                                       tuple(sorted(net.curr.items()))))
         return tuple(stages)
 
@@ -357,14 +361,10 @@ class GsdtResult:
         return tuple(history)
 
 
-def serve(net: FlowNetwork, stages: Sequence[str],
-          guided_order: dict[tuple[str, int], list[str]] | None = None) -> None:
-    """The stage loop: one ``_stage`` per entry, probed by the live search,
-    then the full check; one probe callable reads each stage's applicant."""
-    def probe(t: int) -> list[Node] | None:
-        return find_augmenting_path(net, a, t, guided_order)
+def serve(net: FlowNetwork, stages: Sequence[str]) -> None:
+    """The stage loop: one ``_stage`` per entry, then the full check."""
     for a in stages:
-        net.stage_probes.append(_stage(net, a, probe))
+        net.stage_probes.append(_stage(net, a))
     if __debug__:
         net.check()
 
@@ -373,35 +373,30 @@ def run_gsdt(instance: Instance, ordering: Sequence[str],
              policy: GuidedToward | None = None) -> GsdtResult:
     """Run the mechanism for a priority multisequence.
 
-    Each entry of the ordering is one stage (``_stage``) probed by the live
-    search; one full ``FlowNetwork.check`` runs before the final matching is
-    read off. The run records only each stage's probes, which ``render_trace``
-    reads unchecked (``solve --trace`` checks no more than ``solve``) and
-    ``GsdtResult.stages`` replays and checks. The stage loop is ``serve``,
-    which the misreport search also runs on copies of one shared state.
+    Each entry of the ordering is one stage (``_stage``); one full
+    ``FlowNetwork.check`` runs before the final matching is read off. The run
+    records only each stage's probes, which ``render_trace`` reads unchecked
+    (``solve --trace`` checks no more than ``solve``) and
+    ``GsdtResult.stages`` serves again and checks. The stage loop is
+    ``serve``, which the misreport search also runs on copies of one shared
+    state.
 
     With no ``policy`` every probe takes the canonical path, the
     lexicographically least shortest one; any augmenting path would do, so
     this only makes runs reproducible. A ``GuidedToward`` target must be a
-    feasible matching; otherwise ``FeasibilityError`` is raised before any
-    stage runs. Its courses are grouped by the applicant's tie that lists
-    them and tried in ascending id: the fast path reads only the probed tie's
-    group, where an applicant's target pairs form one component of the
-    target's pair-priority order, sorted, so the paths are that order's.
+    feasible matching; otherwise ``FlowNetwork`` raises ``FeasibilityError``
+    before any stage runs. Its courses are grouped by the applicant's tie
+    that lists them and tried in ascending id: the fast path reads only the
+    probed tie's group, where an applicant's target pairs form one component
+    of the target's pair-priority order, sorted, so the paths are that
+    order's.
     """
     validate_ordering(instance, ordering)
-    net = FlowNetwork(instance)
-    guided_order = None
-    if policy is not None:
-        require_feasible(instance, policy.target)
-        guided_order = {}
-        for a, c in policy.target.canonical_pairs():  # ascending
-            guided_order.setdefault((a, instance.tie_of(a, c)), []).append(c)
-
-    serve(net, ordering, guided_order)
+    net = FlowNetwork(instance, policy)
+    serve(net, ordering)
     return GsdtResult(
         instance=instance, ordering=tuple(ordering), matching=net.matching(),
-        stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits))
+        stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits), policy=policy)
 
 
 def render_trace(result: GsdtResult) -> Iterator[str]:

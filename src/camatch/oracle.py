@@ -342,9 +342,9 @@ def find_beneficial_misreport(
     on the list's course subset. A subset whose bound does not beat the
     truthful outcome adds its Fubini(k) lists to ``examined`` unwalked. A
     superset's bound is lexicographically no smaller, so if her whole set's
-    loses, the search returns NONE with the space's size, the sum over k of
-    C(n, k)·Fubini(k). Passing ``search_limit`` first yields INCONCLUSIVE
-    at ``search_limit`` (0 if negative), not NONE.
+    loses, no subset's bound is taken: each adds its count unwalked, and the
+    search returns NONE with the space's size. Passing ``search_limit``
+    first yields INCONCLUSIVE at ``search_limit`` (0 if negative), not NONE.
     """
     validate_ordering(instance, ordering)
     if applicant not in instance.quota:
@@ -372,11 +372,10 @@ def find_beneficial_misreport(
     ranked = sorted(base.live_courses() & instance.acceptable(applicant),
                     key=lambda c: instance.tie_of(applicant, c))
     inconclusive = MisreportSearch(MisreportStatus.INCONCLUSIVE, None, max(search_limit, 0))
-    n, whole = len(instance.acceptable(applicant)), prefers(ranked[:instance.quota[applicant]])
-    # Unless her whole set's bound wins, no subset's does: the space is counted in closed form.
-    examined = 0 if whole else sum(comb(n, k) * _ordered_partition_count(k) for k in range(n + 1))
-    for subset in _course_subsets(instance, applicant) if whole else ():
-        walked = prefers([c for c in ranked if c in subset][:instance.quota[applicant]])
+    whole, examined = prefers(ranked[:instance.quota[applicant]]), 0
+    for subset in _course_subsets(instance, applicant):
+        # Unless her whole set's bound wins, no subset's does.
+        walked = whole and prefers([c for c in ranked if c in subset][:instance.quota[applicant]])
         for fabricated in _ordered_partitions(subset) if walked else [None]:  # else one step
             examined += 1 if walked else _ordered_partition_count(len(subset))
             if examined > search_limit:
@@ -386,8 +385,7 @@ def find_beneficial_misreport(
                     applicant, truthful, tuple(fabricated), tuple(ordering),
                     outcome(truthful, full=True), outcome(fabricated, full=True), True)
                 return MisreportSearch(MisreportStatus.FOUND, finding, examined)
-    return (MisreportSearch(MisreportStatus.NONE, None, examined)
-            if examined <= search_limit else inconclusive)
+    return MisreportSearch(MisreportStatus.NONE, None, examined)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from camatch import (
     render_trace,
     run_gsdt,
 )
-from camatch.gsdt import FlowNetwork, ProbeRecord, _pair_priority_order
+from camatch.gsdt import SNK, SRC, FlowNetwork, ProbeRecord, _pair_priority_order
 from camatch.oracle import distinct_orderings, enumerate_poms, is_pom_bruteforce
 
 WALKTHROUGH_ORDERING = ("a1", "a1", "a2", "a2", "a3", "a2", "a3")
@@ -420,9 +420,9 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
     stage = gsdt._stage
     full = []
 
-    def spied_stage(net, a, probe):
+    def spied_stage(net, a):
         first, was_full = net.curr[a], not net.free
-        probes = stage(net, a, probe)
+        probes = stage(net, a)
         if was_full:
             full.append((a, first))
             fresh = tuple(ProbeRecord(t, None) for t in range(first, len(inst.prefs[a])))
@@ -441,31 +441,47 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
     assert [len(s.probes) for s in result.stages] == [1, 1, 1, 1, 2, 2, 5, 2]
 
 
-@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
-def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, probe, tie):
-    # Relabel one failed probe onto another tie of the same applicant: the
-    # replay behind ``stages`` re-derives the probed ties and must refuse the
-    # record. ``render_trace`` does not replay, and renders it as it is.
+# (stage, probe, forged record): two failed probes relabelled onto another
+# tie of the same applicant, and stage 1's path sent to c2 instead of c1.
+FORGERIES = [
+    pytest.param(3, 0, ProbeRecord(1, None), id="3-0-1"),
+    pytest.param(5, 0, ProbeRecord(2, None), id="5-0-2"),
+    pytest.param(1, 0, ProbeRecord(0, (SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c2"), SNK)),
+                 id="1-0-c2"),
+]
+
+
+@pytest.mark.parametrize("stage, probe, record", FORGERIES)
+def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, probe, record):
+    # The replay behind ``stages`` serves the run again and must refuse a
+    # record whose probes differ from the ones the stage rules give.
+    # ``render_trace`` does not replay, and renders it as it is.
     result = run_gsdt(t1, WALKTHROUGH_ORDERING)
     probes = list(result.stage_probes[stage - 1])
-    assert probes[probe].path is None and probes[probe].tie != tie
-    probes[probe] = ProbeRecord(tie, None)
+    old = probes[probe]
+    if record.path is None:  # a failed probe moved onto another tie
+        assert old.path is None and old.tie != record.tie
+    else:  # the same tie's path sent elsewhere
+        assert old.tie == record.tie and old.path not in (None, record.path)
+    probes[probe] = record
     stage_probes = list(result.stage_probes)
     stage_probes[stage - 1] = tuple(probes)
     forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
-    with pytest.raises(AssertionError):
+    refusal = f"^stage {stage}: the record breaks the stage rules$"
+    with pytest.raises(AssertionError, match=refusal):
         forged.stages
 
 
 FORGE_UNDER_O = """
-import dataclasses, sys
+import ast, dataclasses, sys
 from camatch import parse_instance, run_gsdt
 from camatch.gsdt import ProbeRecord
 
-path, ordering, stage, probe, tie = sys.argv[1], sys.argv[2].split(), *map(int, sys.argv[3:])
+path, ordering, stage, probe = sys.argv[1], sys.argv[2].split(), *map(int, sys.argv[3:5])
+record = ProbeRecord(*ast.literal_eval(sys.argv[5]))
 result = run_gsdt(parse_instance(open(path).read()), ordering)
 probes = list(result.stage_probes[stage - 1])
-probes[probe] = ProbeRecord(tie, None)
+probes[probe] = record
 stage_probes = list(result.stage_probes)
 stage_probes[stage - 1] = tuple(probes)
 forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
@@ -477,8 +493,8 @@ except AssertionError as error:
 """
 
 
-@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
-def test_trace_rejects_a_forged_record_under_python_O(stage, probe, tie):
+@pytest.mark.parametrize("stage, probe, record", FORGERIES)
+def test_trace_rejects_a_forged_record_under_python_O(stage, probe, record):
     # The same forgery as above, in a ``python -O`` process, where every
     # ``assert`` statement is skipped: the replay must still refuse it.
     root = Path(__file__).resolve().parents[1]
@@ -486,7 +502,8 @@ def test_trace_rejects_a_forged_record_under_python_O(stage, probe, tie):
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGE_UNDER_O, str(root / "fixtures" / "walkthrough.txt"),
-         " ".join(WALKTHROUGH_ORDERING), str(stage), str(probe), str(tie)],
+         " ".join(WALKTHROUGH_ORDERING), str(stage), str(probe),
+         repr((record.tie, record.path))],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"False\nstage {stage}: the record breaks the stage rules\n"

@@ -183,10 +183,10 @@ def test_live_courses_are_the_courses_that_reach_the_sink(monkeypatch):
         full_and_live += any(net.flow_snk[c] == inst.capacity[c] for c in live)
         cut_off += net.free > 0 and len(live) < len(inst.courses)
 
-    def checked(net, a, probe):
+    def checked(net, a):
         if not net.stage_probes:  # a later stage starts where the one before ended
             assert_live(net)
-        probes = stage(net, a, probe)
+        probes = stage(net, a)
         assert_live(net)
         return probes
 
@@ -212,9 +212,9 @@ def test_live_courses_reach_the_sink_at_every_tenth_stage_of_larger_runs(monkeyp
     stage = gsdt._stage
     served, sizes = 0, []
 
-    def checked(net, a, probe):
+    def checked(net, a):
         nonlocal served
-        probes = stage(net, a, probe)
+        probes = stage(net, a)
         served += 1
         if served % 10 == 0:
             live = net.live_courses()
@@ -271,15 +271,15 @@ def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatc
         assert seats_left(net) > 0
         return search(net, applicant, tie, guided_order)
 
-    def spied_stage(net, a, probe):
+    def spied_stage(net, a):
         nonlocal decided
         if seats_left(net):
-            return stage(net, a, probe)
+            return stage(net, a)
         left = range(net.curr[a], len(inst.prefs[a]))
         for t in left:
             assert least_shortest_path(net, a, t) is None
         visits = len(net.arc_visits)
-        probes = stage(net, a, probe)
+        probes = stage(net, a)
         assert probes == tuple(gsdt.ProbeRecord(t, None) for t in left)
         assert net.arc_visits[visits:] == [0] * len(left)
         decided += len(left)

@@ -312,9 +312,9 @@ def test_a_search_serves_the_stages_before_her_first_once():
         for a in liars:
             served, runs = [], []
 
-            def stage(net, b, probe):
+            def stage(net, b):
                 served.append(len(net.stage_probes))
-                return real_stage(net, b, probe)
+                return real_stage(net, b)
 
             def run(base, ordering, applicant, prefs, stop=None):
                 state = real_run(base, ordering, applicant, prefs, stop)
@@ -370,8 +370,8 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
     inst, real = worked_example("walkthrough"), gsdt.serve
     bases = []
 
-    def serve(net, stages, guided_order=None):
-        real(net, stages, guided_order)
+    def serve(net, stages):
+        real(net, stages)
         if not bases:
             bases.append(net)
             corrupt(net, "a1", tie, "c1")

@@ -195,11 +195,13 @@ def guided_courses(instance, target):
     return order
 
 
-def lockstep(instance, ordering, guided_order=None) -> FlowNetwork:
-    """Serve both loops one stage at a time; compare after every stage."""
-    live, ref = FlowNetwork(instance), ReferenceNetwork(instance)
+def lockstep(instance, ordering, policy=None) -> FlowNetwork:
+    """Serve both loops one stage at a time; compare after every stage. The
+    reference groups a guided policy's courses itself."""
+    live, ref = FlowNetwork(instance, policy), ReferenceNetwork(instance)
+    guided_order = None if policy is None else guided_courses(instance, policy.target)
     for i, a in enumerate(ordering, start=1):
-        gsdt.serve(live, [a], guided_order)
+        gsdt.serve(live, [a])
         reference_stage(ref, a, guided_order)
         assert_same(live, ref, f"stage {i}")
     return ref
@@ -223,7 +225,7 @@ def test_canonical_and_guided_runs_match_the_frozen_loop(seed):
 
     target = result.matching
     derived = derive_ordering(inst, target)
-    ref = lockstep(inst, derived, guided_courses(inst, target))
+    ref = lockstep(inst, derived, GuidedToward(target))
     replay = run_gsdt(inst, derived, GuidedToward(target))
     assert replay.stage_probes == tuple(ref.stage_probes)
     assert replay.arc_visits == tuple(ref.arc_visits)
