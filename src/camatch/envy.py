@@ -181,7 +181,8 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     A breadth-first path from head to tail, successors in ascending order,
     closes the cycle. Not kept in the component, it takes the same path: a
     node the head reaches that reaches the tail is in the component, so no
-    node outside discovers one inside. O(V + E) stored, plus hubs expanded.
+    node outside discovers one inside. O(V + E) stored, plus each hub read
+    once: the first read gives every member a parent.
     """
     if (arc := _applicant_arc(graph)) is None:
         out, strict = graph.out, graph.strict  # every list, built in one loop
@@ -199,10 +200,12 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
         else:
             return None
     tail, head = arc
-    parent, queue = [-1] * len(graph.hub_of), [head]
+    parent, queue, spent = [-1] * len(graph.hub_of), [head], set()
     parent[head] = head
     for x in queue:  # breadth-first: the loop also visits appended nodes
-        for y in _expanded(graph, x):
+        fresh = [h for h in graph.out_of(x) if h not in spent]
+        spent.update(fresh)
+        for y in sorted(v for h in fresh for v in graph._out[h]):  # type: ignore[union-attr]
             if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)

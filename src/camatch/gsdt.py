@@ -10,9 +10,9 @@ the stage quotas.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import envy
 from .errors import NotParetoOptimalError
@@ -23,9 +23,9 @@ from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
-_FAILED: tuple[ProbeRecord, ...] = ()  # ProbeRecord(t, None) at index t (see _stage)
 
 Node = tuple
+Entry = tuple[int, int, tuple | None]  # a stage: first tie probed, tie reached, path
 
 
 def render_node(node: Node) -> str:
@@ -40,29 +40,21 @@ def render_node(node: Node) -> str:
 
 class FlowNetwork:
     """The state of one GSDT run: the flow network, the tie pointers
-    ``curr``, the arcs each probe inspected (``arc_visits``, one entry
-    per probe) and the recorded probes.
-    Tie-to-course arcs have capacity 1 and course-to-sink arcs capacity
-    q(c); source and tie arc capacities evolve with the stages, and
-    ``cap_tie`` has entries only for probed ties (any other has 0).
-    ``holders[c]`` is the one record of tie-course flow: the arc from tie
-    ``(a, t)`` to course ``c`` carries a unit exactly when ``(a, t)`` is in
-    ``holders[c]``; matched pairs, residual arcs and the flow out of each
-    tie and applicant are read off it. ``flow_snk[c]`` counts the units on
-    the course's sink arc, which the search's free-seat test reads, and
-    ``free`` the seats left in all courses. Every augmenting path ends at
-    one and only ``augment`` lowers it, so once it is 0 every probe fails.
+    ``curr``, the arc inspections of each probe that searched
+    (``arc_visits``) and the compact ``record``, one entry per stage.
+    Tie-to-course arcs have capacity 1, course-to-sink arcs q(c); ``cap_tie``
+    has entries only for probed ties. ``holders[c]`` is the one record of
+    tie-course flow: tie ``(a, t)`` sends ``c`` a unit exactly when ``(a,
+    t)`` is in it. ``flow_snk[c]`` counts the units on the sink arc of ``c`` and
+    ``free`` the seats left; only ``augment`` lowers it, so once it is 0
+    every probe fails. ``guided_order`` is the policy as the search reads it.
 
-    ``dead`` holds tie and course nodes known not to reach the sink in the
-    residual network; they stay dead for the rest of the run. A failed
-    search marks every node it reached, and ``augment`` marks a tie
-    it fills. An augmentation creates residual arcs only out of nodes on its
-    path, all of which reach the sink; its other changes only remove arcs (a
-    full course's sink arc), and source and tie capacities act on arcs the
-    search never crosses. So no arc from a dead node to a live one ever
-    appears. A full tie has no residual arc out, so no path passes through
-    it and it never gains one. ``guided_order`` is the run's policy as the
-    search reads it, ``None`` or a ``GuidedToward``'s courses (``run_gsdt``)."""
+    ``dead`` holds tie and course nodes known not to reach the sink; they
+    stay dead. A failed search marks every node it reached, and ``augment``
+    a tie it fills. An augmentation adds residual arcs only out of nodes on
+    its path, which all reach the sink; its other changes only remove arcs,
+    and source and tie capacities act on arcs the search never crosses, so
+    no arc from a dead node to a live one appears. A full tie has none out."""
 
     def __init__(self, instance: Instance, policy: GuidedToward | None = None):
         self.instance, self.guided_order = instance, None
@@ -79,27 +71,25 @@ class FlowNetwork:
         self.free = sum(instance.capacity.values())
         self.dead: set[Node] = set()
         self.arc_visits: list[int] = []
-        self.stage_probes: list[tuple[ProbeRecord, ...]] = []
+        self.record: list[Entry] = []
 
     def copy(self, instance: Instance) -> FlowNetwork:
         """An independent copy of the state, read against ``instance``."""
         new = object.__new__(FlowNetwork)
         new.__dict__ = {name: getattr(self, name).copy() for name in (
-            "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "stage_probes")}
+            "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "record")}
         new.instance, new.free, new.guided_order = instance, self.free, self.guided_order
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
 
     def live_courses(self) -> set[str]:
         """The courses that reach the sink in the residual network, empty
-        with no free seat; by the dead-set argument above, no later stage of
-        the run gives a course outside it to anyone. Between stages every
-        applicant-to-tie arc is full, so no path to the sink crosses an
-        applicant, and a tie's arcs on such a path run in from a course it
-        holds and out to one it lists and does not hold. Contracted, a tie
-        passes liveness from the latter to the former, and a tie that holds
-        nothing passes none: one search over courses, from those with a free
-        seat, reads only the ties in ``holders``."""
+        with no free seat; no later stage gives a course outside it to
+        anyone. Between stages no path to the sink crosses an applicant, and
+        a tie on one runs in from a course it holds and out to one it lists
+        and does not hold: contracted, a tie passes liveness from the latter
+        to the former. One search over courses, from those with a free seat,
+        reads only the ties in ``holders``."""
         inst, holders = self.instance, self.holders
         feeds: defaultdict[str, list[str]] = defaultdict(list)  # d -> courses live once d is
         for c, keys in holders.items():
@@ -119,10 +109,9 @@ class FlowNetwork:
         return Matching((a, c) for c, held in self.holders.items() for a, _ in held)
 
     def augment(self, path: Sequence[Node]) -> None:
-        """Push one unit along a source-sink path; tie-course arcs on the
-        path toggle, which adds and removes matched pairs. The probed tie,
-        the path's first, is marked dead once it holds all its courses, that
-        is once its capacity (the courses it holds, ``check``) is its size."""
+        """Push one unit along a source-sink path, toggling its tie-course
+        arcs. The probed tie, the path's first, is marked dead once its
+        capacity (the courses it holds, ``check``) is its size."""
         for taker, course, giver in zip(path[2::2], path[3::2], path[4::2]):
             held, key = self.holders[course[1]], (taker[1], taker[2])
             assert key not in held
@@ -137,13 +126,11 @@ class FlowNetwork:
 
     def check(self, ties: Iterable[tuple[str, int]] | None = None,
               courses: Iterable[str] | None = None) -> None:
-        """Exact conservation and capacity bounds, node by node, for the
-        quiescent state between stages, where also every applicant-to-tie
-        arc sits at its capacity. Each invariant involves one node's own
-        arcs, so ``ties`` (``(a, t)`` keys) and ``courses`` can scope the
-        check; ``None`` means all. The full tie check counts held units once
-        off ``holders`` against the nonzero ``cap_tie`` entries; only it
-        bounds each applicant's out by ``cap_src``. No check adds an entry."""
+        """Exact conservation and capacity bounds between stages, node by
+        node, so ``ties`` (``(a, t)`` keys) and ``courses`` scope it; ``None``
+        means all. The full tie check counts held units once off ``holders``
+        against the nonzero ``cap_tie`` entries, and bounds each applicant's
+        out by ``cap_src``. No check adds an entry."""
         inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
         for c in inst.courses if courses is None else courses:
             held = holders[c]
@@ -169,10 +156,9 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class GuidedToward:
-    """Prefer direct paths onto the target matching's courses, each
-    applicant's in ascending id; used to replay a Pareto optimal matching.
-    Only her courses in the probed tie can be taken; they form one component
-    of the target's pair-priority order, sorted inside, so the paths match."""
+    """Prefer direct paths onto the target matching's courses in the probed
+    tie, ascending; used to replay a Pareto optimal matching. They form one
+    component of the target's pair-priority order, sorted, so paths match."""
 
     target: Matching
 
@@ -180,47 +166,51 @@ class GuidedToward:
 def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
                          guided_order: dict[tuple[str, int], list[str]] | None = None,
                          ) -> list[Node] | None:
-    """Search the residual network for a source-sink path through the
-    applicant's probed tie.
-
-    Any augmenting path must enter through the only unsaturated source and
-    tie arcs, so the search starts at the tie node. It is breadth-first over
-    residual arcs: unmatched tie-course arcs, course-sink arcs with a free
-    seat, and backward arcs from a course to the ties that hold it. Each
-    node's successors are taken in ascending key order and a node's parent
-    is the one that first reaches it, so every level is reached in the order
-    of its nodes' least shortest paths, and the path read back from the sink
-    is the lexicographically least shortest one of the whole network. Dead
-    nodes (``FlowNetwork.dead``) are skipped, and a dead probed tie fails at
-    once, as does any probe with no free seat left (``FlowNetwork.free``); no
-    dead node reaches the sink, so the path is unchanged. Each call appends
-    its arc inspections to ``net.arc_visits``: |tie| for a tie it expands,
-    1 + |holders| for a course, 0 when it fails at once.
-
-    A ``guided_order`` (``FlowNetwork.guided_order``, which ``_stage`` passes)
-    is tried first for the probed tie, one arc visit per course: its first
-    that the tie does not hold and has a free seat is taken.
+    """Search the residual network for a path from the applicant's probed
+    tie to the sink, breadth-first over residual arcs (unmatched tie-course
+    arcs, course-sink arcs with a free seat, backward arcs from a course to
+    its holders), successors in ascending key order, a node's parent the
+    first to reach it: the path is the lexicographically least shortest one
+    of the whole network. Dead nodes are skipped; a dead probed tie fails at
+    once, as does a probe with no free seat. The tie's live courses it does
+    not hold, ascending, are the first level, and each leaves the queue
+    before any deeper node: the first with a free seat is the direct path,
+    returned at once, and if none has one they seed the search. Each call
+    appends its arc inspections to ``net.arc_visits``: |tie| for a tie it
+    expands, 1 + |holders| for a course, 0 for a probe that fails at once. A
+    ``guided_order`` is tried first, one visit per course: its first course
+    that the probed tie does not hold and that has a free seat is taken.
     """
     inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
-    start = ("tie", applicant, tie)
+    start, key = ("tie", applicant, tie), (applicant, tie)
     if start in dead or not net.free:
         net.arc_visits.append(visits)
         return None
 
     if guided_order is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
-        key = applicant, tie
         for c in guided_order.get(key, ()):
             visits += 1
             if key not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
                 net.arc_visits.append(visits)
                 return [SRC, ("app", applicant), start, ("crs", c), SNK]
 
+    courses = inst.prefs[applicant][tie]
+    visits += len(courses)
+    level = sorted(c for c in courses if key not in holders[c] and ("crs", c) not in dead)
+    direct = visits
+    for c in level:  # counted again below when none is free
+        direct += 1 + len(holders[c])
+        if net.flow_snk[c] < inst.capacity[c]:
+            net.arc_visits.append(direct)
+            return [SRC, ("app", applicant), start, ("crs", c), SNK]
+
     # Breadth-first search over live residual arcs, successors in ascending
     # key order; the sink's key sorts first, so a free course ends it at once.
-    parent: dict[Node, Node | None] = {start: None}
-    queue = [start]
+    queue: list[Node] = [("crs", c) for c in level]
+    parent: dict[Node, Node | None] = dict.fromkeys(queue, start)
+    parent[start] = None
     for u in queue:  # the queue grows as the loop reads it
         if u[0] == "tie":
             key = u[1], u[2]
@@ -255,35 +245,31 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
 # The mechanism.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     tie: int
     path: tuple[Node, ...] | None
 
 
-def _stage(net: FlowNetwork, a: str) -> tuple[ProbeRecord, ...]:
-    """The stage rules: serve one quota unit of ``a``; return its probes.
+def _stage(net: FlowNetwork, a: str) -> None:
+    """The stage rules: serve one quota unit of ``a``; record the stage.
 
-    Raise her source capacity and probe her ties from ``net.curr[a]`` on,
-    each by ``find_augmenting_path`` under ``net.guided_order``. A failed probe
-    rolls the tie capacity back and advances ``curr[a]``, and its record is
-    a slice of the shared ``_FAILED`` (only ever replaced by a longer tuple);
-    the first success augments. ``FlowNetwork.check`` (not under ``-O``)
-    then covers the ties probed and the ties and courses on the path. Her
-    bound ``out <= cap_src`` is left to the full check: she gains a unit of
-    source capacity and at most one of flow, and the path's other ties each
-    swap one course for another. With no free seat her remaining ties fail
-    unprobed, with 0 arc visits; only ``cap_src[a]`` (her bound loosens) and
-    ``curr[a]`` (read by no check) change: no check."""
-    global _FAILED
+    Raise her source capacity and probe her ties from ``net.curr[a]`` on by
+    ``find_augmenting_path``. A failed probe rolls the tie capacity back and
+    advances ``curr[a]``; the first success augments. ``net.record`` gains
+    (first tie probed, tie reached, path or ``None``): the ties in between
+    failed. ``FlowNetwork.check`` (not under ``-O``) covers the ties probed
+    and the ties and courses on the path. Her bound ``out <= cap_src`` is
+    left to the full check: she gains a unit of source capacity and at most
+    one of flow, and the path's other ties each swap one course for
+    another. With no free seat her remaining ties fail unprobed: the
+    entry is (first, her tie count, ``None``), ``arc_visits`` gains nothing,
+    and only ``cap_src[a]`` (her bound loosens) and ``curr[a]`` change."""
     net.cap_src[a] += 1
     first, ties = net.curr[a], len(net.instance.prefs[a])
-    if len(_FAILED) < ties:
-        _FAILED = tuple(ProbeRecord(t, None) for t in range(2 * ties))
     if not net.free:
         net.curr[a] = ties
-        net.arc_visits += [0] * (ties - first)
-        return _FAILED[first:ties]
+        net.record.append((first, ties, None))
+        return
     cap_tie, guided_order, t, path = net.cap_tie, net.guided_order, first, ()
     while t < ties:
         cap_tie[a, t] += 1
@@ -293,131 +279,147 @@ def _stage(net: FlowNetwork, a: str) -> tuple[ProbeRecord, ...]:
         cap_tie[a, t] -= 1
         t += 1
     net.curr[a] = t
-    probes = _FAILED[first:t]
     if path:
         net.augment(path)
-        probes, t = probes + (ProbeRecord(t, tuple(path)),), t + 1
+    net.record.append((first, t, tuple(path) or None))
     if __debug__:  # the probed ties, then the ties and the courses on the path
-        net.check(ties=[(a, s) for s in range(first, t)] + [u[1:] for u in path[4:-1:2]],
+        net.check(ties=[(a, s) for s in range(first, t + bool(path))] + [u[1:] for u in path[4:-1:2]],
                   courses=[u[1] for u in path[3:-1:2]])
-    return probes
+
+
+def _probes(entry: Entry) -> tuple[ProbeRecord, ...]:
+    """A stage's probes: the ties from the first probed to the one reached
+    failed, and a path succeeded at the latter."""
+    first, t, path = entry
+    failed = tuple(ProbeRecord(s, None) for s in range(first, t))
+    return failed if path is None else (*failed, ProbeRecord(t, path))
 
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One stage as ``GsdtResult.stages`` served it again: its record
+    ``entry``, so its ``probes``, its applicant's tie pointer ``curr`` after
+    it and its ``delta``, the pairs its path adds and removes. ``matching``
+    applies the deltas of every stage up to this one (``before`` links the
+    previous), built on first read."""
+
     stage: int
     applicant: str
-    probes: tuple[ProbeRecord, ...]
-    matching: Matching
-    curr_after: tuple[tuple[str, int], ...]
+    entry: Entry
+    before: StageRecord | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def probes(self) -> tuple[ProbeRecord, ...]:
+        return _probes(self.entry)
+
+    @property
+    def curr(self) -> int:
+        return self.entry[1]
+
+    @property
+    def delta(self) -> tuple[list[Pair], list[Pair]]:
+        path = self.entry[2] or ()
+        return ([(u[1], c[1]) for u, c in zip(path[2::2], path[3::2])],
+                [(u[1], c[1]) for c, u in zip(path[3::2], path[4::2]) if u[0] == "tie"])
+
+    @cached_property
+    def matching(self) -> Matching:
+        stages = [self]
+        while stages[-1].before is not None:
+            stages.append(stages[-1].before)
+        pairs: set[Pair] = set()
+        for added, removed in (stage.delta for stage in reversed(stages)):
+            pairs.difference_update(removed)  # a path adds no pair it removes
+            pairs.update(added)
+        return Matching(pairs)
 
 
 @dataclass(frozen=True)
 class GsdtResult:
-    """The final matching and the arc inspections of each probe of a run,
-    plus what the run recorded to explain itself: each stage's probes.
-    ``searches`` counts the probes, one per entry of ``arc_visits``.
-    ``policy`` is the run's third input, so the run can be served again.
-
-    ``stages`` and ``capacity_history`` are built on first read and cached.
-    ``stages`` serves the run again, one ``serve`` call per stage on a fresh
-    network under the same policy, with the full ``FlowNetwork.check`` after
-    every stage (not under ``-O``), and raises ``AssertionError``, under
-    ``-O`` too, unless each stage's probes equal the recorded ones;
-    ``render_trace`` renders a forged record as it is. ``capacity_history``
-    holds the source-arc capacities before the first stage and after each
-    one.
+    """The final matching and the compact record of a run (``_stage``),
+    with the arc inspections of each probe that searched (``visits``), and
+    the run's ``policy``, so it can be served again. ``stage_probes``,
+    ``arc_visits`` (one per probe, 0 on a full network) and ``searches``
+    (the probes) are views of the record, derived on first read. ``stages``,
+    built on first read, serves the run again one ``serve`` per stage on a
+    fresh network, so with the full check after each (not under ``-O``),
+    and raises ``AssertionError``, under ``-O`` too, unless each stage's
+    entry is the recorded one; ``render_trace`` renders a forged record.
     """
 
     instance: Instance
     ordering: PriorityOrdering
     matching: Matching
-    stage_probes: tuple[tuple[ProbeRecord, ...], ...]
-    arc_visits: tuple[int, ...]
+    record: tuple[Entry, ...]
+    visits: tuple[int, ...]
     policy: GuidedToward | None = None
 
     @property
     def searches(self) -> int:
-        return len(self.arc_visits)
+        return sum(t - first + (path is not None) for first, t, path in self.record)
+
+    @cached_property
+    def stage_probes(self) -> tuple[tuple[ProbeRecord, ...], ...]:
+        return tuple(map(_probes, self.record))
+
+    @cached_property
+    def arc_visits(self) -> tuple[int, ...]:
+        # The probes without an entry all come last: once full, a network stays full.
+        return self.visits + (0,) * (self.searches - len(self.visits))
 
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
-        net, stages = FlowNetwork(self.instance, self.policy), []
-        for i, (a, recorded) in enumerate(zip(self.ordering, self.stage_probes), start=1):
+        net, stages = FlowNetwork(self.instance, self.policy), [None]
+        for i, (a, entry) in enumerate(zip(self.ordering, self.record), start=1):
             serve(net, (a,))
-            if net.stage_probes[-1] != recorded:
+            if net.record[-1] != entry:
                 raise AssertionError(f"stage {i}: the record breaks the stage rules")
-            stages.append(StageRecord(i, a, recorded, net.matching(),
-                                      tuple(sorted(net.curr.items()))))
-        return tuple(stages)
-
-    @cached_property
-    def capacity_history(self) -> tuple[tuple[int, ...], ...]:
-        counts = {a: 0 for a in self.instance.applicants}
-        history = [tuple(counts.values())]
-        for a in self.ordering:
-            counts[a] += 1
-            history.append(tuple(counts.values()))
-        return tuple(history)
+            stages.append(StageRecord(i, a, entry, stages[-1]))
+        return tuple(stages[1:])
 
 
 def serve(net: FlowNetwork, stages: Sequence[str]) -> None:
     """The stage loop: one ``_stage`` per entry, then the full check."""
     for a in stages:
-        net.stage_probes.append(_stage(net, a))
+        _stage(net, a)
     if __debug__:
         net.check()
 
 
 def run_gsdt(instance: Instance, ordering: Sequence[str],
              policy: GuidedToward | None = None) -> GsdtResult:
-    """Run the mechanism for a priority multisequence.
-
-    Each entry of the ordering is one stage (``_stage``); one full
-    ``FlowNetwork.check`` runs before the final matching is read off. The run
-    records only each stage's probes, which ``render_trace`` reads unchecked
-    (``solve --trace`` checks no more than ``solve``) and
-    ``GsdtResult.stages`` serves again and checks. The stage loop is
-    ``serve``, which the misreport search also runs on copies of one shared
-    state.
+    """Run the mechanism for a priority multisequence, one ``_stage`` per
+    entry through ``serve``, which the misreport search also runs on copies
+    of one shared state. The run keeps only its compact record, which
+    ``render_trace`` reads unchecked and ``GsdtResult.stages`` checks.
 
     With no ``policy`` every probe takes the canonical path, the
     lexicographically least shortest one; any augmenting path would do, so
     this only makes runs reproducible. A ``GuidedToward`` target must be a
-    feasible matching; otherwise ``FlowNetwork`` raises ``FeasibilityError``
-    before any stage runs. Its courses are grouped by the applicant's tie
-    that lists them and tried in ascending id: the fast path reads only the
-    probed tie's group, where an applicant's target pairs form one component
-    of the target's pair-priority order, sorted, so the paths are that
-    order's.
+    feasible matching, or ``FlowNetwork`` raises ``FeasibilityError``
+    before any stage runs; its courses are tried as ``GuidedToward`` says.
     """
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance, policy)
     serve(net, ordering)
-    return GsdtResult(
-        instance=instance, ordering=tuple(ordering), matching=net.matching(),
-        stage_probes=tuple(net.stage_probes), arc_visits=tuple(net.arc_visits), policy=policy)
+    return GsdtResult(instance=instance, ordering=tuple(ordering), matching=net.matching(),
+                      record=tuple(net.record), visits=tuple(net.arc_visits), policy=policy)
 
 
 def render_trace(result: GsdtResult) -> Iterator[str]:
-    """Line-oriented stage trace, read off the record unchecked: the ordering
-    gives each stage's applicant, a successful probe's path the course it adds.
-
-    Yields one line per probed tie; a stage whose active tie is already
-    exhausted (no probe at all) renders a single line with ``tie=-``. Tie
-    numbers are 1-based in the rendering.
+    """Line-oriented stage trace, read off the compact record unchecked:
+    one line per probed tie, 1-based, and ``tie=-`` for a stage that probes
+    none; the ordering gives each stage's applicant, a path the pair it adds.
     """
-    for i, (a, probes) in enumerate(zip(result.ordering, result.stage_probes), start=1):
+    for i, (a, (first, t, path)) in enumerate(zip(result.ordering, result.record), start=1):
         stage = f"stage={i} applicant={a}"
-        if not probes:
+        if first == t and path is None:
             yield f"{stage} tie=- path=FAIL added=none"
-        for probe in probes:
-            if probe.path is None:
-                shown, delta = "FAIL", "none"
-            else:
-                shown = ",".join(render_node(n) for n in probe.path)
-                delta = f"{a},{probe.path[3][1]}"
-            yield f"{stage} tie={probe.tie + 1} path={shown} added={delta}"
+        for s in range(first, t):
+            yield f"{stage} tie={s + 1} path=FAIL added=none"
+        if path is not None:
+            shown = ",".join(render_node(n) for n in path)
+            yield f"{stage} tie={t + 1} path={shown} added={a},{path[3][1]}"
 
 
 # ----------------------------------------------------------------------
@@ -426,15 +428,11 @@ def render_trace(result: GsdtResult) -> Iterator[str]:
 
 def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
     """Order the matched pairs so that every pair comes after all pairs it
-    weakly envies.
-
-    Build the digraph on matched pairs with an arc from ac to a'c' whenever
-    ac weakly envies c' (``weakly_envied``, the verifier's relation), or a'c'
-    is another seat of a herself (same applicant, weakly better course): without
-    the same-applicant arcs, a seat served too early can absorb capacity an
-    earlier-priority pair still needs. Contract strongly connected
-    components; lay the components out sinks first; sort pairs inside a
-    component for determinism.
+    weakly envies: on the digraph with an arc from ac to a'c' whenever ac
+    weakly envies c' (``weakly_envied``, the verifier's relation) or a'c' is
+    another seat of a herself (a weakly better course; without these arcs a
+    seat served too early can absorb capacity an earlier pair still needs),
+    lay the strongly connected components out sinks first, each sorted.
     """
     pairs = matching.canonical_pairs()
     ids = {p: i for i, p in enumerate(pairs)}  # ids sort as the pairs do
@@ -453,12 +451,9 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
 
 
 def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
-    """Build a priority ordering under which the guided mechanism reproduces
-    the given Pareto optimal matching exactly.
-
-    The matched pairs are served in pair-priority order; leftover quota
-    copies are appended by applicant id and cannot change the outcome.
-    """
+    """A priority ordering under which the guided mechanism reproduces the
+    Pareto optimal matching exactly: its pairs in pair-priority order, then
+    the leftover quota copies by applicant id, which change nothing."""
     check = envy.is_pareto_optimal(instance, pom)
     if not check:
         raise NotParetoOptimalError(

@@ -135,10 +135,12 @@ class Instance:
 
 
 def with_prefs(instance: Instance, applicant: str, ties: Iterable[Iterable[str]]) -> Instance:
-    """Same instance with one applicant's declared preference list replaced,
-    checked as ``Instance.build`` checks it."""
+    """Same instance with one applicant's preference list replaced, checked
+    as ``Instance.build`` checks it; her declared tuple returns ``instance``."""
     if applicant not in instance.quota:
         raise InstanceSemanticError(f"unknown applicant {applicant!r}")
+    if ties is instance.prefs[applicant]:  # her declared tuple, which build checked
+        return instance
     prefs, index = _tie_sets(applicant, ties, instance.capacity)
     return replace(instance, prefs={**instance.prefs, applicant: prefs},
                    tie_index={**instance.tie_index, applicant: index})

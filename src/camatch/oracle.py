@@ -311,7 +311,7 @@ def run_list(base: FlowNetwork, ordering: Sequence[str], applicant: str,
     A stop just before one of her stages would leave that stage unread."""
     assert stop is None or applicant not in ordering[stop:stop + 1]
     net = base.copy(with_prefs(base.instance, applicant, prefs))
-    serve(net, ordering[len(base.stage_probes):stop])
+    serve(net, ordering[len(base.record):stop])
     return net
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 from typing import Iterator
 
 from camatch import Instance, generate_random_instance, parse_instance
+from camatch import gsdt
+from camatch.gsdt import FlowNetwork, GsdtResult
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -73,3 +75,21 @@ def consecutive_orderings(instance: Instance) -> Iterator[tuple[str, ...]]:
         for a in perm:
             out.extend([a] * instance.quota[a])
         yield tuple(out)
+
+
+def capacity_history(instance: Instance, ordering) -> tuple[tuple[int, ...], ...]:
+    """The source-arc capacities of a run before its first stage and after
+    each one, in applicant order, read off a network served stage by stage."""
+    net = FlowNetwork(instance)
+    history = [tuple(net.cap_src.values())]
+    for a in ordering:
+        gsdt._stage(net, a)
+        history.append(tuple(net.cap_src.values()))
+    return tuple(history)
+
+
+def expanded(net: FlowNetwork) -> tuple[tuple, tuple[int, ...]]:
+    """A network's compact record as a run result reads it: each stage's
+    probes and one arc-visit count per probe (``GsdtResult``'s views)."""
+    result = GsdtResult(net.instance, (), net.matching(), tuple(net.record), tuple(net.arc_visits))
+    return result.stage_probes, result.arc_visits

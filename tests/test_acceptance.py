@@ -35,6 +35,7 @@ from camatch.oracle import (
     with_prefs,
 )
 from instances import (
+    capacity_history,
     consecutive_orderings,
     fixture_instances,
     random_small_instances,
@@ -94,7 +95,7 @@ def test_criterion_3_walkthrough_trace():
     with criterion(3, "walkthrough capacity trace", 1.0):
         t1 = worked_example("walkthrough")
         result = run_gsdt(t1, ("a1", "a1", "a2", "a2", "a3", "a2", "a3"))
-        assert result.capacity_history == (
+        assert capacity_history(t1, result.ordering) == (
             (0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0),
             (2, 2, 0), (2, 2, 1), (2, 3, 1), (2, 3, 2),
         )

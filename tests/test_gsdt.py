@@ -25,6 +25,7 @@ from camatch import (
 )
 from camatch.gsdt import SNK, SRC, FlowNetwork, ProbeRecord, _pair_priority_order
 from camatch.oracle import distinct_orderings, enumerate_poms, is_pom_bruteforce
+from instances import capacity_history
 
 WALKTHROUGH_ORDERING = ("a1", "a1", "a2", "a2", "a3", "a2", "a3")
 
@@ -55,7 +56,7 @@ WALKTHROUGH_TRACE = [
 
 def test_walkthrough_golden_run(t1):
     result = run_gsdt(t1, WALKTHROUGH_ORDERING)
-    assert result.capacity_history == WALKTHROUGH_CAPACITIES
+    assert capacity_history(t1, result.ordering) == WALKTHROUGH_CAPACITIES
     assert list(render_trace(result)) == WALKTHROUGH_TRACE
     assert result.matching == Matching(
         [("a1", "c1"), ("a1", "c2"), ("a2", "c1"), ("a2", "c3")])
@@ -80,7 +81,7 @@ def test_empty_instance():
     result = run_gsdt(empty, ())
     assert result.matching == Matching()
     assert result.stages == ()
-    assert result.capacity_history == ((),)
+    assert capacity_history(empty, result.ordering) == ((),)
 
 
 def test_invalid_ordering_rejected(t1):
@@ -134,7 +135,7 @@ def test_exhausted_ties_advance_pointer(ex1):
     assert [p.tie for p in stage3.probes] == [0, 1]
     assert all(p.path is None for p in stage3.probes)
     assert stage3.probes[-1].path is None
-    assert dict(stage3.curr_after)["a1"] == 2
+    assert stage3.curr == 2
 
 
 def _stage_instances(instance, result):
@@ -177,7 +178,7 @@ def test_tie_pointers_and_per_tie_counts_monotone(fleet):
             last_counts = {
                 a: [0] * len(inst.prefs[a]) for a in inst.applicants}
             for rec in result.stages:
-                curr = dict(rec.curr_after)
+                curr = {**last_curr, rec.applicant: rec.curr}  # only hers moves
                 for a in inst.applicants:
                     assert curr[a] >= last_curr[a]
                     counts = list(characteristic_vector(
@@ -205,7 +206,7 @@ def test_paths_stay_on_active_ties(fleet):
                         _, a, t = node
                         expect = probe.tie if a == rec.applicant else curr_before[a]
                         assert t == expect
-                curr_before = dict(rec.curr_after)
+                curr_before[rec.applicant] = rec.curr
 
 
 def test_work_bounds(fleet):
@@ -408,7 +409,8 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
     # a0 and a1 take c1, c3, c4 and c5, and a2's first stage takes c2 from
     # her second tie, which leaves no seat. Then a3, a4 (a longer list than
     # any served so far) and a2 again (from her second tie) meet a full
-    # network, starting from an empty shared record tuple.
+    # network: each records one entry, which expands to a failed probe per
+    # tie she has left, and adds no arc-visit entry.
     from camatch import gsdt
 
     inst = Instance.build(
@@ -421,15 +423,15 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
     full = []
 
     def spied_stage(net, a):
-        first, was_full = net.curr[a], not net.free
-        probes = stage(net, a)
+        first, was_full, visits = net.curr[a], not net.free, len(net.arc_visits)
+        stage(net, a)
         if was_full:
             full.append((a, first))
+            assert net.record[-1] == (first, len(inst.prefs[a]), None)
             fresh = tuple(ProbeRecord(t, None) for t in range(first, len(inst.prefs[a])))
-            assert probes == fresh
-        return probes
+            assert gsdt._probes(net.record[-1]) == fresh
+            assert len(net.arc_visits) == visits
 
-    monkeypatch.setattr(gsdt, "_FAILED", ())
     monkeypatch.setattr(gsdt, "_stage", spied_stage)
     result = run_gsdt(inst, ("a0", "a0", "a0", "a1", "a2", "a3", "a4", "a2"))
     assert full == [("a3", 0), ("a4", 0), ("a2", 1)]
@@ -438,35 +440,37 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
         tuple(ProbeRecord(t, None) for t in range(5)),
         (ProbeRecord(1, None), ProbeRecord(2, None)),
     )
+    assert result.arc_visits[-9:] == (0,) * 9
     assert [len(s.probes) for s in result.stages] == [1, 1, 1, 1, 2, 2, 5, 2]
 
 
-# (stage, probe, forged record): two failed probes relabelled onto another
-# tie of the same applicant, and stage 1's path sent to c2 instead of c1.
+STAGE_3_PATH = (SRC, ("app", "a2"), ("tie", "a2", 1), ("crs", "c1"), SNK)
+
+# (stage, forged record entry): a2's failed first tie dropped from stage 3,
+# her failed probe at stage 6 relabelled onto her first tie, and stage 1's
+# path sent to c2 instead of c1.
 FORGERIES = [
-    pytest.param(3, 0, ProbeRecord(1, None), id="3-0-1"),
-    pytest.param(5, 0, ProbeRecord(2, None), id="5-0-2"),
-    pytest.param(1, 0, ProbeRecord(0, (SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c2"), SNK)),
+    pytest.param(3, (1, 1, STAGE_3_PATH), id="3-from-1"),
+    pytest.param(6, (0, 1, None), id="6-0-1"),
+    pytest.param(1, (0, 0, (SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c2"), SNK)),
                  id="1-0-c2"),
 ]
 
 
-@pytest.mark.parametrize("stage, probe, record", FORGERIES)
-def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, probe, record):
+def forge(result, stage, entry):
+    """The run's result with one stage's record entry replaced."""
+    assert result.record[stage - 1] != entry
+    record = list(result.record)
+    record[stage - 1] = entry
+    return dataclasses.replace(result, record=tuple(record))
+
+
+@pytest.mark.parametrize("stage, entry", FORGERIES)
+def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, entry):
     # The replay behind ``stages`` serves the run again and must refuse a
-    # record whose probes differ from the ones the stage rules give.
+    # record whose entries differ from the ones the stage rules give.
     # ``render_trace`` does not replay, and renders it as it is.
-    result = run_gsdt(t1, WALKTHROUGH_ORDERING)
-    probes = list(result.stage_probes[stage - 1])
-    old = probes[probe]
-    if record.path is None:  # a failed probe moved onto another tie
-        assert old.path is None and old.tie != record.tie
-    else:  # the same tie's path sent elsewhere
-        assert old.tie == record.tie and old.path not in (None, record.path)
-    probes[probe] = record
-    stage_probes = list(result.stage_probes)
-    stage_probes[stage - 1] = tuple(probes)
-    forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), stage, entry)
     refusal = f"^stage {stage}: the record breaks the stage rules$"
     with pytest.raises(AssertionError, match=refusal):
         forged.stages
@@ -475,16 +479,12 @@ def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, pro
 FORGE_UNDER_O = """
 import ast, dataclasses, sys
 from camatch import parse_instance, run_gsdt
-from camatch.gsdt import ProbeRecord
 
-path, ordering, stage, probe = sys.argv[1], sys.argv[2].split(), *map(int, sys.argv[3:5])
-record = ProbeRecord(*ast.literal_eval(sys.argv[5]))
+path, ordering, stage = sys.argv[1], sys.argv[2].split(), int(sys.argv[3])
 result = run_gsdt(parse_instance(open(path).read()), ordering)
-probes = list(result.stage_probes[stage - 1])
-probes[probe] = record
-stage_probes = list(result.stage_probes)
-stage_probes[stage - 1] = tuple(probes)
-forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
+record = list(result.record)
+record[stage - 1] = ast.literal_eval(sys.argv[4])
+forged = dataclasses.replace(result, record=tuple(record))
 print(__debug__)
 try:
     forged.stages
@@ -493,8 +493,8 @@ except AssertionError as error:
 """
 
 
-@pytest.mark.parametrize("stage, probe, record", FORGERIES)
-def test_trace_rejects_a_forged_record_under_python_O(stage, probe, record):
+@pytest.mark.parametrize("stage, entry", FORGERIES)
+def test_trace_rejects_a_forged_record_under_python_O(stage, entry):
     # The same forgery as above, in a ``python -O`` process, where every
     # ``assert`` statement is skipped: the replay must still refuse it.
     root = Path(__file__).resolve().parents[1]
@@ -502,8 +502,7 @@ def test_trace_rejects_a_forged_record_under_python_O(stage, probe, record):
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGE_UNDER_O, str(root / "fixtures" / "walkthrough.txt"),
-         " ".join(WALKTHROUGH_ORDERING), str(stage), str(probe),
-         repr((record.tie, record.path))],
+         " ".join(WALKTHROUGH_ORDERING), str(stage), repr(entry)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"False\nstage {stage}: the record breaks the stage rules\n"
@@ -520,21 +519,18 @@ def test_trace_does_not_replay_the_stages(t1):
     assert "stages" not in vars(guided)
 
 
-@pytest.mark.parametrize("stage, probe, tie", [(3, 0, 1), (5, 0, 2)])
-def test_trace_renders_a_forged_record_as_it_is(t1, stage, probe, tie):
-    # The record forged as above: the trace shows the forged tie, and only
-    # the replay behind ``stages`` refuses it.
-    result = run_gsdt(t1, WALKTHROUGH_ORDERING)
-    probes = list(result.stage_probes[stage - 1])
-    old_tie = probes[probe].tie
-    probes[probe] = ProbeRecord(tie, None)
-    stage_probes = list(result.stage_probes)
-    stage_probes[stage - 1] = tuple(probes)
-    forged = dataclasses.replace(result, stage_probes=tuple(stage_probes))
-    head = f"stage={stage} applicant={WALKTHROUGH_ORDERING[stage - 1]} tie="
-    tail = " path=FAIL added=none"
-    expected = [f"{head}{tie + 1}{tail}" if line == f"{head}{old_tie + 1}{tail}" else line
-                for line in WALKTHROUGH_TRACE]
+@pytest.mark.parametrize("stage, entry, old, new", [
+    (3, (1, 1, STAGE_3_PATH), "stage=3 applicant=a2 tie=1 path=FAIL added=none", None),
+    (6, (0, 1, None), "stage=6 applicant=a2 tie=2 path=FAIL added=none",
+     "stage=6 applicant=a2 tie=1 path=FAIL added=none"),
+])
+def test_trace_renders_a_forged_record_as_it_is(t1, stage, entry, old, new):
+    # The record forged as above: the trace shows the forged entry (a
+    # dropped or relabelled failed probe), and only the replay behind
+    # ``stages`` refuses it.
+    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), stage, entry)
+    expected = [new if line == old else line for line in WALKTHROUGH_TRACE]
+    expected = [line for line in expected if line is not None]
     assert expected != WALKTHROUGH_TRACE
     assert list(render_trace(forged)) == expected
     with pytest.raises(AssertionError):

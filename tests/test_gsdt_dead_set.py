@@ -23,7 +23,7 @@ from camatch import (
 )
 from camatch import gsdt
 from camatch.gsdt import SNK, SRC
-from instances import worked_example
+from instances import expanded, worked_example
 
 
 def sink_reachers(net):
@@ -184,11 +184,10 @@ def test_live_courses_are_the_courses_that_reach_the_sink(monkeypatch):
         cut_off += net.free > 0 and len(live) < len(inst.courses)
 
     def checked(net, a):
-        if not net.stage_probes:  # a later stage starts where the one before ended
+        if not net.record:  # a later stage starts where the one before ended
             assert_live(net)
-        probes = stage(net, a)
+        stage(net, a)
         assert_live(net)
-        return probes
 
     monkeypatch.setattr(gsdt, "_stage", checked)
     for inst, ordering in CASES:
@@ -214,13 +213,12 @@ def test_live_courses_reach_the_sink_at_every_tenth_stage_of_larger_runs(monkeyp
 
     def checked(net, a):
         nonlocal served
-        probes = stage(net, a)
+        stage(net, a)
         served += 1
         if served % 10 == 0:
             live = net.live_courses()
             assert live == {v[1] for v in sink_reachers(net) if v[0] == "crs"}
             sizes.append((len(live), net.free > 0 and len(live) < n2))
-        return probes
 
     monkeypatch.setattr(gsdt, "_stage", checked)
     run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])])
@@ -278,12 +276,13 @@ def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatc
         left = range(net.curr[a], len(inst.prefs[a]))
         for t in left:
             assert least_shortest_path(net, a, t) is None
-        visits = len(net.arc_visits)
-        probes = stage(net, a)
-        assert probes == tuple(gsdt.ProbeRecord(t, None) for t in left)
-        assert net.arc_visits[visits:] == [0] * len(left)
+        searched = len(net.arc_visits)
+        stage(net, a)
+        assert len(net.arc_visits) == searched  # no search, so no entry
+        probes, visits = expanded(net)
+        assert probes[-1] == tuple(gsdt.ProbeRecord(t, None) for t in left)
+        assert visits[len(visits) - len(left):] == (0,) * len(left)
         decided += len(left)
-        return probes
 
     monkeypatch.setattr(gsdt, "find_augmenting_path", spied_search)
     monkeypatch.setattr(gsdt, "_stage", spied_stage)
@@ -300,8 +299,9 @@ def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
     gsdt.serve(net, ["a1"])
     assert ("tie", "a1", 0) in net.dead
     gsdt.serve(net, ["a2", "a1"])
-    assert net.stage_probes[2][0] == gsdt.ProbeRecord(0, None)
-    assert net.arc_visits[2] == 0
+    probes, visits = expanded(net)
+    assert probes[2][0] == gsdt.ProbeRecord(0, None)
+    assert visits[2] == 0
 
 
 # ----------------------------------------------------------------------

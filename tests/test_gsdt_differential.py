@@ -1,6 +1,9 @@
 """The augmenting-path search, and the probes the stage loop decides without
-it, against the whole-network reference of ``test_gsdt_dead_set``, and GSDT
-properties on seeded random instances larger than brute force can reach."""
+it, against the whole-network reference of ``test_gsdt_dead_set`` (and on
+seat-rich 40x60 instances, where the search mostly ends at the probed tie's
+own free course, against the arc visits and dead set of the frozen search of
+``test_gsdt_stage_reference``), and GSDT properties on seeded random
+instances larger than brute force can reach."""
 
 import random
 
@@ -15,6 +18,7 @@ from camatch import (
 )
 from camatch import gsdt
 from test_gsdt_dead_set import least_shortest_path
+from test_gsdt_stage_reference import find_augmenting_path as frozen_search
 
 
 def random_instances(count, n1_range, n2_range, seed):
@@ -50,13 +54,12 @@ def test_region_search_equals_whole_network_search(monkeypatch, k):
         # such a stage augments nothing, so the network after it is the one
         # the loop decided on.
         searched.clear()
-        probes = stage(net, a)
-        for p in probes:
+        stage(net, a)
+        for p in gsdt._probes(net.record[-1]):
             if (a, p.tie) not in searched:
                 assert p.path is None
                 assert least_shortest_path(net, a, p.tie) is None
                 outcomes.append(False)
-        return probes
 
     monkeypatch.setattr(gsdt, "find_augmenting_path", both)
     monkeypatch.setattr(gsdt, "_stage", decided_too)
@@ -75,3 +78,36 @@ def test_outputs_are_pareto_optimal_and_replay_beyond_brute_force():
         assert is_pareto_optimal(inst, optimum)
         replay = run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
         assert replay.matching == optimum
+
+
+# Seats outnumber quota, so most probes end at a free course of the probed
+# tie's own first level, the search's direct exit.
+SEAT_RICH_CASES = list(random_instances(6, (40, 40), (60, 60), 4060))
+
+
+@pytest.mark.parametrize("k", range(len(SEAT_RICH_CASES)))
+def test_region_search_equals_the_references_where_seats_abound(monkeypatch, k):
+    """Each probe of a seat-rich canonical run and of its guided replay
+    takes the whole-network reference path, and inspects as many arcs and
+    leaves the same dead set as the frozen breadth-first search of
+    ``test_gsdt_stage_reference``, run on a copy of the network."""
+    inst, ordering = SEAT_RICH_CASES[k]
+    region_search = gsdt.find_augmenting_path
+    counts = {"direct": 0, "deeper": 0, "failed": 0}
+
+    def both(net, applicant, tie, guided_order=None):
+        ref = net.copy(net.instance)
+        expected = frozen_search(ref, applicant, tie, guided_order)
+        assert least_shortest_path(net, applicant, tie, guided_order) == expected
+        got = region_search(net, applicant, tie, guided_order)
+        assert got == expected
+        assert net.arc_visits[-1] == ref.arc_visits[-1]
+        assert net.dead == ref.dead
+        counts["failed" if got is None else "direct" if len(got) == 5 else "deeper"] += 1
+        return got
+
+    monkeypatch.setattr(gsdt, "find_augmenting_path", both)
+    optimum = run_gsdt(inst, ordering).matching
+    assert run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum)).matching == optimum
+    # The direct exit dominates, and the deeper search and failures both occur.
+    assert counts["direct"] > 10 * counts["deeper"] > 0 and counts["failed"] > 0

@@ -10,7 +10,8 @@ a course that cannot reach the sink in her base or beats her ``quota`` best
 listed courses among those that can, so a list whose bound does not beat
 the truthful outcome is counted without a run, and a course subset whose
 bound loses is counted as one block, at any search limit. A run keeps tie
-capacities only for the ties it probes."""
+capacities only for the ties it probes. ``with_prefs`` returns the instance
+itself for her declared tuple, so the truthful run rebuilds nothing."""
 
 import itertools
 import random
@@ -23,6 +24,7 @@ from camatch import (
     InstanceSemanticError, OrderingError, generate_random_instance, parse_instance,
     render_trace, run_gsdt)
 from camatch import gsdt, oracle
+from camatch import instance as instance_module
 from camatch.gsdt import FlowNetwork, GsdtResult
 from camatch.matching import SetRelation, characteristic_vector, compare_sets
 from camatch.oracle import (
@@ -35,7 +37,7 @@ from camatch.oracle import (
     run_list,
     with_prefs,
 )
-from instances import fixture_instances, with_quotas, worked_example
+from instances import expanded, fixture_instances, with_quotas, worked_example
 from test_gsdt_dead_set import sink_reachers
 
 
@@ -61,7 +63,7 @@ def state_key(state):
     """Everything a run state holds, copied into comparable values (the
     items of its containers are immutable)."""
     return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.flow_snk, state.dead,
-                                 state.curr, state.arc_visits, state.stage_probes)),
+                                 state.curr, state.arc_visits, state.record)),
             {c: held.copy() for c, held in state.holders.items()})
 
 
@@ -78,7 +80,7 @@ def assert_equals_fresh(ordering, state, fresh, trace=True):
     caller with many runs may leave it out."""
     resumed = GsdtResult(
         instance=state.instance, ordering=tuple(ordering), matching=state.matching(),
-        stage_probes=tuple(state.stage_probes), arc_visits=tuple(state.arc_visits))
+        record=tuple(state.record), visits=tuple(state.arc_visits))
     assert resumed.instance == fresh.instance
     assert resumed.matching == fresh.matching
     assert resumed.stage_probes == fresh.stage_probes
@@ -133,7 +135,7 @@ CASES = list(seeded_cases(12, 2718))
 def test_resumed_runs_equal_fresh_runs(k):
     inst, ordering, liars = CASES[k]
     shared = sum(
-        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a)).stage_probes)
+        len(assert_resumes_like_fresh(inst, ordering, a, varied_lists(inst, a)).record)
         for a in liars)
     assert shared > 0
 
@@ -298,9 +300,9 @@ def test_the_search_runs_from_the_state_before_her_first_stage():
     with mock.patch.object(oracle, "run_list", run):
         find_beneficial_misreport(inst, ORDERING, "a1")
     base, truthful = runs[0]
-    assert len(base.stage_probes) == 2  # a2 and a3 went first
-    assert len(truthful.stage_probes) == 5  # stopped after her last stage
-    assert tuple(truthful.stage_probes) == run_gsdt(inst, ORDERING).stage_probes[:5]
+    assert len(base.record) == 2  # a2 and a3 went first
+    assert len(truthful.record) == 5  # stopped after her last stage
+    assert expanded(truthful)[0] == run_gsdt(inst, ORDERING).stage_probes[:5]
 
 
 def test_a_search_serves_the_stages_before_her_first_once():
@@ -313,12 +315,12 @@ def test_a_search_serves_the_stages_before_her_first_once():
             served, runs = [], []
 
             def stage(net, b):
-                served.append(len(net.stage_probes))
+                served.append(len(net.record))
                 return real_stage(net, b)
 
             def run(base, ordering, applicant, prefs, stop=None):
                 state = real_run(base, ordering, applicant, prefs, stop)
-                runs.append(len(state.stage_probes))
+                runs.append(len(state.record))
                 return state
 
             with mock.patch.object(gsdt, "_stage", stage), mock.patch.object(oracle, "run_list", run):
@@ -350,7 +352,7 @@ def test_a_copy_shares_no_container_with_its_original():
             counts[key] += 1
     copied.dead.add(("tie", "zz", 0))
     copied.arc_visits.append(0)
-    copied.stage_probes.append(())
+    copied.record.append((0, 0, None))
     assert state_key(original) == before
 
 
@@ -381,7 +383,7 @@ def test_the_search_asserts_its_base_holds_no_tie_of_hers(corrupt, tie):
         with pytest.raises(AssertionError, match="the base holds a tie of hers") as raised:
             find_beneficial_misreport(inst, ORDERING, "a1")
     assert raised.traceback[-1].name == "find_beneficial_misreport"
-    assert len(bases[0].stage_probes) == ORDERING.index("a1")
+    assert len(bases[0].record) == ORDERING.index("a1")
 
 
 def test_a_search_adds_no_tie_capacity_to_its_base():
@@ -408,7 +410,7 @@ def test_a_search_adds_no_tie_capacity_to_its_base():
 
 def named_ties(state, ordering):
     """The ties the stage records name: probed, or failed unprobed on a full network."""
-    return {(a, p.tie) for a, probes in zip(ordering, state.stage_probes) for p in probes}
+    return {(a, p.tie) for a, probes in zip(ordering, expanded(state)[0]) for p in probes}
 
 
 def test_a_run_holds_capacities_only_for_ties_its_records_name():
@@ -489,11 +491,12 @@ def test_search_equals_reference_and_its_runs_equal_fresh_runs(k):
     stopped = 0
     for a, prefs, state in runs:
         fresh = run_gsdt(with_prefs(inst, a, prefs), ordering)
-        n = len(state.stage_probes)
+        n = len(state.record)
         stopped += n < len(ordering)
-        assert tuple(state.stage_probes) == fresh.stage_probes[:n]
-        assert len(state.arc_visits) == sum(map(len, fresh.stage_probes[:n]))
-        assert tuple(state.arc_visits) == fresh.arc_visits[:len(state.arc_visits)]
+        probes, visits = expanded(state)
+        assert probes == fresh.stage_probes[:n]
+        assert len(visits) == sum(map(len, fresh.stage_probes[:n]))
+        assert visits == fresh.arc_visits[:len(visits)]
         if n == len(ordering):
             assert_equals_fresh(ordering, state, fresh, trace=False)
     assert stopped > 0
@@ -550,7 +553,7 @@ def searched_with_final_vectors(instance, ordering, applicant, limit=200_000):
     def spy(base, ordering, applicant, prefs, stop=None):
         state = real(base, ordering, applicant, prefs, stop)
         runs.append((tuple(prefs), her_vector(instance, state, applicant),
-                     len(state.stage_probes)))
+                     len(state.record)))
         return state
 
     with mock.patch.object(oracle, "run_list", spy):
@@ -831,5 +834,62 @@ def test_property_an_inside_list_has_her_final_vector_after_her_last_stage(inst,
     ordering = shuffled_ordering(inst, seed)
     last = max(i for i, b in enumerate(ordering) if b == liar) + 1
     stopped = run_list(base_state(inst, ordering, liar), ordering, liar, prefs, stop=last)
-    assert len(stopped.stage_probes) == last
+    assert len(stopped.record) == last
     assert her_vector(inst, stopped, liar) == fresh_vector(inst, ordering, liar, prefs)
+
+
+# ----------------------------------------------------------------------
+# Her declared list needs no rebuild, and every list runs like a fresh run.
+# ----------------------------------------------------------------------
+
+def test_with_prefs_returns_the_instance_itself_for_her_declared_tuple(monkeypatch):
+    """Her declared tuple is the one ``build`` checked, so ``with_prefs``
+    returns the instance without checking it again; an equal list built
+    afresh is checked and rebuilt, and a bad list or applicant still raises."""
+    inst = worked_example("walkthrough")
+    real, checked = instance_module._tie_sets, []
+
+    def tie_sets(*args):
+        checked.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(instance_module, "_tie_sets", tie_sets)
+    assert with_prefs(inst, "a1", inst.prefs["a1"]) is inst
+    assert checked == []
+    equal = tuple(frozenset(tie) for tie in inst.prefs["a1"])
+    assert equal == inst.prefs["a1"] and equal is not inst.prefs["a1"]
+    rebuilt = with_prefs(inst, "a1", equal)
+    assert rebuilt is not inst and rebuilt == inst and checked == ["a1"]
+    with pytest.raises(InstanceSemanticError, match="empty tie group"):
+        with_prefs(inst, "a1", [["c1"], []])
+    with pytest.raises(InstanceSemanticError, match="unknown course 'zz'"):
+        with_prefs(inst, "a1", [["c1", "zz"]])
+    with pytest.raises(InstanceSemanticError, match="unknown applicant 'zz'"):
+        with_prefs(inst, "zz", inst.prefs["a1"])
+
+
+def random_list(rng, instance, applicant):
+    """A list over a random subset of her courses: shuffled, each course
+    opening a new tie or joining the one before."""
+    courses = sorted(instance.acceptable(applicant))
+    rng.shuffle(courses)
+    ties: list[list[str]] = []
+    for c in courses[:rng.randint(1, len(courses))]:
+        if ties and rng.random() < 0.4:
+            ties[-1].append(c)
+        else:
+            ties.append([c])
+    return ties
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_list_from_the_base_equals_fresh_runs_at_40x15(seed):
+    """The truthful list, which runs on the instance itself, and sampled
+    fabricated lists, each served by ``run_list`` from one base, equal
+    fresh runs: matching, expanded probes, arc visits and trace."""
+    inst = generate_random_instance(40, 15, 3, 4, 0.4, 4015 + seed)
+    ordering, rng = shuffled_ordering(inst, seed), random.Random(seed)
+    for a in rng.sample([a for a in inst.applicants if inst.prefs[a]], 3):
+        base = base_state(inst, ordering, a)
+        assert run_list(base, ordering, a, inst.prefs[a]).instance is inst
+        assert_resumes_like_fresh(inst, ordering, a, [random_list(rng, inst, a) for _ in range(5)])

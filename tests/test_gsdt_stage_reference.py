@@ -6,7 +6,8 @@ a fresh record for each failed probe. The eager reference in
 ``test_gsdt_trace_differential.py`` calls the live search and ``augment``,
 so only this copy can catch a rewrite of them. After every stage the live
 network (served one stage at a time by ``gsdt.serve``) and the reference
-must agree on the probe records, the arc visits, the dead set, every
+must agree on the probe records and the arc visits (the live compact record
+expanded, ``instances.expanded``), the dead set, every
 ``cap_tie`` entry (zero entries included), the tie pointers, the holders and
 the free seats: on seeded 40x15 canonical runs and their guided replays, and
 on ``oracle.run_list`` runs of liar lists at 10x5."""
@@ -23,12 +24,19 @@ from camatch import GuidedToward, derive_ordering, generate_random_instance, gsd
 from camatch.gsdt import SNK, SRC, FlowNetwork, Node, ProbeRecord
 from camatch.instance import with_prefs
 from camatch.oracle import misreport_space, run_list
+from instances import expanded
 
 _FAILED: tuple[ProbeRecord, ...] = ()
 
 
 class ReferenceNetwork(FlowNetwork):
-    """The live network state with the frozen ``augment``."""
+    """The live network state with the frozen ``augment``, and the record
+    the frozen loop kept: every stage's probes, and one arc-visit entry per
+    probe, 0 for each probe of a full network."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.stage_probes: list[tuple[ProbeRecord, ...]] = []
 
     def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
@@ -175,9 +183,8 @@ def reference_stage(net: ReferenceNetwork, a: str, guided_order=None) -> None:
         net, a, lambda t: find_augmenting_path(net, a, t, guided_order)))
 
 
-def assert_same(live: FlowNetwork, ref: FlowNetwork, where: str) -> None:
-    assert live.stage_probes == ref.stage_probes, where
-    assert live.arc_visits == ref.arc_visits, where
+def assert_same(live: FlowNetwork, ref: ReferenceNetwork, where: str) -> None:
+    assert expanded(live) == (tuple(ref.stage_probes), tuple(ref.arc_visits)), where
     assert live.dead == ref.dead, where
     assert dict(live.cap_tie) == dict(ref.cap_tie), where
     assert live.curr == ref.curr, where

@@ -18,7 +18,7 @@ from camatch import (
     is_pareto_optimal,
     run_gsdt,
 )
-from instances import with_quotas
+from instances import capacity_history, with_quotas
 
 KINDS = ("canonical", "guided", "consecutive")
 SIZES = [(40, 15, 20), (80, 30, 10), (160, 40, 3)]
@@ -44,8 +44,9 @@ def stages_checked(n1, n2, count):
     for k in range(count):
         inst = generate_random_instance(n1, n2, 3, 4, 0.4, rng.randrange(2**31))
         result = run(inst, KINDS[k % len(KINDS)], rng)
+        history = capacity_history(inst, result.ordering)
         for stage in result.stages:
-            quotas = dict(zip(inst.applicants, result.capacity_history[stage.stage]))
+            quotas = dict(zip(inst.applicants, history[stage.stage]))
             check = is_pareto_optimal(with_quotas(inst, quotas), stage.matching)
             assert check, (n1, n2, k, stage.stage, check.coalition)
             checked += 1
