@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import envy
 from .errors import NotParetoOptimalError
@@ -245,11 +245,6 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
 # The mechanism.
 # ----------------------------------------------------------------------
 
-class ProbeRecord(NamedTuple):
-    tie: int
-    path: tuple[Node, ...] | None
-
-
 def _stage(net: FlowNetwork, a: str) -> None:
     """The stage rules: serve one quota unit of ``a``; record the stage.
 
@@ -287,19 +282,11 @@ def _stage(net: FlowNetwork, a: str) -> None:
                   courses=[u[1] for u in path[3:-1:2]])
 
 
-def _probes(entry: Entry) -> tuple[ProbeRecord, ...]:
-    """A stage's probes: the ties from the first probed to the one reached
-    failed, and a path succeeded at the latter."""
-    first, t, path = entry
-    failed = tuple(ProbeRecord(s, None) for s in range(first, t))
-    return failed if path is None else (*failed, ProbeRecord(t, path))
-
-
 @dataclass(frozen=True)
 class StageRecord:
     """One stage as ``GsdtResult.stages`` served it again: its record
-    ``entry``, so its ``probes``, its applicant's tie pointer ``curr`` after
-    it and its ``delta``, the pairs its path adds and removes. ``matching``
+    ``entry``, its applicant's tie pointer ``curr`` after it and its
+    ``delta``, the pairs its path adds and removes. ``matching``
     applies the deltas of every stage up to this one (``before`` links the
     previous), built on first read."""
 
@@ -307,10 +294,6 @@ class StageRecord:
     applicant: str
     entry: Entry
     before: StageRecord | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def probes(self) -> tuple[ProbeRecord, ...]:
-        return _probes(self.entry)
 
     @property
     def curr(self) -> int:
@@ -338,14 +321,14 @@ class StageRecord:
 class GsdtResult:
     """The final matching and the compact record of a run (``_stage``),
     with the arc inspections of each probe that searched (``visits``), and
-    the run's ``policy``, so it can be served again. ``stage_probes``,
-    ``arc_visits`` (one per probe, 0 on a full network) and ``searches``
-    (the probes) are views of the record, derived on first read. ``stages``,
-    built on first read, serves the run again one ``serve`` per stage on a
-    fresh network, so with the full check after each (not under ``-O``),
-    and raises ``AssertionError``, under ``-O`` too, unless each stage's
-    entry is the recorded one; ``render_trace`` renders a forged record.
-    """
+    the run's ``policy``, so it can be served again. ``arc_visits`` (one
+    per probe, 0 on a full network) and ``searches`` (the probes) are views
+    of the record. ``stages``, built on first read, serves the run again one
+    ``serve`` per stage on a fresh network, so with the full check after
+    each (not under ``-O``), and raises ``AssertionError``, under ``-O``
+    too, unless the record holds one entry per stage, each the served one,
+    and ``matching`` and ``visits`` are the served ones; ``render_trace``
+    renders a forged record."""
 
     instance: Instance
     ordering: PriorityOrdering
@@ -357,10 +340,6 @@ class GsdtResult:
     @property
     def searches(self) -> int:
         return sum(t - first + (path is not None) for first, t, path in self.record)
-
-    @cached_property
-    def stage_probes(self) -> tuple[tuple[ProbeRecord, ...], ...]:
-        return tuple(map(_probes, self.record))
 
     @cached_property
     def arc_visits(self) -> tuple[int, ...]:
@@ -375,6 +354,11 @@ class GsdtResult:
             if net.record[-1] != entry:
                 raise AssertionError(f"stage {i}: the record breaks the stage rules")
             stages.append(StageRecord(i, a, entry, stages[-1]))
+        if len(self.record) != len(self.ordering):  # stage k is the first missing or extra
+            raise AssertionError(f"stage {len(stages)}: the record breaks the stage rules")
+        for name, served in ("matching", net.matching()), ("visits", tuple(net.arc_visits)):
+            if getattr(self, name) != served:
+                raise AssertionError(f"{name}: not what the replay served")
         return tuple(stages[1:])
 
 

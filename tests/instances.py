@@ -1,15 +1,16 @@
 """Test inputs: the worked examples, read from ``fixtures/*.txt`` (their only
-copy), the deterministic fleets the sweep tests run over, and the instance
-and ordering helpers only tests use."""
+copy), the deterministic fleets the sweep tests run over, the instance
+and ordering helpers only tests use, and ``probes``, which expands a GSDT
+stage's compact record entry into one (tie, path) record per probe."""
 
 import dataclasses
 import itertools
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from camatch import Instance, generate_random_instance, parse_instance
 from camatch import gsdt
-from camatch.gsdt import FlowNetwork, GsdtResult
+from camatch.gsdt import Entry, FlowNetwork
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -88,8 +89,18 @@ def capacity_history(instance: Instance, ordering) -> tuple[tuple[int, ...], ...
     return tuple(history)
 
 
-def expanded(net: FlowNetwork) -> tuple[tuple, tuple[int, ...]]:
-    """A network's compact record as a run result reads it: each stage's
-    probes and one arc-visit count per probe (``GsdtResult``'s views)."""
-    result = GsdtResult(net.instance, (), net.matching(), tuple(net.record), tuple(net.arc_visits))
-    return result.stage_probes, result.arc_visits
+class ProbeRecord(NamedTuple):
+    """One probe of a stage: the tie probed, and its path or ``None``."""
+
+    tie: int
+    path: tuple | None
+
+
+def probes(entry: Entry) -> tuple[ProbeRecord, ...]:
+    """A compact stage entry, (first tie probed, tie reached, path or
+    ``None``), expanded into its probes: the ties from the first probed to
+    the one reached failed, and a path succeeded at the latter. An entry
+    (first, first, ``None``) has none."""
+    first, t, path = entry
+    failed = tuple(ProbeRecord(s, None) for s in range(first, t))
+    return failed if path is None else (*failed, ProbeRecord(t, path))

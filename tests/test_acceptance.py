@@ -38,6 +38,7 @@ from instances import (
     capacity_history,
     consecutive_orderings,
     fixture_instances,
+    probes,
     random_small_instances,
     with_quotas,
     worked_example,
@@ -290,9 +291,9 @@ def test_criterion_9_failed_probes_scan_each_node_once():
                 len(inst.prefs[a]) * len(optimum.of_applicant(a))
                 for a in inst.applicants)
             for result, limit in ((canonical, bound), (guided, bound + fast_path)):
-                probes = [p for stage in result.stage_probes for p in stage]
-                assert len(probes) == len(result.arc_visits)
+                probed = [p for entry in result.record for p in probes(entry)]
+                assert len(probed) == len(result.arc_visits)
                 failed = sum(
-                    v for p, v in zip(probes, result.arc_visits) if p.path is None)
+                    v for p, v in zip(probed, result.arc_visits) if p.path is None)
                 assert failed <= limit
         print("  60 instances, canonical and guided, within bounds", end="")

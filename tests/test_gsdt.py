@@ -19,13 +19,14 @@ from camatch import (
     OrderingError,
     characteristic_vector,
     derive_ordering,
+    generate_random_instance,
     is_pareto_optimal,
     render_trace,
     run_gsdt,
 )
-from camatch.gsdt import SNK, SRC, FlowNetwork, ProbeRecord, _pair_priority_order
+from camatch.gsdt import SNK, SRC, FlowNetwork, _pair_priority_order
 from camatch.oracle import distinct_orderings, enumerate_poms, is_pom_bruteforce
-from instances import capacity_history
+from instances import ProbeRecord, capacity_history, probes
 
 WALKTHROUGH_ORDERING = ("a1", "a1", "a2", "a2", "a3", "a2", "a3")
 
@@ -38,6 +39,22 @@ WALKTHROUGH_CAPACITIES = (
     (2, 2, 1),
     (2, 3, 1),
     (2, 3, 2),
+)
+
+
+def _direct(a, t, c):
+    return (SRC, ("app", a), ("tie", a, t), ("crs", c), SNK)
+
+
+# One entry per stage: first tie probed, tie reached, path or None.
+WALKTHROUGH_RECORD = (
+    (0, 0, _direct("a1", 0, "c1")),
+    (0, 0, _direct("a1", 0, "c2")),
+    (0, 1, _direct("a2", 1, "c1")),
+    (1, 1, _direct("a2", 1, "c3")),
+    (0, 3, None),
+    (1, 2, None),
+    (3, 3, None),
 )
 
 WALKTHROUGH_TRACE = [
@@ -60,6 +77,10 @@ def test_walkthrough_golden_run(t1):
     assert list(render_trace(result)) == WALKTHROUGH_TRACE
     assert result.matching == Matching(
         [("a1", "c1"), ("a1", "c2"), ("a2", "c1"), ("a2", "c3")])
+    assert result.record == WALKTHROUGH_RECORD
+    assert result.visits == (3, 3, 3, 4, 3)
+    assert tuple(s.entry for s in result.stages) == WALKTHROUGH_RECORD
+    assert result.stages[-1].matching == result.matching
     assert is_pareto_optimal(t1, result.matching)
     assert is_pom_bruteforce(t1, result.matching)
 
@@ -91,7 +112,7 @@ def test_invalid_ordering_rejected(t1):
 
 def test_stage_one_direct_path(t1):
     result = run_gsdt(t1, WALKTHROUGH_ORDERING)
-    first = result.stages[0].probes[0]
+    first = probes(result.stages[0].entry)[0]
     assert first.path is not None and len(first.path) == 5
 
 
@@ -117,7 +138,7 @@ def test_rerouting_chain_preserves_indifference():
     )
     result = run_gsdt(inst, ("a1", "a2"))
     assert result.stages[0].matching == Matching([("a1", "c1")])
-    reroute = result.stages[1].probes[0].path
+    reroute = probes(result.stages[1].entry)[0].path
     assert reroute == (
         ("src",), ("app", "a2"), ("tie", "a2", 0), ("crs", "c1"),
         ("tie", "a1", 0), ("crs", "c2"), ("snk",))
@@ -132,9 +153,9 @@ def test_exhausted_ties_advance_pointer(ex1):
     # so both ties fail and her pointer runs off the end of the list
     result = run_gsdt(ex1, ("a1", "a2", "a1"))
     stage3 = result.stages[2]
-    assert [p.tie for p in stage3.probes] == [0, 1]
-    assert all(p.path is None for p in stage3.probes)
-    assert stage3.probes[-1].path is None
+    assert [p.tie for p in probes(stage3.entry)] == [0, 1]
+    assert all(p.path is None for p in probes(stage3.entry))
+    assert probes(stage3.entry)[-1].path is None
     assert stage3.curr == 2
 
 
@@ -159,10 +180,11 @@ def test_flow_matching_correspondence(fleet):
                         inst, a, rec.matching.of_applicant(a))
                     chi_prev = characteristic_vector(
                         inst, a, prev.of_applicant(a))
-                    if a != rec.applicant or not rec.probes or rec.probes[-1].path is None:
+                    stage_probes = probes(rec.entry)
+                    if a != rec.applicant or not stage_probes or stage_probes[-1].path is None:
                         assert chi_now == chi_prev
                     else:
-                        t = rec.probes[-1].tie
+                        t = stage_probes[-1].tie
                         bump = list(chi_prev)
                         bump[t] += 1
                         assert chi_now == tuple(bump)
@@ -197,7 +219,7 @@ def test_paths_stay_on_active_ties(fleet):
             result = run_gsdt(inst, sigma)
             curr_before = {a: 0 for a in inst.applicants}
             for rec in result.stages:
-                for probe in rec.probes:
+                for probe in probes(rec.entry):
                     if probe.path is None:
                         continue
                     for node in probe.path:
@@ -405,6 +427,38 @@ def test_stage_check_covers_the_ties_on_its_path(monkeypatch):
     assert probes == [("a1", 0), ("a2", 0)]
 
 
+def test_stages_check_the_whole_network_after_each_replayed_stage(monkeypatch):
+    # An augment that lends a sink unit to a course off its path with a free
+    # seat and takes it back at the next augmentation. No scoped check reads
+    # that course, and on this instance the last augmentation fills every
+    # seat, so it lends none and the run's final check passes. Only the
+    # full check after each stage the replay serves sees the lent unit; one
+    # check after the whole ordering would not. (On the walkthrough the last
+    # unit stays lent, and the run's final check catches it.)
+    augment = FlowNetwork.augment
+
+    def augment_lending_a_sink_unit(self, path):
+        lent = vars(self).pop("lent", None)
+        if lent is not None:
+            self.flow_snk[lent] -= 1
+        augment(self, path)
+        on_path = {u[1] for u in path[3:-1:2]}
+        for c in self.instance.courses:
+            if c not in on_path and self.flow_snk[c] < self.instance.capacity[c]:
+                self.flow_snk[c] += 1
+                self.lent = c
+                break
+
+    inst = generate_random_instance(10, 5, 3, 4, 0.4, 1)
+    ordering = [a for a in sorted(inst.applicants) for _ in range(inst.quota[a])]
+    random.Random(1).shuffle(ordering)
+    monkeypatch.setattr(FlowNetwork, "augment", augment_lending_a_sink_unit)
+    result = run_gsdt(inst, ordering)
+    with pytest.raises(AssertionError) as refusal:
+        result.stages
+    assert refusal.traceback[-1].name == "check"
+
+
 def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
     # a0 and a1 take c1, c3, c4 and c5, and a2's first stage takes c2 from
     # her second tie, which leaves no seat. Then a3, a4 (a longer list than
@@ -429,62 +483,80 @@ def test_full_network_stage_records_equal_fresh_ones(monkeypatch):
             full.append((a, first))
             assert net.record[-1] == (first, len(inst.prefs[a]), None)
             fresh = tuple(ProbeRecord(t, None) for t in range(first, len(inst.prefs[a])))
-            assert gsdt._probes(net.record[-1]) == fresh
+            assert probes(net.record[-1]) == fresh
             assert len(net.arc_visits) == visits
 
     monkeypatch.setattr(gsdt, "_stage", spied_stage)
     result = run_gsdt(inst, ("a0", "a0", "a0", "a1", "a2", "a3", "a4", "a2"))
     assert full == [("a3", 0), ("a4", 0), ("a2", 1)]
-    assert result.stage_probes[5:] == (
+    assert tuple(map(probes, result.record[5:])) == (
         (ProbeRecord(0, None), ProbeRecord(1, None)),
         tuple(ProbeRecord(t, None) for t in range(5)),
         (ProbeRecord(1, None), ProbeRecord(2, None)),
     )
     assert result.arc_visits[-9:] == (0,) * 9
-    assert [len(s.probes) for s in result.stages] == [1, 1, 1, 1, 2, 2, 5, 2]
+    assert [len(probes(s.entry)) for s in result.stages] == [1, 1, 1, 1, 2, 2, 5, 2]
 
 
-STAGE_3_PATH = (SRC, ("app", "a2"), ("tie", "a2", 1), ("crs", "c1"), SNK)
+STAGE_3_PATH = _direct("a2", 1, "c1")
 
-# (stage, forged record entry): a2's failed first tie dropped from stage 3,
-# her failed probe at stage 6 relabelled onto her first tie, and stage 1's
-# path sent to c2 instead of c1.
+
+def with_entry(stage, entry):
+    """The walkthrough run's record with one stage's entry replaced."""
+    assert WALKTHROUGH_RECORD[stage - 1] != entry
+    return WALKTHROUGH_RECORD[:stage - 1] + (entry,) + WALKTHROUGH_RECORD[stage:]
+
+
+def breaks(stage):
+    return f"stage {stage}: the record breaks the stage rules"
+
+
+# (forged fields of the walkthrough run's result, a matching as its pairs;
+# the refusal): a2's failed first tie dropped from stage 3, her failed probe
+# at stage 6 relabelled onto her first tie, stage 1's path sent to c2
+# instead of c1, the last entry dropped, an eighth entry added, another
+# Pareto optimal matching, and 500 more arc visits on the first probe.
 FORGERIES = [
-    pytest.param(3, (1, 1, STAGE_3_PATH), id="3-from-1"),
-    pytest.param(6, (0, 1, None), id="6-0-1"),
-    pytest.param(1, (0, 0, (SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c2"), SNK)),
-                 id="1-0-c2"),
+    pytest.param({"record": with_entry(3, (1, 1, STAGE_3_PATH))}, breaks(3), id="3-from-1"),
+    pytest.param({"record": with_entry(6, (0, 1, None))}, breaks(6), id="6-0-1"),
+    pytest.param({"record": with_entry(1, (0, 0, _direct("a1", 0, "c2")))}, breaks(1), id="1-0-c2"),
+    pytest.param({"record": WALKTHROUGH_RECORD[:-1]}, breaks(7), id="last-missing"),
+    pytest.param({"record": (*WALKTHROUGH_RECORD, (3, 3, None))}, breaks(8), id="8-extra"),
+    pytest.param({"matching": (("a1", "c1"), ("a1", "c2"), ("a2", "c1"), ("a3", "c3"))},
+                 "matching: not what the replay served", id="matching"),
+    pytest.param({"visits": (503, 3, 3, 4, 3)}, "visits: not what the replay served",
+                 id="visits"),
 ]
 
 
-def forge(result, stage, entry):
-    """The run's result with one stage's record entry replaced."""
-    assert result.record[stage - 1] != entry
-    record = list(result.record)
-    record[stage - 1] = entry
-    return dataclasses.replace(result, record=tuple(record))
+def forge(result, changes):
+    """The run's result with ``changes`` in place of its own fields."""
+    changes = {k: Matching(v) if k == "matching" else v for k, v in changes.items()}
+    assert all(getattr(result, k) != v for k, v in changes.items())
+    return dataclasses.replace(result, **changes)
 
 
-@pytest.mark.parametrize("stage, entry", FORGERIES)
-def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, stage, entry):
+@pytest.mark.parametrize("changes, refusal", FORGERIES)
+def test_trace_rejects_a_record_the_stage_rules_would_not_produce(t1, changes, refusal):
     # The replay behind ``stages`` serves the run again and must refuse a
-    # record whose entries differ from the ones the stage rules give.
-    # ``render_trace`` does not replay, and renders it as it is.
-    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), stage, entry)
-    refusal = f"^stage {stage}: the record breaks the stage rules$"
-    with pytest.raises(AssertionError, match=refusal):
+    # record whose entries differ from the ones the stage rules give, or
+    # that has more or fewer entries than the ordering has stages, and a
+    # matching or arc visits other than the ones it served.
+    # ``render_trace`` does not replay, and renders a forged record as it is.
+    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), changes)
+    with pytest.raises(AssertionError, match=f"^{refusal}$"):
         forged.stages
 
 
 FORGE_UNDER_O = """
 import ast, dataclasses, sys
-from camatch import parse_instance, run_gsdt
+from camatch import Matching, parse_instance, run_gsdt
 
-path, ordering, stage = sys.argv[1], sys.argv[2].split(), int(sys.argv[3])
+path, ordering = sys.argv[1], sys.argv[2].split()
 result = run_gsdt(parse_instance(open(path).read()), ordering)
-record = list(result.record)
-record[stage - 1] = ast.literal_eval(sys.argv[4])
-forged = dataclasses.replace(result, record=tuple(record))
+changes = ast.literal_eval(sys.argv[3])
+changes = {k: Matching(v) if k == "matching" else v for k, v in changes.items()}
+forged = dataclasses.replace(result, **changes)
 print(__debug__)
 try:
     forged.stages
@@ -493,8 +565,8 @@ except AssertionError as error:
 """
 
 
-@pytest.mark.parametrize("stage, entry", FORGERIES)
-def test_trace_rejects_a_forged_record_under_python_O(stage, entry):
+@pytest.mark.parametrize("changes, refusal", FORGERIES)
+def test_trace_rejects_a_forged_record_under_python_O(changes, refusal):
     # The same forgery as above, in a ``python -O`` process, where every
     # ``assert`` statement is skipped: the replay must still refuse it.
     root = Path(__file__).resolve().parents[1]
@@ -502,10 +574,10 @@ def test_trace_rejects_a_forged_record_under_python_O(stage, entry):
         [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", FORGE_UNDER_O, str(root / "fixtures" / "walkthrough.txt"),
-         " ".join(WALKTHROUGH_ORDERING), str(stage), repr(entry)],
+         " ".join(WALKTHROUGH_ORDERING), repr(changes)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"False\nstage {stage}: the record breaks the stage rules\n"
+    assert proc.stdout == f"False\n{refusal}\n"
 
 
 def test_trace_does_not_replay_the_stages(t1):
@@ -528,7 +600,7 @@ def test_trace_renders_a_forged_record_as_it_is(t1, stage, entry, old, new):
     # The record forged as above: the trace shows the forged entry (a
     # dropped or relabelled failed probe), and only the replay behind
     # ``stages`` refuses it.
-    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), stage, entry)
+    forged = forge(run_gsdt(t1, WALKTHROUGH_ORDERING), {"record": with_entry(stage, entry)})
     expected = [new if line == old else line for line in WALKTHROUGH_TRACE]
     expected = [line for line in expected if line is not None]
     assert expected != WALKTHROUGH_TRACE

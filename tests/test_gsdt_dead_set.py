@@ -23,7 +23,7 @@ from camatch import (
 )
 from camatch import gsdt
 from camatch.gsdt import SNK, SRC
-from instances import expanded, worked_example
+from instances import ProbeRecord, probes, worked_example
 
 
 def sink_reachers(net):
@@ -279,16 +279,20 @@ def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatc
         searched = len(net.arc_visits)
         stage(net, a)
         assert len(net.arc_visits) == searched  # no search, so no entry
-        probes, visits = expanded(net)
-        assert probes[-1] == tuple(gsdt.ProbeRecord(t, None) for t in left)
-        assert visits[len(visits) - len(left):] == (0,) * len(left)
+        assert probes(net.record[-1]) == tuple(ProbeRecord(t, None) for t in left)
         decided += len(left)
 
     monkeypatch.setattr(gsdt, "find_augmenting_path", spied_search)
     monkeypatch.setattr(gsdt, "_stage", spied_stage)
-    optimum = run_gsdt(inst, ordering).matching
-    run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
+    canonical = run_gsdt(inst, ordering)
+    in_canonical = decided
+    guided = run_gsdt(inst, derive_ordering(inst, canonical.matching), GuidedToward(canonical.matching))
     assert (decided > 0) == (k not in NEVER_FULL)
+    # The probes decided without a search come last in each run, and the
+    # ``arc_visits`` view reads 0 for each of them.
+    for result, n in ((canonical, in_canonical), (guided, decided - in_canonical)):
+        assert len(result.visits) == result.searches - n
+        assert result.arc_visits[result.searches - n:] == (0,) * n
 
 
 def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
@@ -299,9 +303,8 @@ def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
     gsdt.serve(net, ["a1"])
     assert ("tie", "a1", 0) in net.dead
     gsdt.serve(net, ["a2", "a1"])
-    probes, visits = expanded(net)
-    assert probes[2][0] == gsdt.ProbeRecord(0, None)
-    assert visits[2] == 0
+    assert probes(net.record[2])[0] == ProbeRecord(0, None)
+    assert len(net.arc_visits) == 2  # no entry, so the ``arc_visits`` view reads 0
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from camatch import (
     run_gsdt,
 )
 from camatch import gsdt
+from instances import probes
 from test_gsdt_dead_set import least_shortest_path
 from test_gsdt_stage_reference import find_augmenting_path as frozen_search
 
@@ -55,7 +56,7 @@ def test_region_search_equals_whole_network_search(monkeypatch, k):
         # the loop decided on.
         searched.clear()
         stage(net, a)
-        for p in gsdt._probes(net.record[-1]):
+        for p in probes(net.record[-1]):
             if (a, p.tie) not in searched:
                 assert p.path is None
                 assert least_shortest_path(net, a, p.tie) is None

@@ -37,7 +37,7 @@ from camatch.oracle import (
     run_list,
     with_prefs,
 )
-from instances import expanded, fixture_instances, with_quotas, worked_example
+from instances import fixture_instances, probes, with_quotas, worked_example
 from test_gsdt_dead_set import sink_reachers
 
 
@@ -76,14 +76,14 @@ def base_state(instance, ordering, applicant):
 
 def assert_equals_fresh(ordering, state, fresh, trace=True):
     """The finished ``state``, read as a ``GsdtResult``, equals ``fresh``. The
-    trace is rendered from the ordering and probes compared first, so a
+    trace is rendered from the ordering and record compared first, so a
     caller with many runs may leave it out."""
     resumed = GsdtResult(
         instance=state.instance, ordering=tuple(ordering), matching=state.matching(),
         record=tuple(state.record), visits=tuple(state.arc_visits))
     assert resumed.instance == fresh.instance
     assert resumed.matching == fresh.matching
-    assert resumed.stage_probes == fresh.stage_probes
+    assert resumed.record == fresh.record
     assert resumed.searches == fresh.searches
     assert resumed.arc_visits == fresh.arc_visits
     assert not trace or list(render_trace(resumed)) == list(render_trace(fresh))
@@ -302,7 +302,7 @@ def test_the_search_runs_from_the_state_before_her_first_stage():
     base, truthful = runs[0]
     assert len(base.record) == 2  # a2 and a3 went first
     assert len(truthful.record) == 5  # stopped after her last stage
-    assert expanded(truthful)[0] == run_gsdt(inst, ORDERING).stage_probes[:5]
+    assert tuple(truthful.record) == run_gsdt(inst, ORDERING).record[:5]
 
 
 def test_a_search_serves_the_stages_before_her_first_once():
@@ -410,7 +410,7 @@ def test_a_search_adds_no_tie_capacity_to_its_base():
 
 def named_ties(state, ordering):
     """The ties the stage records name: probed, or failed unprobed on a full network."""
-    return {(a, p.tie) for a, probes in zip(ordering, expanded(state)[0]) for p in probes}
+    return {(a, p.tie) for a, entry in zip(ordering, state.record) for p in probes(entry)}
 
 
 def test_a_run_holds_capacities_only_for_ties_its_records_name():
@@ -493,10 +493,12 @@ def test_search_equals_reference_and_its_runs_equal_fresh_runs(k):
         fresh = run_gsdt(with_prefs(inst, a, prefs), ordering)
         n = len(state.record)
         stopped += n < len(ordering)
-        probes, visits = expanded(state)
-        assert probes == fresh.stage_probes[:n]
-        assert len(visits) == sum(map(len, fresh.stage_probes[:n]))
-        assert visits == fresh.arc_visits[:len(visits)]
+        assert tuple(state.record) == fresh.record[:n]
+        # The probes of its n stages, with 0 for each probe of a full
+        # network, which made no arc-visit entry and comes last.
+        probed, searched = sum(len(probes(e)) for e in state.record), len(state.arc_visits)
+        assert searched <= probed
+        assert fresh.arc_visits[:probed] == (*state.arc_visits, *[0] * (probed - searched))
         if n == len(ordering):
             assert_equals_fresh(ordering, state, fresh, trace=False)
     assert stopped > 0
@@ -886,7 +888,7 @@ def random_list(rng, instance, applicant):
 def test_run_list_from_the_base_equals_fresh_runs_at_40x15(seed):
     """The truthful list, which runs on the instance itself, and sampled
     fabricated lists, each served by ``run_list`` from one base, equal
-    fresh runs: matching, expanded probes, arc visits and trace."""
+    fresh runs: matching, record, arc visits and trace."""
     inst = generate_random_instance(40, 15, 3, 4, 0.4, 4015 + seed)
     ordering, rng = shuffled_ordering(inst, seed), random.Random(seed)
     for a in rng.sample([a for a in inst.applicants if inst.prefs[a]], 3):

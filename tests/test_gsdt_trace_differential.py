@@ -26,14 +26,13 @@ from camatch import (
 )
 from camatch.gsdt import (
     FlowNetwork,
-    ProbeRecord,
     _pair_priority_order,
     find_augmenting_path,
     render_node,
 )
 from camatch.instance import validate_ordering
 from camatch.oracle import distinct_orderings
-from instances import capacity_history, fixture_instances
+from instances import ProbeRecord, capacity_history, fixture_instances, probes
 
 
 def guided_courses(instance, target, pair_priority):
@@ -117,7 +116,7 @@ def assert_same_stages(instance, got, expected):
     curr = dict.fromkeys(instance.applicants, 0)
     for rec, ref in zip(got, expected):
         curr[rec.applicant] = rec.curr
-        assert (rec.stage, rec.applicant, rec.probes) == (ref.stage, ref.applicant, ref.probes)
+        assert (rec.stage, rec.applicant, probes(rec.entry)) == (ref.stage, ref.applicant, ref.probes)
         assert rec.matching == ref.matching
         assert tuple(sorted(curr.items())) == ref.curr_after
 
@@ -134,7 +133,7 @@ def assert_same_run(instance, ordering, policy=None):
     if isinstance(policy, GuidedToward):
         old = reference_run(instance, ordering, policy, pair_priority=True)
         assert got.matching == old.matching
-        assert got.stage_probes == tuple(rec.probes for rec in old.stages)
+        assert tuple(map(probes, got.record)) == tuple(rec.probes for rec in old.stages)
         assert got.arc_visits == old.arc_visits
         assert list(render_trace(got)) == reference_render(old.stages)
         assert_same_stages(instance, got.stages, old.stages)
