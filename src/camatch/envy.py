@@ -152,39 +152,51 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
     return EnvyGraph(applicants, courses, pairs, hub_of, out, strict, build)
 
 
-def _applicant_arc(graph: EnvyGraph) -> tuple[int, int] | None:
-    """The first -1 arc from an applicant into her component: to the least
-    node her hubs list that reaches the fan. A node a failed search reached
-    stays ``dead`` for every later search, as the target is always the fan."""
-    out, out_of, a, dead = graph._out, graph.out_of, len(graph.applicants), set()
-    exposed = any(out[a:a + len(graph.courses)])  # else no arc enters the fan
-    for tail in (t for t in range(a) if exposed and out_of(t)):  # applicants with arcs
-        for head in _expanded(graph, tail):
-            stack = [] if head in dead else [head]
-            dead.add(head)  # a success ends the scan, so only failures stay
-            while stack:
-                step = [h for h in out_of(stack.pop()) if h not in dead]
-                if len(out) - 1 in step:
-                    return tail, head
-                dead.update(step)
-                stack += step
+def _close(graph: EnvyGraph, tail: int, head: int, parent: list[int],
+           spent: set[int]) -> list[int] | None:
+    """The cycle through arc ``tail -> head``: the tail, then the least
+    shortest path from the head back to it, or ``None`` if the head misses
+    the tail. Breadth-first, successors in ascending order, each hub in
+    ``spent`` once read: the first read gives every member a parent. Nodes
+    an earlier search gave a parent are skipped, which changes no path to a
+    tail they miss: a node that reaches the tail has only parents that do."""
+    parent[head], queue = head, [head]
+    for x in queue:  # breadth-first: the loop also visits appended nodes
+        fresh = [h for h in graph.out_of(x) if h not in spent]
+        spent.update(fresh)
+        for y in sorted(v for h in fresh for v in graph._out[h]):  # type: ignore[union-attr]
+            if parent[y] < 0:
+                parent[y] = x
+                queue.append(y)
+        if parent[tail] >= 0:
+            back = [tail]  # the path read backwards, tail to head
+            while back[-1] != head:
+                back.append(parent[back[-1]])
+            return [tail] + back[:0:-1]
     return None
 
 
 def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
-    """Find a negative-cost cycle from the strongly connected components.
+    """Find a negative-cost cycle: the first -1 arc, in canonical order,
+    whose ends share a strongly connected component, closed by ``_close``.
 
-    Arcs weigh 0 or -1, so a negative cycle exists exactly when some -1 arc
-    has both ends in one component. The first in canonical order leaves an
-    applicant if any does (``_applicant_arc``); else Tarjan on the stored
-    graph, whose hubs change no reachability between real nodes, finds it.
-    A breadth-first path from head to tail, successors in ascending order,
-    closes the cycle. Not kept in the component, it takes the same path: a
-    node the head reaches that reaches the tail is in the component, so no
-    node outside discovers one inside. O(V + E) stored, plus each hub read
-    once: the first read gives every member a parent.
+    Arcs weigh 0 or -1, so a negative cycle exists exactly when such an arc
+    does. An applicant's arcs all weigh -1, and she is on a cycle exactly
+    when she reaches the fan, the only hub listing applicants, which only
+    exposed courses enter. So unless no course is exposed, each applicant
+    with arcs, in id order, tries her heads in ascending order. Every
+    search shares one ``parent`` and ``spent``: a failed one never read the
+    fan, so nothing it reached reaches an applicant, and a head it reached
+    is skipped. Else Tarjan on the stored graph, whose hubs change no
+    reachability between real nodes, finds the arc, closed on fresh state
+    and not kept in the component: a node the head reaches that reaches the
+    tail is in it. O(V + E) stored for the searches together.
     """
-    if (arc := _applicant_arc(graph)) is None:
+    a, parent, spent = len(graph.applicants), [-1] * len(graph.hub_of), set()
+    exposed = any(graph._out[a:a + len(graph.courses)])  # else no arc enters the fan
+    closed = (_close(graph, tail, head, parent, spent) for tail in range(a if exposed else 0)
+              for head in _expanded(graph, tail) if parent[head] < 0)
+    if (cycle := next(filter(None, closed), None)) is None:
         out, strict = graph.out, graph.strict  # every list, built in one loop
         components = strongly_connected_components(out)
         comp = {v: i for i, members in enumerate(components) for v in members}
@@ -195,28 +207,13 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
                 heads = [next(v for v in out[h] if comp[v] == cc)
                          for h in out[tail] if h in strict[tail] and comp[h] == cc]
                 if heads:
-                    arc = tail, min(heads)
                     break
         else:
             return None
-    tail, head = arc
-    parent, queue, spent = [-1] * len(graph.hub_of), [head], set()
-    parent[head] = head
-    for x in queue:  # breadth-first: the loop also visits appended nodes
-        fresh = [h for h in graph.out_of(x) if h not in spent]
-        spent.update(fresh)
-        for y in sorted(v for h in fresh for v in graph._out[h]):  # type: ignore[union-attr]
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-        if parent[tail] >= 0:
-            break
-    if parent[tail] < 0:  # the head lies outside the tail's component
-        raise AssertionError(f"head {head} does not reach tail {tail} of arc {tail} -> {head}")
-    back = [tail]  # the BFS path read backwards, tail to head
-    while back[-1] != head:
-        back.append(parent[back[-1]])
-    cycle = [tail] + back[:0:-1]  # tail, head, ..., tail's BFS parent: the searches built each
+        head = min(heads)
+        if (cycle := _close(graph, tail, head, [-1] * len(graph.hub_of), set())) is None:
+            raise AssertionError(f"head {head} does not reach tail {tail} of arc {tail} -> {head}")
+    # Each strict set is built: _close dequeued all but the tail, an applicant or Tarjan's.
     total = -sum(graph.hub_of[v] in graph._strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
     return CycleWitness(tuple(map(graph.node, cycle)), total)
 

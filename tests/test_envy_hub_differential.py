@@ -4,21 +4,26 @@ on seeded instances of 5-80 applicants and 2-30 courses at three tie
 densities, plus 80x30 instances shaped like the benchmark's audit inputs.
 On the same cases the stored graph must keep its shape, real -> hub -> real
 with one fan hub, and its arc count is pinned at the 500x800 optimum. The
-cases reach every way the verifier decides: a witness from an applicant
-found by searches toward the fan alone, and Tarjan after the fan searches
-fail or when no course is exposed, for negative and positive verdicts.
-Applicant and pair lists are built on first read: each regime's count of
-lists built is pinned, and the graph a verdict leaves completes to a fresh
-build's lists exactly."""
+cases reach every way the verifier decides: a witness from an applicant,
+found and closed by one breadth-first search per head tried, all sharing
+their parents, and Tarjan after those searches fail or when no course is
+exposed, for negative and positive verdicts. Applicant and pair lists are
+built on first read: each regime's count of lists built is pinned exactly,
+as the searches sort what they read and depend on no string hash, and the
+graph a verdict leaves completes to a fresh build's lists exactly."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from pathlib import Path
 
 import pytest
 
-from camatch import envy, generate_random_instance, run_gsdt
+from camatch import envy, generate_random_instance, parse_instance, run_gsdt
 from camatch.envy import (
     CycleWitness,
     EnvyGraph,
@@ -263,8 +268,8 @@ def test_cases_cover_both_verdicts_and_all_shapes():
 # ----------------------------------------------------------------------
 
 def test_an_applicant_witness_never_runs_tarjan(monkeypatch):
-    """Searches toward the fan find an applicant's witness, certificate and
-    all, with Tarjan refused; a pair witness, and a positive verdict with or
+    """The applicant scan finds and closes an applicant's witness,
+    certificate and all, with Tarjan refused; a pair witness, and a positive verdict with or
     without an exposed course, still reach it."""
     class TarjanRan(Exception):
         pass
@@ -317,9 +322,7 @@ LISTS = {("a", True): 31_062, ("p", True): 1_749, ("p", False): 31_168,
 def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_graphs, monkeypatch):
     """Each verdict's own graph, spied on: Tarjan (a pair witness, or a
     positive verdict) first builds every applicant and pair list, while a
-    witness from an applicant builds about 6% of them. Which ones depends on
-    the order of the unordered lists its searches pop, which follows string
-    hashing: 1,861-1,905 lists under PYTHONHASHSEED 0-5. Read afterwards,
+    witness from an applicant builds about 4% of them. Read afterwards,
     ``out`` and ``strict`` equal a fresh build's entry by entry, in order."""
     witnesses = []
 
@@ -347,7 +350,7 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
             assert_real_hub_real(inst, matching, graph)
     assert total == LISTS
     assert all(built[key] == total[key] for key in total if key != ("a", True))
-    assert built["a", True] <= 2_000
+    assert built["a", True] == 1_384
 
 
 def test_the_wide_half_verdict_builds_few_lists(built_graphs):
@@ -362,16 +365,52 @@ def test_the_wide_half_verdict_builds_few_lists(built_graphs):
     assert lists_built(built_graphs[0]) == (1, 772)
 
 
-def test_a_head_that_misses_the_tail_raises(monkeypatch):
-    """A broken arc choice, an applicant and a full course (which has no
-    successor), fails the breadth-first search at once, naming the arc."""
-    inst, matching = regimes()[1]["a", True]
-    graph = build_envy_graph(inst, matching)
-    full = next(k for k, c in enumerate(graph.courses, len(graph.applicants))
-                if not is_exposed_course(inst, matching, c))
-    monkeypatch.setattr(envy, "_applicant_arc", lambda graph: (0, full))
-    with pytest.raises(AssertionError, match=f"arc 0 -> {full}$"):
-        find_negative_cycle(graph)
+def test_a_head_that_misses_its_tail_moves_the_scan_to_the_next_head(monkeypatch):
+    """a1 is exposed and lists c1, held by a2, who envies nothing, and the
+    exposed c2. Her first head, c1, misses her; the scan moves on to c2,
+    which reaches her through the fan, and never tries the pair a2:c1."""
+    inst = parse_instance("courses: c1=1 c2=1\n"
+                          "applicant a1 quota=1 prefs: ( c1 c2 )\n"
+                          "applicant a2 quota=1 prefs: ( c1 )\n")
+    matching = Matching([("a2", "c1")])
+    calls, close = [], envy._close
+
+    def spy(graph, tail, head, parent, spent):
+        calls.append((tail, head, close(graph, tail, head, parent, spent)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(envy, "_close", spy)
+    witness = find_negative_cycle(build_envy_graph(inst, matching))
+    assert calls == [(0, 2, None), (0, 3, [0, 3])]  # a1 = 0, c1 = 2, c2 = 3
+    assert witness == CycleWitness((("a", "a1"), ("c", "c2")), -1)
+
+
+# Pareto optimal: a1 strictly envies a2's c1, which a2 alone accepts, and
+# nothing is exposed. A forged component of every node makes Tarjan's branch
+# pick the arc a1:c2 -> c1 (4 -> 2), whose head, a full course, has no
+# successor. Under python -O too the search must end and raise, naming it.
+MISSED_HEAD = """from camatch import Matching, envy, parse_instance
+inst = parse_instance("courses: c1=1 c2=1\\napplicant a1 quota=1 prefs: ( c1 ) ( c2 )\\n"
+                      "applicant a2 quota=1 prefs: ( c1 )\\n")
+graph = envy.build_envy_graph(inst, Matching([("a1", "c2"), ("a2", "c1")]))
+envy.strongly_connected_components = lambda succ: [list(range(len(succ)))]
+print(__debug__)
+try:
+    envy.find_negative_cycle(graph)
+except AssertionError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize("flags, debug", [([], "True"), (["-O"], "False")])
+def test_a_head_that_misses_the_tail_in_tarjans_branch_raises(flags, debug):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, *flags, "-c", MISSED_HEAD],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{debug}\nhead 2 does not reach tail 4 of arc 4 -> 2\n"
 
 
 # ----------------------------------------------------------------------

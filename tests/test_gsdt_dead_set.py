@@ -296,12 +296,18 @@ def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatc
 
 
 def test_a_filled_tie_is_dead_and_its_next_probe_inspects_nothing():
-    """Serving a1-a2-a1 on the manipulation instance: a1's first stage fills
-    her first tie ( c2 ), so the augmentation marks it dead, and her second
-    stage fails that tie at once."""
+    """On the manipulation instance a1's first stage fills her first tie
+    ( c2 ), so the augmentation marks it dead. c1 is still free, so a probe
+    of that tie is not decided by a full network: the dead-tie exit fails it
+    at once, with a 0 entry. After a2 takes c1, a1's second stage meets a
+    full network and fails the tie unprobed."""
     net = gsdt.FlowNetwork(worked_example("manipulation"))
     gsdt.serve(net, ["a1"])
     assert ("tie", "a1", 0) in net.dead
+    assert net.free > 0
+    probe = net.copy(net.instance)
+    assert gsdt.find_augmenting_path(probe, "a1", 0) is None
+    assert probe.arc_visits == [*net.arc_visits, 0]
     gsdt.serve(net, ["a2", "a1"])
     assert probes(net.record[2])[0] == ProbeRecord(0, None)
     assert len(net.arc_visits) == 2  # no entry, so the ``arc_visits`` view reads 0
