@@ -46,14 +46,13 @@ class FlowNetwork:
     has entries only for probed ties. ``holders[c]`` is the one record of
     tie-course flow: tie ``(a, t)`` sends ``c`` a unit exactly when ``(a,
     t)`` is in it. ``flow_snk[c]`` counts the units on the sink arc of ``c`` and
-    ``free`` the seats left; only ``augment`` lowers it, so once it is 0
-    every probe fails. ``guided_order`` is the policy as the search reads it.
+    ``free`` the seats left; once it is 0 every probe fails.
+    ``guided_order`` is the policy as the search reads it.
 
     ``dead`` holds tie and course nodes known not to reach the sink; they
     stay dead. A failed search marks every node it reached, and ``augment``
     a tie it fills. An augmentation adds residual arcs only out of nodes on
-    its path, which all reach the sink; its other changes only remove arcs,
-    and source and tie capacities act on arcs the search never crosses, so
+    its path, which all reach the sink, and otherwise only removes arcs, so
     no arc from a dead node to a live one appears. A full tie has none out."""
 
     def __init__(self, instance: Instance, policy: GuidedToward | None = None):
@@ -83,13 +82,11 @@ class FlowNetwork:
         return new
 
     def live_courses(self) -> set[str]:
-        """The courses that reach the sink in the residual network, empty
-        with no free seat; no later stage gives a course outside it to
-        anyone. Between stages no path to the sink crosses an applicant, and
-        a tie on one runs in from a course it holds and out to one it lists
-        and does not hold: contracted, a tie passes liveness from the latter
-        to the former. One search over courses, from those with a free seat,
-        reads only the ties in ``holders``."""
+        """The courses that reach the sink in the residual network; no later
+        stage gives a course outside it to anyone. Between stages a path
+        crosses a tie from a course it holds to one it lists and does not
+        hold, so one search over courses, from those with a free seat, reads
+        only the ties in ``holders``."""
         inst, holders = self.instance, self.holders
         feeds: defaultdict[str, list[str]] = defaultdict(list)  # d -> courses live once d is
         for c, keys in holders.items():
@@ -170,16 +167,14 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
     tie to the sink, breadth-first over residual arcs (unmatched tie-course
     arcs, course-sink arcs with a free seat, backward arcs from a course to
     its holders), successors in ascending key order, a node's parent the
-    first to reach it: the path is the lexicographically least shortest one
-    of the whole network. Dead nodes are skipped; a dead probed tie fails at
-    once, as does a probe with no free seat. The tie's live courses it does
-    not hold, ascending, are the first level, and each leaves the queue
-    before any deeper node: the first with a free seat is the direct path,
-    returned at once, and if none has one they seed the search. Each call
-    appends its arc inspections to ``net.arc_visits``: |tie| for a tie it
-    expands, 1 + |holders| for a course, 0 for a probe that fails at once. A
-    ``guided_order`` is tried first, one visit per course: its first course
-    that the probed tie does not hold and that has a free seat is taken.
+    first to reach it: the lexicographically least shortest path. Dead nodes
+    are skipped. A dead probed tie or a full network fails at once (0
+    visits), as does an empty first level, the tie's live courses it does
+    not hold (|tie| visits; the tie is dead). A level-one course with a free
+    seat is the direct path; if none has one they seed the search. Visits
+    go to ``net.arc_visits``: |tie| for a tie expanded, 1 + |holders| for a
+    course. A ``guided_order`` is tried first, one visit per course: its
+    first course that the tie does not hold and that has a free seat wins.
     """
     inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
@@ -199,6 +194,10 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
     courses = inst.prefs[applicant][tie]
     visits += len(courses)
     level = sorted(c for c in courses if key not in holders[c] and ("crs", c) not in dead)
+    if not level:
+        dead.add(start)
+        net.arc_visits.append(visits)
+        return None
     direct = visits
     for c in level:  # counted again below when none is free
         direct += 1 + len(holders[c])
@@ -251,14 +250,11 @@ def _stage(net: FlowNetwork, a: str) -> None:
     Raise her source capacity and probe her ties from ``net.curr[a]`` on by
     ``find_augmenting_path``. A failed probe rolls the tie capacity back and
     advances ``curr[a]``; the first success augments. ``net.record`` gains
-    (first tie probed, tie reached, path or ``None``): the ties in between
-    failed. ``FlowNetwork.check`` (not under ``-O``) covers the ties probed
-    and the ties and courses on the path. Her bound ``out <= cap_src`` is
-    left to the full check: she gains a unit of source capacity and at most
-    one of flow, and the path's other ties each swap one course for
-    another. With no free seat her remaining ties fail unprobed: the
-    entry is (first, her tie count, ``None``), ``arc_visits`` gains nothing,
-    and only ``cap_src[a]`` (her bound loosens) and ``curr[a]`` change."""
+    (first tie probed, tie reached, path or ``None``). ``FlowNetwork.check``
+    (not under ``-O``) covers the ties probed and the ties and courses on
+    the path; her bound ``out <= cap_src`` is left to the full check. With
+    no free seat her remaining ties fail unprobed: the entry is (first, her
+    tie count, ``None``), and only ``cap_src[a]`` and ``curr[a]`` change."""
     net.cap_src[a] += 1
     first, ties = net.curr[a], len(net.instance.prefs[a])
     if not net.free:
@@ -320,15 +316,12 @@ class StageRecord:
 @dataclass(frozen=True)
 class GsdtResult:
     """The final matching and the compact record of a run (``_stage``),
-    with the arc inspections of each probe that searched (``visits``), and
-    the run's ``policy``, so it can be served again. ``arc_visits`` (one
-    per probe, 0 on a full network) and ``searches`` (the probes) are views
-    of the record. ``stages``, built on first read, serves the run again one
-    ``serve`` per stage on a fresh network, so with the full check after
-    each (not under ``-O``), and raises ``AssertionError``, under ``-O``
-    too, unless the record holds one entry per stage, each the served one,
-    and ``matching`` and ``visits`` are the served ones; ``render_trace``
-    renders a forged record."""
+    with the arc inspections of each probe that searched (``visits``) and
+    the run's ``policy``. ``arc_visits`` (0 per probe on a full network) and
+    ``searches`` are views of the record. ``stages``, built on first read,
+    serves the run again one ``serve`` per stage on a fresh network, and
+    raises ``AssertionError``, under ``-O`` too, unless the record, the
+    ``matching`` and the ``visits`` are the served ones."""
 
     instance: Instance
     ordering: PriorityOrdering
@@ -373,15 +366,13 @@ def serve(net: FlowNetwork, stages: Sequence[str]) -> None:
 def run_gsdt(instance: Instance, ordering: Sequence[str],
              policy: GuidedToward | None = None) -> GsdtResult:
     """Run the mechanism for a priority multisequence, one ``_stage`` per
-    entry through ``serve``, which the misreport search also runs on copies
-    of one shared state. The run keeps only its compact record, which
+    entry through ``serve``, keeping only the compact record, which
     ``render_trace`` reads unchecked and ``GsdtResult.stages`` checks.
 
     With no ``policy`` every probe takes the canonical path, the
-    lexicographically least shortest one; any augmenting path would do, so
-    this only makes runs reproducible. A ``GuidedToward`` target must be a
-    feasible matching, or ``FlowNetwork`` raises ``FeasibilityError``
-    before any stage runs; its courses are tried as ``GuidedToward`` says.
+    lexicographically least shortest one, so runs are reproducible. A
+    ``GuidedToward`` target must be a feasible matching, or ``FlowNetwork``
+    raises ``FeasibilityError`` before any stage runs.
     """
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance, policy)

@@ -1,10 +1,9 @@
 """Ground truth at desk scale: exhaustive matching enumeration, dominance-
 based Pareto catalogs, reachability sweeps, and misreport search.
 
-Everything here is deliberately simple and auditable; the point is to check
-the clever machinery (envy graph, staged flow) against brute force, but for
-misreport search, which shares the stages before the liar's first and skips or
-stops the runs that cannot change its answer.
+Everything here is deliberately simple and auditable, to check the envy graph
+and the staged flow against brute force; the misreport search alone also
+skips or stops the runs that cannot change its answer.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .gsdt import FlowNetwork, GuidedToward, derive_ordering, run_gsdt, serve
 # with_prefs is re-exported: callers use oracle.with_prefs.
 from .instance import (
     Instance,
+    PreferenceList,
     PriorityOrdering,
     format_preference_list,
     validate_ordering,
@@ -325,25 +325,26 @@ def find_beneficial_misreport(
     prefers, under her true preferences, to the truthful outcome.
 
     The stages before her first one read no list of hers, so they are served
-    once, into a base state that holds nothing of hers. Every run starts from
-    a copy of that base (``run_list``), the truthful list's first; the space
-    lists it again, and then it is counted, not rerun. Her outcome is read
-    off her own ties. A list whose ties each lie inside a true tie, the
-    truthful one included, runs only to ``last``, the stage after her last:
-    from there her source and tie capacities stay fixed and later paths move
-    her only within a tie of the list (nobody trades down), so her
-    per-true-tie counts, all ``compare_sets`` reads, are final. A list merging
-    true ties runs in full, as do both lists of a FOUND (sets of full runs).
+    once, into a base state that holds nothing of hers; every run starts from
+    a copy of it (``run_list``), the truthful list's first, and reads her
+    outcome off her own ties. A list whose ties each lie inside a true tie
+    runs only to ``last``, the stage after her last: later paths move her
+    only within a tie of the list, so her per-true-tie counts, all
+    ``compare_sets`` reads, are final. A list merging true ties runs in
+    full, as do both lists of a FOUND.
 
-    A list runs only if it could win. Her outcome holds at most ``quota`` of
-    the courses it names (her stages), all in the base's ``live_courses``,
-    which no list of hers changes: the base holds nothing of hers. So her
-    bound, her ``quota`` best such courses under her true ties, depends only
-    on the list's course subset. A subset whose bound does not beat the
-    truthful outcome adds its Fubini(k) lists to ``examined`` unwalked. A
-    superset's bound is lexicographically no smaller, so if her whole set's
-    loses, no subset's bound is taken: each adds its count unwalked, and the
-    search returns NONE with the space's size. Passing ``search_limit``
+    Every list is counted in ``examined``, but runs only if it could win and
+    no earlier run decides it. Her outcome holds at most ``quota`` of the
+    courses a list names, all in the base's ``live_courses``, so a course
+    subset whose ``quota`` best live courses do not beat the truthful
+    outcome adds its Fubini(k) lists unwalked, and every subset does when
+    her whole set's lose (a superset's best are no worse). So does a subset
+    naming a course outside the live ones: nothing such a course reaches is
+    live, so each list over it runs as its projection onto them, a smaller
+    subset already examined. A losing run that left her last block unprobed
+    decides every list starting with the blocks it probed: each stage of
+    hers with a free seat took a course in them, and nothing reads the rest.
+    The truthful list is decided by its own run. Passing ``search_limit``
     first yields INCONCLUSIVE at ``search_limit`` (0 if negative), not NONE.
     """
     validate_ordering(instance, ordering)
@@ -357,34 +358,45 @@ def find_beneficial_misreport(
                            (n[1:] for n in base.dead if n[0] == "tie"))
     assert all(a != applicant for a, _ in ties), "the base holds a tie of hers"
 
-    def outcome(prefs: Sequence[frozenset[str]], full: bool = False) -> frozenset[str]:
+    def outcome(prefs: PreferenceList, full: bool = False) -> tuple[frozenset[str], FlowNetwork]:
         inside = all(any(tie <= true_tie for true_tie in truthful) for tie in prefs)
-        holders = run_list(base, ordering, applicant, prefs,
-                           None if full or not inside else last).holders
+        run = run_list(base, ordering, applicant, prefs, None if full or not inside else last)
         return frozenset(
-            c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in holders[c])
+            c for t, tie in enumerate(prefs) for c in tie if (applicant, t) in run.holders[c]), run
 
-    truthful_set = outcome(truthful)
+    def decide(prefs: PreferenceList, run: FlowNetwork) -> None:  # probed: 0, 1, ... in cap_tie
+        probed = next(t for t in itertools.count() if (applicant, t) not in run.cap_tie)
+        if probed < len(prefs):
+            decided.add(prefs[:probed])
+
+    truthful_set, truthful_run = outcome(truthful)
 
     def prefers(courses: Iterable[str]) -> bool:  # to the truthful outcome, under her true ties
         return compare_sets(instance, applicant, courses, truthful_set) is SetRelation.PREFERS
 
-    ranked = sorted(base.live_courses() & instance.acceptable(applicant),
-                    key=lambda c: instance.tie_of(applicant, c))
-    inconclusive = MisreportSearch(MisreportStatus.INCONCLUSIVE, None, max(search_limit, 0))
-    whole, examined = prefers(ranked[:instance.quota[applicant]]), 0
+    live, quota = base.live_courses() & instance.acceptable(applicant), instance.quota[applicant]
+    ranked = sorted(live, key=lambda c: instance.tie_of(applicant, c))
+    whole, examined, decided = prefers(ranked[:quota]), 0, set()
+    if whole:
+        decide(truthful, truthful_run)
     for subset in _course_subsets(instance, applicant):
         # Unless her whole set's bound wins, no subset's does.
-        walked = whole and prefers([c for c in ranked if c in subset][:instance.quota[applicant]])
+        walked = whole and live.issuperset(subset) and prefers(
+            [c for c in ranked if c in subset][:quota])
         for fabricated in _ordered_partitions(subset) if walked else [None]:  # else one step
             examined += 1 if walked else _ordered_partition_count(len(subset))
             if examined > search_limit:
-                return inconclusive
-            if walked and fabricated != truthful and prefers(outcome(fabricated)):
+                return MisreportSearch(MisreportStatus.INCONCLUSIVE, None, max(search_limit, 0))
+            if not walked or fabricated == truthful or any(
+                    fabricated[:k] in decided for k in range(1, len(fabricated) + 1)):
+                continue
+            lying_set, run = outcome(fabricated)
+            if prefers(lying_set):
                 finding = MisreportFinding(
                     applicant, truthful, tuple(fabricated), tuple(ordering),
-                    outcome(truthful, full=True), outcome(fabricated, full=True), True)
+                    outcome(truthful, full=True)[0], outcome(fabricated, full=True)[0], True)
                 return MisreportSearch(MisreportStatus.FOUND, finding, examined)
+            decide(fabricated, run)
     return MisreportSearch(MisreportStatus.NONE, None, examined)
 
 
@@ -417,11 +429,8 @@ class ImpossibilityReport:
 
 def impossibility_instance(variant: int) -> Instance:
     """The four 2x2 strict instances of the no-truthful-selector argument,
-    also shipped as ``fixtures/impossibility_i{variant}.txt``.
-
-    All share quotas b(a1)=2, b(a2)=1, q(c1)=q(c2)=1 and differ only in the
-    declared lists.
-    """
+    also shipped as ``fixtures/impossibility_i{variant}.txt``. All share
+    quotas b(a1)=2, b(a2)=1, q(c1)=q(c2)=1 and differ only in the lists."""
     lists = {
         1: ([["c1"], ["c2"]], [["c1"], ["c2"]]),
         2: ([["c1"], ["c2"]], [["c1"]]),

@@ -13,6 +13,7 @@ bound loses is counted as one block, at any search limit. A run keeps tie
 capacities only for the ties it probes. ``with_prefs`` returns the instance
 itself for her declared tuple, so the truthful run rebuilds nothing."""
 
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -163,7 +164,8 @@ def liar_cases(count, seed):
 
 # The CI's two cases whose liar a1 lists all five courses, with its
 # orderings: at seed 113 no list can beat the truthful one, at seed 32 the
-# bound leaves 912 lists to run. Then twenty three- and four-course liars.
+# bound alone would make 912 runs and earlier runs decide all but 9. Then
+# twenty three- and four-course liars.
 SUBSET_CASES = [
     (generate_random_instance(10, 5, 3, 4, 0.4, 113),
      "a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a3 a4 a6 a9 a6".split()),
@@ -220,19 +222,38 @@ def lists_run_and_subsets_walked(instance, ordering, applicant):
     return search, runs, walked
 
 
+def probed_blocks(instance, ordering, applicant, prefs):
+    """How many of her blocks a fresh full run of ``prefs`` probes: her ties
+    with a tie capacity, which run from her tie 0."""
+    net = FlowNetwork(with_prefs(instance, applicant, prefs))
+    gsdt.serve(net, ordering)
+    probed = {t for a, t in net.cap_tie if a == applicant}
+    assert probed == set(range(len(probed)))
+    return len(probed)
+
+
 def lists_a_per_list_bound_runs(instance, ordering, applicant, search):
     """The lists a search that bounds each list on its own runs up to
-    ``search.examined``: the truthful one, each other list whose bound
-    within the base's live courses beats the truthful outcome, and a
-    finding's two lists again."""
+    ``search.examined``: the truthful one, then each other list whose bound
+    within the base's live courses beats the truthful outcome, unless it
+    names a course outside them or starts with the blocks an earlier losing
+    run probed short of its last; and a finding's two lists again."""
     true = instance.prefs[applicant]
     truthful = fresh_vector(instance, ordering, applicant, true)
     live = live_in_base(instance, ordering, applicant)
     lists = itertools.islice(misreport_space(instance, applicant), search.examined)
-    kept = [prefs for prefs in lists
-            if prefs != true and bound(instance, applicant, prefs, live) > truthful]
+    kept, decided = [], set()
+    for prefs in [true, *lists]:
+        if kept and (prefs == true or not frozenset().union(*prefs) <= live
+                     or bound(instance, applicant, prefs, live) <= truthful
+                     or any(prefs[:k] in decided for k in range(1, len(prefs) + 1))):
+            continue
+        kept.append(prefs)
+        probed = probed_blocks(instance, ordering, applicant, prefs)
+        if probed < len(prefs):  # a finding, the last list, decides none after it
+            decided.add(prefs[:probed])
     found = search.finding
-    return [true] + kept + ([true, found.fabricated_prefs] if found else [])
+    return kept + ([true, found.fabricated_prefs] if found else [])
 
 
 def test_a_liar_no_list_can_help_costs_one_run_and_no_enumeration():
@@ -245,8 +266,9 @@ def test_a_liar_no_list_can_help_costs_one_run_and_no_enumeration():
 
 def test_the_search_runs_the_lists_a_per_list_bound_runs_in_the_same_order():
     """Per search from seed 32 on, the lists run are those a per-list bound
-    runs, in its order. Their counts are those a search bounding each list on
-    its own made. 38 of the 240 course subsets are walked."""
+    runs, in its order, less those an earlier run decides: at seed 32, 9
+    runs of the 912 the bound alone makes. 26 of the 240 course subsets are
+    walked."""
     runs_per_search, walked_subsets, subsets = [], 0, 0
     for inst, ordering in SUBSET_CASES[1:]:
         search, runs, walked = lists_run_and_subsets_walked(inst, ordering, "a1")
@@ -254,8 +276,8 @@ def test_the_search_runs_the_lists_a_per_list_bound_runs_in_the_same_order():
         runs_per_search.append(len(runs))
         walked_subsets += len(walked)
         subsets += len(subset_ends(inst, "a1"))
-    assert runs_per_search == [912, 1, 1, 5, 4, 19, 1, 120, 1, 1, 19, 1, 1, 1, 7, 1, 142, 1, 1, 1, 1]
-    assert (walked_subsets, subsets) == (38, 240)
+    assert runs_per_search == [9, 1, 1, 5, 4, 9, 1, 9, 1, 1, 19, 1, 1, 1, 7, 1, 23, 1, 1, 1, 1]
+    assert (walked_subsets, subsets) == (26, 240)
 
 
 def test_every_fleet_ordering_resumes_like_fresh_and_searches_alike():
@@ -644,7 +666,9 @@ def test_the_search_runs_a_merging_list_to_the_end():
     assert search.status is MisreportStatus.NONE
     skipped = skipped_lists(inst, ordering, "a1", search.examined)
     assert 0 < skipped < search.examined
-    assert len(runs) == 1 + search.examined - skipped
+    # Most of the runs the bound alone makes are of lists that name the dead
+    # c5 or start with blocks an earlier losing run probed short of its last.
+    assert (len(runs), 1 + search.examined - skipped) == (87, 808)
     merged = tuple(map(frozenset, merged))
     assert [stages for prefs, stages in runs if prefs == merged] == [len(ordering)]
 
@@ -774,16 +798,82 @@ def test_a_liar_with_her_best_outcome_runs_only_the_truthful_list(k):
 
 
 def test_the_bound_skips_some_lists_and_runs_the_rest_on_bench_shaped_instances():
-    """Per search: the truthful run, one run per other list the bound keeps,
-    and the two full runs of a FOUND. The totals are pinned."""
+    """Per search: the truthful run, one run per other list the bound keeps
+    and no earlier run decides, and the two full runs of a FOUND. The totals
+    are pinned: the bound alone would leave 90 runs."""
     skipped = runs = found = 0
     for inst, ordering in BENCH_SHAPED:
         search, ran = searched_with_final_vectors(inst, ordering, "a1")
         s = skipped_lists(inst, ordering, "a1", search.examined)
         f = search.status is MisreportStatus.FOUND
-        assert len(ran) == 1 + search.examined - s + 2 * f
+        assert [prefs for prefs, _ in ran] == lists_a_per_list_bound_runs(inst, ordering, "a1", search)
+        assert len(ran) <= 1 + search.examined - s + 2 * f
         skipped, runs, found = skipped + s, runs + len(ran), found + f
-    assert (skipped, runs, found) == (3772, 90, 2)
+    assert (skipped, runs, found) == (3772, 56, 2)
+
+
+def test_every_list_the_bound_keeps_and_the_search_counts_without_a_run_loses():
+    """A list whose bound wins but which the search does not run is decided
+    by an earlier run. In a fresh full run it gives her no more than the
+    truthful vector: if it names a course outside the base's live courses,
+    exactly the vector of its projection onto them, and otherwise the vector
+    of an earlier losing run whose probed blocks, short of its last, it
+    starts with."""
+    projected = probed = 0
+    cases = [(*merging_case_the_bound_keeps()[:2], "a1")]
+    cases += [(inst, ordering, "a1") for inst, ordering in SUBSET_CASES[1:] + BENCH_SHAPED]
+    for inst, ordering, a in cases + list(small_cases(300, 103)) + list(small_cases(120, 307)):
+        real, ran = run_list, []
+
+        def spy(base, ordering, applicant, prefs, stop=None):
+            ran.append(tuple(map(frozenset, prefs)))
+            return real(base, ordering, applicant, prefs, stop)
+
+        with mock.patch.object(oracle, "run_list", spy):
+            search = find_beneficial_misreport(inst, ordering, a)
+        truthful = fresh_vector(inst, ordering, a, inst.prefs[a])
+        live = live_in_base(inst, ordering, a)
+        deciders = {}
+        for prefs in ran:
+            k = probed_blocks(inst, ordering, a, prefs)
+            if k < len(prefs):
+                deciders.setdefault(prefs[:k], prefs)
+        for prefs in itertools.islice(misreport_space(inst, a), search.examined):
+            if prefs in ran or bound(inst, a, prefs, live) <= truthful:
+                continue
+            got = fresh_vector(inst, ordering, a, prefs)
+            assert got <= truthful, prefs
+            outside = frozenset().union(*prefs) - live
+            if outside:
+                projection = tuple(tie - outside for tie in prefs if tie - outside)
+                assert got == fresh_vector(inst, ordering, a, projection), prefs
+                projected += 1
+            else:
+                decider = next(deciders[prefs[:k]] for k in range(1, len(prefs) + 1)
+                               if prefs[:k] in deciders)
+                assert got == fresh_vector(inst, ordering, a, decider), prefs
+                probed += 1
+    assert (projected, probed) == (1707, 240)
+
+
+# Ten of the first sixty seeds whose 40x15 instance gives a1 six courses
+# (9,366 lists), with the results of a search that ran every list its bound
+# kept: three findings, then seven NONEs that ran 7,300-9,200 lists each, in
+# 2-5 s. Seed 380 is left out for time: her second stage probes every block
+# of every list, so no run decides another.
+SIX_COURSE_RUNG = {17: ("FOUND", 73), 18: ("FOUND", 249), 33: ("FOUND", 66),
+                   **dict.fromkeys((52, 85, 118, 148, 178, 225, 296), ("NONE", 9366))}
+
+
+def test_six_course_liars_at_40x15_keep_their_results():
+    digest = hashlib.sha256()
+    for seed, want in SIX_COURSE_RUNG.items():
+        inst = generate_random_instance(40, 15, 3, 4, 0.4, seed)
+        assert len(inst.acceptable("a1")) == 6
+        search = find_beneficial_misreport(inst, shuffled_ordering(inst, seed), "a1")
+        assert (search.status.name, search.examined) == want, seed
+        digest.update("\n".join(search.to_lines()).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "fa5dceb9c7abfd0d"
 
 
 def test_no_search_runs_a_list_to_the_same_stop_twice():
