@@ -57,12 +57,12 @@ class EnvyGraph:
     matched ``pairs``, each sorted. Hub ``len(hub_of) + k`` lists
     ``courses[k]`` and then its holders, ascending; ``hub_of[i]`` is the hub
     listing real node ``i`` (-1 for an applicant). The last hub, the fan,
-    lists every applicant and pair. A real node's ``out`` holds only hubs:
+    lists every applicant and pair. A real node's ``_out`` holds only hubs:
     the fan for an exposed course, else the hubs it envies, unordered.
-    Arc ``i -> j`` weighs -1 if ``hub_of[j] in strict[i]``, else 0.
-    ``out_of(i)`` builds ``out[i]`` and ``strict[i]`` on first read, ``out``
-    and ``strict`` all the rest. ``nodes`` and the expanded ``arcs`` are
-    views derived on first read; the verdict path reads neither."""
+    Arc ``i -> j`` weighs -1 if ``hub_of[j] in _strict[i]``, else 0.
+    ``out_of(i)`` builds ``_out[i]`` and ``_strict[i]`` on first read.
+    ``nodes`` and the expanded ``arcs`` are views derived on first read; the
+    verdict path reads neither."""
 
     applicants: tuple[str, ...]
     courses: tuple[str, ...]
@@ -84,15 +84,6 @@ class EnvyGraph:
         return self._out[i]  # type: ignore[return-value]
 
     @cached_property
-    def out(self) -> list[Sequence[int]]:
-        self._build([k for k, built in enumerate(self._out) if built is None])
-        return self._out  # type: ignore[return-value]
-
-    @cached_property
-    def strict(self) -> list[Collection[int]]:
-        return self.out and self._strict  # out, never empty, builds every strict set
-
-    @cached_property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(map(self.node, range(len(self.hub_of))))
 
@@ -100,8 +91,8 @@ class EnvyGraph:
     def arcs(self) -> tuple[Arc, ...]:
         """All expanded arcs as (tail, head, weight), in canonical order."""
         n = self.nodes
-        return tuple((n[u], n[v], -1 if self.hub_of[v] in self.strict[u] else 0)
-                     for u in range(len(n)) for v in _expanded(self, u))
+        return tuple((n[u], n[v], -1 if self.hub_of[v] in self._strict[u] else 0)
+                     for u in range(len(n)) for v in _expanded(self, u))  # builds _strict[u]
 
 
 def _expanded(graph: EnvyGraph, i: int) -> Sequence[int]:
@@ -187,17 +178,21 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     with arcs, in id order, tries her heads in ascending order. Every
     search shares one ``parent`` and ``spent``: a failed one never read the
     fan, so nothing it reached reaches an applicant, and a head it reached
-    is skipped. Else Tarjan on the stored graph, whose hubs change no
-    reachability between real nodes, finds the arc, closed on fresh state
-    and not kept in the component: a node the head reaches that reaches the
-    tail is in it. O(V + E) stored for the searches together.
+    is skipped. Else no applicant is on a cycle, as no arc enters the fan or
+    every applicant's search failed, so Tarjan runs on the stored graph with
+    the applicant lists left empty; hubs change no reachability between
+    real nodes. It finds the arc, closed on fresh state and not kept in the
+    component: a node the head reaches that reaches the tail is in it.
+    O(V + E) stored for the searches together.
     """
     a, parent, spent = len(graph.applicants), [-1] * len(graph.hub_of), set()
     exposed = any(graph._out[a:a + len(graph.courses)])  # else no arc enters the fan
     closed = (_close(graph, tail, head, parent, spent) for tail in range(a if exposed else 0)
               for head in _expanded(graph, tail) if parent[head] < 0)
     if (cycle := next(filter(None, closed), None)) is None:
-        out, strict = graph.out, graph.strict  # every list, built in one loop
+        first_pair = a + len(graph.courses)
+        graph._build([k for k in range(first_pair, len(graph.hub_of)) if graph._out[k] is None])
+        out, strict = [()] * a + graph._out[a:], [()] * a + graph._strict[a:]
         components = strongly_connected_components(out)
         comp = {v: i for i, members in enumerate(components) for v in members}
         for tail in range(len(strict)):  # the real nodes

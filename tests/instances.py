@@ -1,7 +1,8 @@
 """Test inputs: the worked examples, read from ``fixtures/*.txt`` (their only
 copy), the deterministic fleets the sweep tests run over, the instance
-and ordering helpers only tests use, and ``probes``, which expands a GSDT
-stage's compact record entry into one (tie, path) record per probe."""
+and ordering helpers only tests use, ``probes``, which expands a GSDT
+stage's compact record entry into one (tie, path) record per probe, and
+``completed``, which builds every list of an envy graph."""
 
 import dataclasses
 import itertools
@@ -10,6 +11,7 @@ from typing import Iterator, NamedTuple
 
 from camatch import Instance, generate_random_instance, parse_instance
 from camatch import gsdt
+from camatch.envy import EnvyGraph
 from camatch.gsdt import Entry, FlowNetwork
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -104,3 +106,11 @@ def probes(entry: Entry) -> tuple[ProbeRecord, ...]:
     first, t, path = entry
     failed = tuple(ProbeRecord(s, None) for s in range(first, t))
     return failed if path is None else (*failed, ProbeRecord(t, path))
+
+
+def completed(graph: EnvyGraph) -> tuple[list, list]:
+    """The graph's stored lists and strict sets, ``(out, strict)``, indexed
+    like ``graph._out`` and ``graph._strict``, once every unbuilt slot is
+    built through ``graph._build``."""
+    graph._build([k for k, built in enumerate(graph._out) if built is None])
+    return graph._out, graph._strict

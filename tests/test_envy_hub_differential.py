@@ -8,7 +8,8 @@ cases reach every way the verifier decides: a witness from an applicant,
 found and closed by one breadth-first search per head tried, all sharing
 their parents, and Tarjan after those searches fail or when no course is
 exposed, for negative and positive verdicts. Applicant and pair lists are
-built on first read: each regime's count of lists built is pinned exactly,
+built on first read, and Tarjan reads only the pair lists, as no applicant
+is on a cycle by then: each regime's count of lists built is pinned exactly,
 as the searches sort what they read and depend on no string hash, and the
 graph a verdict leaves completes to a fresh build's lists exactly."""
 
@@ -42,6 +43,7 @@ from camatch.matching import (
     weakly_envied,
 )
 from camatch.scc import strongly_connected_components
+from instances import completed
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +310,7 @@ def built_graphs(monkeypatch):
 
 def lists_built(graph):
     """How many applicant and pair lists the graph has built, and how many
-    it has; read before ``out`` or ``strict``, which build the rest."""
+    it has; read before ``completed``, which builds the rest."""
     lazy = [*range(len(graph.applicants)),
             *range(len(graph.applicants) + len(graph.courses), len(graph.hub_of))]
     return sum(graph._out[k] is not None for k in lazy), len(lazy)
@@ -321,9 +323,12 @@ LISTS = {("a", True): 31_062, ("p", True): 1_749, ("p", False): 31_168,
 
 def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_graphs, monkeypatch):
     """Each verdict's own graph, spied on: Tarjan (a pair witness, or a
-    positive verdict) first builds every applicant and pair list, while a
-    witness from an applicant builds about 4% of them. Read afterwards,
-    ``out`` and ``strict`` equal a fresh build's entry by entry, in order."""
+    positive verdict) builds every pair list but no applicant list that
+    the applicant scan has not built, so with no course exposed a verdict
+    builds no applicant list; a witness from an applicant builds about 4%
+    of the lists.
+    Completed afterwards, the lists and strict sets equal a fresh build's
+    entry by entry, in order."""
     witnesses = []
 
     def spy_find(graph):
@@ -345,12 +350,11 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
             built[key] += done
             total[key] += lists
             fresh = build_envy_graph(inst, matching)
-            assert graph.out == fresh.out
-            assert graph.strict == fresh.strict
+            assert completed(graph) == completed(fresh)
             assert_real_hub_real(inst, matching, graph)
     assert total == LISTS
-    assert all(built[key] == total[key] for key in total if key != ("a", True))
-    assert built["a", True] == 1_384
+    assert built == {("a", True): 1_384, ("p", True): 1_749, ("p", False): 12_722,
+                     ("positive", True): 2_819, ("positive", False): 10_178}
 
 
 def test_the_wide_half_verdict_builds_few_lists(built_graphs):
@@ -363,6 +367,18 @@ def test_the_wide_half_verdict_builds_few_lists(built_graphs):
     half = Matching(optimum.canonical_pairs()[::2])
     assert not is_pareto_optimal(inst, half)
     assert lists_built(built_graphs[0]) == (1, 772)
+
+
+def test_the_mid_optimum_verdict_builds_only_pair_lists(built_graphs):
+    """The 640x100 file-order optimum leaves no course exposed, so no arc
+    enters the fan and no applicant is on a cycle: the positive verdict
+    builds all 264 pair lists for Tarjan and none of the 640 applicant
+    lists."""
+    inst = generate_random_instance(640, 100, 3, 4, 0.4, 1)
+    optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
+    assert not any(is_exposed_course(inst, optimum, c) for c in inst.courses)
+    assert is_pareto_optimal(inst, optimum)
+    assert lists_built(built_graphs[0]) == (264, 904)
 
 
 def test_a_head_that_misses_its_tail_moves_the_scan_to_the_next_head(monkeypatch):
@@ -421,7 +437,7 @@ def assert_real_hub_real(inst, matching, graph):
     """Real nodes store only hubs, hubs list only real nodes, ascending, and
     no two nodes share a non-empty list. An exposed course stores the fan
     hub alone; the fan, the last hub, lists every applicant and pair."""
-    real, out = len(graph.hub_of), graph.out
+    real, (out, _) = len(graph.hub_of), completed(graph)
     first_pair = len(graph.applicants) + len(graph.courses)
     assert len(out) == real + len(graph.courses) + 1
     for i in range(real):
@@ -445,7 +461,7 @@ def test_stored_arcs_at_the_wide_optimum():
     optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
     graph = build_envy_graph(inst, optimum)
     assert_real_hub_real(inst, optimum, graph)
-    assert sum(map(len, graph.out)) <= 5_000
+    assert sum(map(len, completed(graph)[0])) <= 5_000
     assert is_pareto_optimal(inst, optimum)
 
 

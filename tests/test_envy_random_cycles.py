@@ -27,6 +27,7 @@ from camatch.envy import (
 )
 from camatch.matching import coalition_error, pareto_dominates, satisfy_coalition
 from camatch.scc import strongly_connected_components
+from instances import completed
 from test_climb_random_starts import random_feasible_matching
 
 CYCLES_PER_MATCHING = 10
@@ -66,13 +67,14 @@ def random_negative_cycles(inst, matching, rng):
     """Up to ``CYCLES_PER_MATCHING`` simple negative cycles as node lists,
     each with the weight of the arc leaving each node."""
     graph = build_envy_graph(inst, matching)
-    comp = [0] * len(graph.out)
-    for i, members in enumerate(strongly_connected_components(graph.out)):
+    out, strict = completed(graph)
+    comp = [0] * len(out)
+    for i, members in enumerate(strongly_connected_components(out)):
         for v in members:
             comp[v] = i
     real = len(graph.hub_of)
     inside = [[v for v in _expanded(graph, u) if comp[v] == comp[u]] for u in range(real)]
-    weight = {(u, v): -1 if graph.hub_of[v] in graph.strict[u] else 0
+    weight = {(u, v): -1 if graph.hub_of[v] in strict[u] else 0
               for u in range(real) for v in inside[u]}
     strict_arcs = [arc for arc, w in weight.items() if w]
     for _ in range(CYCLES_PER_MATCHING if strict_arcs else 0):

@@ -280,6 +280,35 @@ def test_the_search_runs_the_lists_a_per_list_bound_runs_in_the_same_order():
     assert (walked_subsets, subsets) == (26, 240)
 
 
+# Searches in which an earlier losing run decides later lists by the blocks
+# it probed, and where recording one probed block too few would skip a list
+# that wins: each finding would change, one of them to NONE. A differential of
+# 12,015 seeded searches (2-6x2-5 and 10x5 instances, and the benchmark's
+# misreport inputs of seeds 1, 7 and 11) found these nine, by
+# (n1, n2, tie density, seed), ordering seed and liar.
+PREFIX_CASES = [
+    ((6, 5, 0.9, 950137743), 136, "a2"),
+    ((4, 3, 0.4, 332224865), 503, "a3"),
+    ((10, 5, 0.4, 70151), 151, "a7"),
+    ((10, 5, 0.4, 70209), 209, "a3"),
+    ((10, 5, 0.4, 70294), 294, "a8"),
+    ((10, 5, 0.4, 853190499), 853190499, "a1"),
+    ((10, 5, 0.4, 1933228782), 1933228782, "a1"),
+    ((10, 5, 0.4, 1185799330), 1185799330, "a1"),
+    ((10, 5, 0.4, 1342543078), 1342543078, "a1"),
+]
+
+
+@pytest.mark.parametrize("k", range(len(PREFIX_CASES)))
+def test_a_search_whose_earlier_runs_decide_lists_finds_what_the_reference_finds(k):
+    (n1, n2, density, seed), ordering_seed, liar = PREFIX_CASES[k]
+    inst = generate_random_instance(n1, n2, 3, 4, density, seed)
+    ordering = shuffled_ordering(inst, ordering_seed)
+    search = find_beneficial_misreport(inst, ordering, liar)
+    assert search.status is MisreportStatus.FOUND
+    assert search == reference_misreport(inst, ordering, liar)
+
+
 def test_every_fleet_ordering_resumes_like_fresh_and_searches_alike():
     runs = found = 0
     for inst in fixture_instances(50):

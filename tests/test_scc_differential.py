@@ -11,6 +11,7 @@ import pytest
 
 from camatch import build_envy_graph, generate_random_instance
 from camatch.scc import strongly_connected_components
+from instances import completed
 from test_certificate_pin import random_feasible_matching
 
 
@@ -83,7 +84,7 @@ def test_envy_graphs_at_audit_scale_match_the_reference():
     rng = random.Random(3020)
     for _ in range(12):
         inst = generate_random_instance(80, 30, 3, 4, 0.4, rng.randrange(2**31))
-        out = build_envy_graph(inst, random_feasible_matching(inst, rng)).out
+        out, _ = completed(build_envy_graph(inst, random_feasible_matching(inst, rng)))
         comps = strongly_connected_components(out)
         assert comps == reference_scc(range(len(out)), out)
         assert any(len(comp) > 1 for comp in comps)
