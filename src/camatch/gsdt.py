@@ -47,7 +47,7 @@ class FlowNetwork:
     tie-course flow: tie ``(a, t)`` sends ``c`` a unit exactly when ``(a,
     t)`` is in it. ``flow_snk[c]`` counts the units on the sink arc of ``c`` and
     ``free`` the seats left; once it is 0 every probe fails.
-    ``guided_order`` is the policy as the search reads it.
+    ``guided_order`` is the policy, and the search reads it only there.
 
     ``dead`` holds tie and course nodes known not to reach the sink; they
     stay dead. A failed search marks every node it reached, and ``augment``
@@ -160,9 +160,7 @@ class GuidedToward:
     target: Matching
 
 
-def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
-                         guided_order: dict[tuple[str, int], list[str]] | None = None,
-                         ) -> list[Node] | None:
+def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Node] | None:
     """Search the residual network for a path from the applicant's probed
     tie to the sink, breadth-first over residual arcs (unmatched tie-course
     arcs, course-sink arcs with a free seat, backward arcs from a course to
@@ -173,8 +171,8 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
     not hold (|tie| visits; the tie is dead). A level-one course with a free
     seat is the direct path; if none has one they seed the search. Visits
     go to ``net.arc_visits``: |tie| for a tie expanded, 1 + |holders| for a
-    course. A ``guided_order`` is tried first, one visit per course: its
-    first course that the tie does not hold and that has a free seat wins.
+    course. ``net.guided_order``, the policy, is tried first, one visit per
+    course: its first course with a free seat that the tie does not hold wins.
     """
     inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
@@ -183,9 +181,9 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int,
         net.arc_visits.append(visits)
         return None
 
-    if guided_order is not None:
+    if (order := net.guided_order) is not None:
         # Every candidate lies in the probed tie, so only that tie can hold it.
-        for c in guided_order.get(key, ()):
+        for c in order.get(key, ()):
             visits += 1
             if key not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
                 net.arc_visits.append(visits)
@@ -261,10 +259,10 @@ def _stage(net: FlowNetwork, a: str) -> None:
         net.curr[a] = ties
         net.record.append((first, ties, None))
         return
-    cap_tie, guided_order, t, path = net.cap_tie, net.guided_order, first, ()
+    cap_tie, t, path = net.cap_tie, first, ()
     while t < ties:
         cap_tie[a, t] += 1
-        path = find_augmenting_path(net, a, t, guided_order) or ()
+        path = find_augmenting_path(net, a, t) or ()
         if path:
             break
         cap_tie[a, t] -= 1

@@ -384,9 +384,9 @@ def test_stage_check_covers_its_failed_probes(monkeypatch, t1):
     search = gsdt.find_augmenting_path
     probes = []
 
-    def search_keeping_failed_capacity(net, applicant, tie, guided_order=None):
+    def search_keeping_failed_capacity(net, applicant, tie):
         probes.append((applicant, tie))
-        path = search(net, applicant, tie, guided_order)
+        path = search(net, applicant, tie)
         if path is None:
             net.cap_tie[applicant, tie] += 1  # survives the stage's rollback
         return path
@@ -607,6 +607,26 @@ def test_trace_renders_a_forged_record_as_it_is(t1, stage, entry, old, new):
     assert list(render_trace(forged)) == expected
     with pytest.raises(AssertionError):
         forged.stages
+
+
+def test_stages_replay_under_the_results_own_policy():
+    # a1 is indifferent between c1 and c2, so the optimum that gives her c2
+    # is not the canonical one, and its guided replay takes another path than
+    # the canonical run of the same derived ordering. The replay behind
+    # ``stages`` serves each run under its own policy: with the policies
+    # swapped, each record breaks at its first stage.
+    inst = Instance.build([("c1", 1), ("c2", 1)], [("a1", 1, [["c1", "c2"]])])
+    poms = enumerate_poms(inst).poms
+    target, = (pom for pom in poms if pom != run_gsdt(inst, ("a1",)).matching)
+    ordering = derive_ordering(inst, target)
+    guided = run_gsdt(inst, ordering, GuidedToward(target))
+    canonical = run_gsdt(inst, ordering)
+    assert (len(poms), guided.matching) == (2, target)
+    assert guided.record != canonical.record
+    for result, swapped in (guided, None), (canonical, GuidedToward(target)):
+        assert [s.entry for s in result.stages] == list(result.record)
+        with pytest.raises(AssertionError, match=f"^{breaks(1)}$"):
+            dataclasses.replace(result, policy=swapped).stages
 
 
 # ----------------------------------------------------------------------

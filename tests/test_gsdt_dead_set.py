@@ -58,7 +58,7 @@ def assert_dead_cannot_reach_sink(net):
     assert not net.dead & sink_reachers(net)
 
 
-def least_shortest_path(net, applicant, tie, guided_order=None):
+def least_shortest_path(net, applicant, tie):
     """The lexicographically least shortest path from the probed tie to the
     sink, by brute force over the whole residual network rebuilt from
     ``net.holders`` and the instance, ``dead`` ignored: every shortest path is
@@ -66,12 +66,12 @@ def least_shortest_path(net, applicant, tie, guided_order=None):
     Applicant nodes are left out: their arcs to other ties are saturated, so
     through them a path only reaches the source or the probed tie again.
 
-    With a ``guided_order``, its first course in the probed tie that the tie
-    does not hold and that has a free seat is taken directly, as the guided
-    search does."""
+    Under a policy, ``net.guided_order``, its first course in the probed tie
+    that the tie does not hold and that has a free seat is taken directly, as
+    the guided search does."""
     inst, holders = net.instance, net.holders
     start = ("tie", applicant, tie)
-    for c in (guided_order or {}).get((applicant, tie), ()):
+    for c in (net.guided_order or {}).get((applicant, tie), ()):
         held = holders[c]
         if c in inst.prefs[applicant][tie] and (applicant, tie) not in held \
                 and len(held) < inst.capacity[c]:
@@ -141,14 +141,14 @@ def test_dead_nodes_never_reach_the_sink(monkeypatch, k):
     dead_starts = searches = 0
     networks = []
 
-    def checked(net, applicant, tie, guided_order=None):
+    def checked(net, applicant, tie):
         nonlocal dead_starts, searches
         searches += 1
         if not networks or networks[-1] is not net:
             networks.append(net)
         assert_dead_cannot_reach_sink(net)
         dead_starts += ("tie", applicant, tie) in net.dead
-        path = search(net, applicant, tie, guided_order)
+        path = search(net, applicant, tie)
         assert_dead_cannot_reach_sink(net)
         return path
 
@@ -234,11 +234,11 @@ def test_canonical_path_is_the_whole_network_least_shortest_one(monkeypatch, k):
     search = gsdt.find_augmenting_path
     found = 0
 
-    def checked(net, applicant, tie, guided_order=None):
+    def checked(net, applicant, tie):
         nonlocal found
         expected = least_shortest_path(net, applicant, tie)
-        path = search(net, applicant, tie, guided_order)
-        if guided_order is None:
+        path = search(net, applicant, tie)
+        if net.guided_order is None:
             assert path == expected
             found += path is not None
         else:
@@ -265,9 +265,9 @@ def test_a_full_network_fails_the_rest_of_each_stage_without_a_search(monkeypatc
     search, stage = gsdt.find_augmenting_path, gsdt._stage
     decided = 0
 
-    def spied_search(net, applicant, tie, guided_order=None):
+    def spied_search(net, applicant, tie):
         assert seats_left(net) > 0
-        return search(net, applicant, tie, guided_order)
+        return search(net, applicant, tie)
 
     def spied_stage(net, a):
         nonlocal decided

@@ -42,10 +42,10 @@ def test_region_search_equals_whole_network_search(monkeypatch, k):
     stage = gsdt._stage
     outcomes, searched = [], set()
 
-    def both(net, applicant, tie, guided_order=None):
+    def both(net, applicant, tie):
         searched.add((applicant, tie))
-        expected = least_shortest_path(net, applicant, tie, guided_order)
-        got = region_search(net, applicant, tie, guided_order)
+        expected = least_shortest_path(net, applicant, tie)
+        got = region_search(net, applicant, tie)
         assert got == expected
         outcomes.append(got is not None)
         return got
@@ -96,11 +96,11 @@ def test_region_search_equals_the_references_where_seats_abound(monkeypatch, k):
     region_search = gsdt.find_augmenting_path
     counts = {"direct": 0, "deeper": 0, "failed": 0}
 
-    def both(net, applicant, tie, guided_order=None):
-        ref = net.copy(net.instance)
-        expected = frozen_search(ref, applicant, tie, guided_order)
-        assert least_shortest_path(net, applicant, tie, guided_order) == expected
-        got = region_search(net, applicant, tie, guided_order)
+    def both(net, applicant, tie):
+        ref = net.copy(net.instance)  # the frozen search reads the policy the copy carries
+        expected = frozen_search(ref, applicant, tie, ref.guided_order)
+        assert least_shortest_path(net, applicant, tie) == expected
+        got = region_search(net, applicant, tie)
         assert got == expected
         assert net.arc_visits[-1] == ref.arc_visits[-1]
         assert net.dead == ref.dead

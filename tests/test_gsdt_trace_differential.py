@@ -47,12 +47,13 @@ def guided_courses(instance, target, pair_priority):
 
 def reference_run(instance, ordering, policy=None, pair_priority=False):
     """Eager loop: after every stage run the full network check and record
-    the matching, the tie pointers and the source capacities."""
+    the matching, the tie pointers and the source capacities. A guided run
+    sets ``net.guided_order`` on an unguided network, in ascending or
+    pair-priority order, and the live search reads it there."""
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance)
-    guided_order = None
     if isinstance(policy, GuidedToward):
-        guided_order = guided_courses(instance, policy.target, pair_priority)
+        net.guided_order = guided_courses(instance, policy.target, pair_priority)
 
     capacities = [tuple(net.cap_src.values())]
     stages = []
@@ -63,7 +64,7 @@ def reference_run(instance, ordering, policy=None, pair_priority=False):
         while path is None and net.curr[a] < len(instance.prefs[a]):
             t = net.curr[a]
             net.cap_tie[(a, t)] += 1
-            path = find_augmenting_path(net, a, t, guided_order)
+            path = find_augmenting_path(net, a, t)
             probes.append(ProbeRecord(t, tuple(path) if path else None))
             if path is None:
                 net.cap_tie[(a, t)] -= 1
