@@ -378,15 +378,15 @@ def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     """Decide Pareto optimality; on failure ship an improving coalition and
     the strictly dominating matching obtained by satisfying it. The reduction
     has checked the coalition, so the dominating matching is derived from
-    the input's maps without a second check. A positive verdict is kept on
-    the matching for this ``instance`` object (both are immutable) and
+    the input's maps without a second check. A positive verdict and its graph
+    are kept on the matching for this ``instance`` object (both immutable) and
     returned again building nothing; a negative one never is."""
     if matching._optimal_in is instance:
         return ParetoCheck(True)
     graph = build_envy_graph(instance, matching)
     witness = find_negative_cycle(graph)
     if witness is None:
-        matching._optimal_in = instance
+        matching._optimal_in, matching._graph = instance, graph
         return ParetoCheck(True)
     coalition = extract_improving_coalition(instance, matching, graph, witness)
     return ParetoCheck(False, coalition, _traded(matching, coalition))

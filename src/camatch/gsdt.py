@@ -17,8 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from . import envy
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
-from .matching import (
-    Matching, Pair, _weakly_prefers_course, require_feasible, weakly_envied)
+from .matching import Matching, Pair, require_feasible
 from .scc import strongly_connected_components
 
 SRC = ("src",)
@@ -400,23 +399,24 @@ def render_trace(result: GsdtResult) -> Iterator[str]:
 # ----------------------------------------------------------------------
 
 def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
-    """Order the matched pairs so that every pair comes after all pairs it
-    weakly envies: on the digraph with an arc from ac to a'c' whenever ac
-    weakly envies c' (``weakly_envied``, the verifier's relation) or a'c' is
-    another seat of a herself (a weakly better course; without these arcs a
-    seat served too early can absorb capacity an earlier pair still needs),
-    lay the strongly connected components out sinks first, each sorted.
-    """
-    pairs = matching.canonical_pairs()
-    ids = {p: i for i, p in enumerate(pairs)}  # ids sort as the pairs do
-    adj: list[list[int]] = []
-    for a, c in pairs:
-        succ = [
-            ids[a, c2] for c2 in matching.of_applicant(a)
-            if c2 != c and _weakly_prefers_course(instance, a, c2, c)
-        ]
-        for c2, _ in weakly_envied(instance, matching, a, c):
-            succ.extend(ids[a2, c2] for a2 in matching.of_course(c2))
+    """Order the matched pairs so that each comes after every pair it weakly
+    envies and its applicant's other seats in a tie no worse (else a seat
+    served too early can absorb capacity an earlier pair still needs): the
+    strongly connected components, sinks first, each sorted. Envied seats
+    are read off the envy graph a positive verdict kept for ``instance``, else a new one."""
+    kept = matching._optimal_in is instance
+    graph = matching._graph if kept else envy.build_envy_graph(instance, matching)
+    pairs, out, size = graph.pairs, graph._out, len(graph.hub_of)
+    first = size - len(pairs)
+    graph._build([k for k in range(first, size) if out[k] is None])
+    holders = [[v - first for v in hub[1:]] for hub in out[size:-1]]  # per course, by pair index
+    ties, adj, lo = [instance.tie_of(a, c) for a, c in pairs], [], 0
+    for i, (a, _) in enumerate(pairs):
+        lo = lo if pairs[lo][0] == a else i  # her seats are one run of the sorted pairs
+        succ = [j for j in range(lo, lo + len(matching.of_applicant(a)))
+                if j != i and ties[j] <= ties[i]]
+        for h in out[first + i]:
+            succ += holders[h - size]
         adj.append(sorted(succ))
 
     components = strongly_connected_components(adj)
@@ -431,8 +431,7 @@ def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
     if not check:
         raise NotParetoOptimalError(
             "cannot derive an ordering for a dominated matching", check.coalition)
-    order = _pair_priority_order(instance, pom)
-    sigma = [a for a, _ in order]
+    sigma = [a for a, _ in _pair_priority_order(instance, pom)]
     for a in sorted(instance.applicants):
         sigma.extend([a] * (instance.quota[a] - len(pom.of_applicant(a))))
     return tuple(sigma)

@@ -17,13 +17,14 @@ Pair = tuple[str, str]
 
 class Matching:
     """An immutable set of (applicant, course) pairs with lookup maps. Eq, hash
-    and repr ignore ``_optimal_in`` (kept by ``envy.is_pareto_optimal``)."""
+    and repr ignore ``_optimal_in`` and ``_graph`` (kept by ``envy.is_pareto_optimal``)."""
 
-    __slots__ = ("pairs", "_of_applicant", "_of_course", "_optimal_in")
+    __slots__ = ("pairs", "_of_applicant", "_of_course", "_optimal_in", "_graph")
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         self.pairs: frozenset[Pair] = frozenset(pairs)
         self._optimal_in: Instance | None = None
+        self._graph = None
         of_a: dict[str, set[str]] = {}
         of_c: dict[str, set[str]] = {}
         for a, c in self.pairs:
@@ -339,7 +340,7 @@ def _traded(matching: Matching, coalition: ImprovingCoalition) -> Matching:
     given_up, taken = _trades(coalition.kind, coalition.applicants, coalition.courses)
     traded = Matching.__new__(Matching)
     traded.pairs = matching.pairs.difference(given_up).union(taken)
-    traded._optimal_in = None
+    traded._optimal_in = traded._graph = None
     traded._of_applicant, traded._of_course = of_a, of_c = (
         dict(matching._of_applicant), dict(matching._of_course))
     for trades, change in ((given_up, frozenset.difference), (taken, frozenset.union)):

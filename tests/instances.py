@@ -1,11 +1,13 @@
 """Test inputs: the worked examples, read from ``fixtures/*.txt`` (their only
 copy), the deterministic fleets the sweep tests run over, the instance
 and ordering helpers only tests use, ``probes``, which expands a GSDT
-stage's compact record entry into one (tie, path) record per probe, and
-``completed``, which builds every list of an envy graph."""
+stage's compact record entry into one (tie, path) record per probe,
+``completed``, which builds every list of an envy graph, and
+``correlated_instance``, where applicants agree on which courses are popular."""
 
 import dataclasses
 import itertools
+import random
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -48,6 +50,36 @@ def fixture_instances(count: int = 50) -> list[Instance]:
             attempt += 1
         fleet.append(inst)
     return fleet
+
+
+def correlated_instance(n1: int, n2: int, max_b: int, max_q: int,
+                        tie_density: float, seed: int) -> Instance:
+    """A random instance whose preferences follow one popularity score per
+    course, deterministically for a fixed seed. One ``random.Random(seed)``
+    draws, in this order: each course's capacity ``1 + randrange(max_q)``,
+    in id order; each course's score ``random()``, in id order; then per
+    applicant, in id order, her quota ``1 + randrange(max_b)``, one
+    ``random() < 0.5`` per course in id order for acceptability, one noise
+    ``random()`` per acceptable course in id order, and, walking her courses
+    by score + 0.3 * noise descending, one ``random() < tie_density`` per
+    course after the first, which joins it to the previous tie when true."""
+    rng = random.Random(seed)
+    course_ids = [f"c{j}" for j in range(1, n2 + 1)]
+    courses = [(c, 1 + rng.randrange(max_q)) for c in course_ids]
+    score = {c: rng.random() for c in course_ids}
+    applicants = []
+    for i in range(1, n1 + 1):
+        b = 1 + rng.randrange(max_b)
+        acceptable = [c for c in course_ids if rng.random() < 0.5]
+        key = {c: score[c] + 0.3 * rng.random() for c in acceptable}
+        ties: list[list[str]] = []
+        for c in sorted(acceptable, key=key.__getitem__, reverse=True):
+            if ties and rng.random() < tie_density:
+                ties[-1].append(c)
+            else:
+                ties.append([c])
+        applicants.append((f"a{i}", b, ties))
+    return Instance.build(courses, applicants)
 
 
 def random_small_instances(count: int = 200) -> list[Instance]:

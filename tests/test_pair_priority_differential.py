@@ -1,13 +1,14 @@
-"""`_pair_priority_order`, built on the verifier's weak-envy relation, against
-the all-pairs scan it replaced, on small catalogs and on matchings larger
-than brute force can reach."""
+"""`_pair_priority_order`, read off the verifier's envy graph, against the
+all-pairs scan it replaced, on small catalogs and on matchings larger than
+brute force can reach, uniform and popularity-correlated."""
 
 import random
+from itertools import chain
 
 import pytest
 
 from camatch import enumerate_poms, generate_random_instance, run_gsdt
-from instances import fixture_instances, worked_examples
+from instances import correlated_instance, fixture_instances, worked_examples
 from camatch.gsdt import _pair_priority_order
 from camatch.matching import Matching
 from camatch.scc import strongly_connected_components
@@ -43,21 +44,25 @@ def catalog_cases():
             yield f"{name}-pom{j}", inst, pom
 
 
-def large_cases():
-    rng = random.Random(2015)
-    for k in range(20):
-        inst = generate_random_instance(
-            rng.randint(20, 60), rng.randint(5, 20), 3, 4, 0.4, 2015 * 1000 + k)
+def large_cases(generate=generate_random_instance, name="large", seed=2015, shapes=()):
+    """An optimum and its every other pair per instance: 20 instances at
+    20-60 applicants and 5-20 courses, then one per extra (n1, n2) shape."""
+    rng = random.Random(seed)
+    # Lazy, so each size is drawn just before its instance's ordering is shuffled.
+    sizes = chain(((rng.randint(20, 60), rng.randint(5, 20)) for _ in range(20)), shapes)
+    for k, (n1, n2) in enumerate(sizes):
+        inst = generate(n1, n2, 3, 4, 0.4, seed * 1000 + k)
         ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
         rng.shuffle(ordering)
         optimum = run_gsdt(inst, ordering).matching
-        yield f"large{k}", inst, optimum
+        yield f"{name}{k}", inst, optimum
         # Guided replays accept dominated targets too.
-        yield f"large{k}-half", inst, Matching(optimum.canonical_pairs()[::2])
+        yield f"{name}{k}-half", inst, Matching(optimum.canonical_pairs()[::2])
 
 
 CATALOG_CASES = list(catalog_cases())
 LARGE_CASES = list(large_cases())
+CORRELATED_CASES = list(large_cases(correlated_instance, "correlated", 2016, [(40, 60)]))
 
 
 def test_cases_cover_nontrivial_orders():
@@ -70,11 +75,12 @@ def test_cases_cover_nontrivial_orders():
 
     assert len(CATALOG_CASES) > 80 and reordered(CATALOG_CASES) >= 10
     assert len(LARGE_CASES) == 40 and reordered(LARGE_CASES) >= 30
+    assert len(CORRELATED_CASES) == 42 and reordered(CORRELATED_CASES) >= 40
 
 
 @pytest.mark.parametrize(
-    "inst, matching", [case[1:] for case in CATALOG_CASES + LARGE_CASES],
-    ids=[case[0] for case in CATALOG_CASES + LARGE_CASES])
+    "inst, matching", [case[1:] for case in CATALOG_CASES + LARGE_CASES + CORRELATED_CASES],
+    ids=[case[0] for case in CATALOG_CASES + LARGE_CASES + CORRELATED_CASES])
 def test_pair_priority_order_equals_all_pairs_reference(inst, matching):
     assert _pair_priority_order(inst, matching) == reference_pair_priority_order(
         inst, matching)

@@ -1,6 +1,7 @@
-"""A positive verdict is kept on the matching for the instance object it was
-reached under; a negative one is never kept, and the kept one never changes
-what a matching compares, hashes or prints as."""
+"""A positive verdict is kept on the matching, with its envy graph, for the
+instance object it was reached under; a negative one is never kept, the kept
+one never changes what a matching compares, hashes or prints as, and
+``derive_ordering`` reads its pair order off the kept graph."""
 
 import pytest
 
@@ -14,9 +15,13 @@ from camatch import (
     enumerate_poms,
     is_pareto_optimal,
     pareto_dominates,
+    run_gsdt,
+    satisfy_coalition,
 )
 from camatch import envy
+from camatch.gsdt import _pair_priority_order
 from camatch.instance import with_prefs
+from instances import correlated_instance
 
 
 @pytest.fixture
@@ -31,6 +36,20 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(envy, "build_envy_graph", counted)
     return built
+
+
+@pytest.fixture
+def envied(monkeypatch):
+    """The pairs whose weak-envy relation is computed while the test runs."""
+    pairs = []
+    original = envy.weakly_envied
+
+    def counted(instance, matching, a, c):
+        pairs.append((a, c))
+        return original(instance, matching, a, c)
+
+    monkeypatch.setattr(envy, "weakly_envied", counted)
+    return pairs
 
 
 def swap_instance():
@@ -138,3 +157,56 @@ def test_a_verified_optimum_skips_the_pair_scan(monkeypatch):
     assert run_gsdt(inst, derived, GuidedToward(mu)).matching == mu
     with pytest.raises(AssertionError, match="a pair was scanned"):
         is_feasible(other, mu)
+
+
+def test_derive_ordering_reads_the_verdicts_graph_computing_no_envy(builds, envied):
+    inst = correlated_instance(40, 15, 3, 4, 0.4, 1)
+    mu = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
+    order = _pair_priority_order(inst, Matching(mu.pairs))  # a copy builds a graph of its own
+    del builds[:], envied[:]
+    assert is_pareto_optimal(inst, mu)
+    assert len(builds) == 1 and sorted(envied) == mu.canonical_pairs()
+    kept = mu._graph
+    del builds[:], envied[:]
+    derived = derive_ordering(inst, mu)
+    assert builds == [] and envied == [] and mu._graph is kept
+    assert derived[:len(mu)] == tuple(a for a, _ in order)
+
+
+def test_an_equal_instance_object_derives_off_a_graph_of_its_own(builds, envied):
+    mu = Matching([("a1", "c1"), ("a2", "c2")])
+    first, other = swap_instance(), swap_instance()
+    assert is_pareto_optimal(first, mu)
+    kept = mu._graph
+    del envied[:]
+    # a2's seat comes after a1's, the course she envies.
+    assert derive_ordering(other, mu) == ("a1", "a2")
+    assert len(builds) == 2 and sorted(envied) == mu.canonical_pairs()
+    assert mu._optimal_in is other and mu._graph is not kept
+
+
+def test_the_pair_order_reads_no_graph_kept_for_another_instance():
+    inst = swap_instance()
+    mu = Matching([("a1", "c1"), ("a2", "c2")])
+    assert is_pareto_optimal(inst, mu)
+    # Once both rank c2 first, a1's seat envies a2's and a2's envies none.
+    flipped = with_prefs(with_prefs(inst, "a1", [["c2"], ["c1"]]), "a2", [["c2"], ["c1"]])
+    assert _pair_priority_order(flipped, mu) == [("a2", "c2"), ("a1", "c1")]
+    assert _pair_priority_order(inst, mu) == [("a1", "c1"), ("a2", "c2")]
+    assert mu._optimal_in is inst
+
+
+def test_only_a_positive_verdict_keeps_a_graph():
+    inst = swap_instance()
+    mu = Matching([("a1", "c1"), ("a2", "c2")])
+    dominated = Matching([("a2", "c2")])
+    assert is_pareto_optimal(inst, mu) and not is_pareto_optimal(inst, dominated)
+    assert mu._graph is not None
+    # Under a lie mu is dominated; its graph under inst stays, and the
+    # matchings traded from it carry none.
+    lying = with_prefs(inst, "a1", [["c2"], ["c1"]])
+    check = is_pareto_optimal(lying, mu)
+    assert not check and mu._optimal_in is inst and mu._graph is not None
+    traded = satisfy_coalition(lying, mu, check.coalition)
+    for unkept in (dominated, check.dominating, traded, Matching(mu.pairs)):
+        assert unkept._optimal_in is None and unkept._graph is None
