@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import envy
 from .errors import NotParetoOptimalError
@@ -108,10 +108,10 @@ class FlowNetwork:
         """Push one unit along a source-sink path, toggling its tie-course
         arcs. The probed tie, the path's first, is marked dead once its
         capacity (the courses it holds, ``check``) is its size."""
-        for taker, course, giver in zip(path[2::2], path[3::2], path[4::2]):
-            held, key = self.holders[course[1]], (taker[1], taker[2])
-            assert key not in held
-            held.add(key)
+        for k in range(2, len(path) - 2, 2):  # path[k] takes path[k + 1] from path[k + 2]
+            held, taker, giver = self.holders[path[k + 1][1]], path[k], path[k + 2]
+            assert (taker[1], taker[2]) not in held
+            held.add((taker[1], taker[2]))
             if giver[0] == "tie":  # not the sink
                 held.remove((giver[1], giver[2]))
         self.flow_snk[path[-2][1]] += 1
@@ -120,27 +120,30 @@ class FlowNetwork:
         if self.cap_tie.get((a, t)) == len(self.instance.prefs[a][t]):
             self.dead.add(path[2])
 
-    def check(self, ties: Iterable[tuple[str, int]] | None = None,
-              courses: Iterable[str] | None = None) -> None:
-        """Exact conservation and capacity bounds between stages, node by
-        node, so ``ties`` (``(a, t)`` keys) and ``courses`` scope it; ``None``
-        means all. The full tie check counts held units once off ``holders``
-        against the nonzero ``cap_tie`` entries, and bounds each applicant's
-        out by ``cap_src``. No check adds an entry."""
+    def check(self, a: str | None = None, probed: range = range(0),
+              path: Sequence[Node] = ()) -> None:
+        """Exact conservation and capacity bounds between stages, node by node.
+        A stage's check, ``check(a, probed, path)``, walks the courses on its
+        path, then the ties of ``a`` in ``probed`` and the path's other ties.
+        The full check reads every course, counts held units once off
+        ``holders`` against the nonzero ``cap_tie`` entries, and bounds each
+        applicant's out by ``cap_src``. No check adds an entry."""
         inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
-        for c in inst.courses if courses is None else courses:
+        for k in inst.courses if a is None else range(3, len(path), 2):
+            c = k if a is None else path[k][1]
             held = holders[c]
             assert len(held) == self.flow_snk[c] <= inst.capacity[c]
-            for a, t in held:
-                assert c in inst.prefs[a][t]
-        if courses is None:
-            assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
-        for key in () if ties is None else ties:
+            for b, s in held:
+                assert c in inst.prefs[b][s]
+        # probed[j], j < 0, sits at position 4 + 2j, before the path's other ties at 4, 6, ...
+        for k in range(4 - 2 * len(probed), max(len(path) - 1, 4), 2):
+            key = (a, probed[k // 2 - 2]) if k < 4 else path[k][1:]
             held = 0
             for c in inst.prefs[key[0]][key[1]]:
                 held += key in holders[c]
             assert cap_tie.get(key, 0) == held
-        if ties is None:
+        if a is None:
+            assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
             counted, out = {}, dict.fromkeys(inst.applicants, 0)
             for held in holders.values():
                 for key in held:
@@ -163,16 +166,15 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
     """Search the residual network for a path from the applicant's probed
     tie to the sink, breadth-first over residual arcs (unmatched tie-course
     arcs, course-sink arcs with a free seat, backward arcs from a course to
-    its holders), successors in ascending key order, a node's parent the
-    first to reach it: the lexicographically least shortest path. Dead nodes
-    are skipped. A dead probed tie or a full network fails at once (0
-    visits), as does an empty first level, the tie's live courses it does
-    not hold (|tie| visits; the tie is dead). A level-one course with a free
-    seat is the direct path; if none has one they seed the search. Visits
-    go to ``net.arc_visits``: |tie| for a tie expanded, 1 + |holders| for a
+    its holders), successors ascending, a node's parent the first to reach
+    it: the lexicographically least shortest path. Dead nodes are skipped.
+    A dead probed tie or a full network fails at once (0 visits), as does an
+    empty first level, the tie's live courses it does not hold (|tie|
+    visits; the tie is dead). A level-one course with a free seat is the
+    direct path; else the level seeds the search. Visits go to
+    ``net.arc_visits``: |tie| for a tie expanded, 1 + |holders| for a
     course. ``net.guided_order``, the policy, is tried first, one visit per
-    course: its first course with a free seat that the tie does not hold wins.
-    """
+    course: its first course with a free seat that the tie does not hold wins."""
     inst, holders, dead, visits = net.instance, net.holders, net.dead, 0
     # A dead tie has no free course to take directly either.
     start, key = ("tie", applicant, tie), (applicant, tie)
@@ -190,47 +192,52 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
 
     courses = inst.prefs[applicant][tie]
     visits += len(courses)
-    level = sorted(c for c in courses if key not in holders[c] and ("crs", c) not in dead)
+    level: list[Node] = []  # the first level, then the queue
+    for c in courses:
+        if key not in holders[c] and (u := ("crs", c)) not in dead:
+            level.append(u)
     if not level:
         dead.add(start)
         net.arc_visits.append(visits)
         return None
+    level.sort()
     direct = visits
-    for c in level:  # counted again below when none is free
-        direct += 1 + len(holders[c])
-        if net.flow_snk[c] < inst.capacity[c]:
+    for u in level:  # counted again below when none is free
+        direct += 1 + len(holders[u[1]])
+        if net.flow_snk[u[1]] < inst.capacity[u[1]]:
             net.arc_visits.append(direct)
-            return [SRC, ("app", applicant), start, ("crs", c), SNK]
+            return [SRC, ("app", applicant), start, u, SNK]
 
     # Breadth-first search over live residual arcs, successors in ascending
     # key order; the sink's key sorts first, so a free course ends it at once.
-    queue: list[Node] = [("crs", c) for c in level]
-    parent: dict[Node, Node | None] = dict.fromkeys(queue, start)
+    parent: dict[Node, Node | None] = dict.fromkeys(level, start)
     parent[start] = None
-    for u in queue:  # the queue grows as the loop reads it
+    for u in level:  # the queue grows as the loop reads it
+        outs: list[Node] = []  # the node's new live successors
         if u[0] == "tie":
-            key = u[1], u[2]
-            courses = inst.prefs[key[0]][key[1]]
+            key, courses = u[1:], inst.prefs[u[1]][u[2]]
             visits += len(courses)
-            outs = [("crs", c) for c in courses if key not in holders[c]]
+            for c in courses:
+                if key not in holders[c] and (v := ("crs", c)) not in parent and v not in dead:
+                    outs.append(v)
         else:
-            c = u[1]
-            held = holders[c]
+            held = holders[u[1]]
             visits += 1 + len(held)
-            if net.flow_snk[c] < inst.capacity[c]:
+            if net.flow_snk[u[1]] < inst.capacity[u[1]]:
                 break
-            outs = [("tie", a, t) for a, t in held]
-        for v in sorted(outs):
-            if v not in parent and v not in dead:
-                parent[v] = u
-                queue.append(v)
+            for a, t in held:
+                if (v := ("tie", a, t)) not in parent and v not in dead:
+                    outs.append(v)
+        outs.sort()
+        for v in outs:
+            parent[v] = u
+        level += outs
     else:  # no free course is reachable
         dead.update(parent)
         net.arc_visits.append(visits)
         return None
     net.arc_visits.append(visits)
-    path = [SNK]
-    node: Node | None = u
+    path, node = [SNK], u
     while node is not None:
         path.append(node)
         node = parent[node]
@@ -242,16 +249,14 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
 # ----------------------------------------------------------------------
 
 def _stage(net: FlowNetwork, a: str) -> None:
-    """The stage rules: serve one quota unit of ``a``; record the stage.
-
-    Raise her source capacity and probe her ties from ``net.curr[a]`` on by
-    ``find_augmenting_path``. A failed probe rolls the tie capacity back and
-    advances ``curr[a]``; the first success augments. ``net.record`` gains
-    (first tie probed, tie reached, path or ``None``). ``FlowNetwork.check``
-    (not under ``-O``) covers the ties probed and the ties and courses on
-    the path; her bound ``out <= cap_src`` is left to the full check. With
-    no free seat her remaining ties fail unprobed: the entry is (first, her
-    tie count, ``None``), and only ``cap_src[a]`` and ``curr[a]`` change."""
+    """The stage rules: serve one quota unit of ``a``, raising her source
+    capacity and probing her ties from ``net.curr[a]`` on. A failed probe
+    rolls the tie capacity back and advances ``curr[a]``; the first success
+    augments. ``net.record`` gains (first tie probed, tie reached, path or
+    ``None``), then the stage's ``FlowNetwork.check`` (not under ``-O``)
+    runs; her bound ``out <= cap_src`` is left to the full check. With no
+    free seat her remaining ties fail unprobed: the entry is (first, her tie
+    count, ``None``), and only ``cap_src[a]`` and ``curr[a]`` change."""
     net.cap_src[a] += 1
     first, ties = net.curr[a], len(net.instance.prefs[a])
     if not net.free:
@@ -261,18 +266,15 @@ def _stage(net: FlowNetwork, a: str) -> None:
     cap_tie, t, path = net.cap_tie, first, ()
     while t < ties:
         cap_tie[a, t] += 1
-        path = find_augmenting_path(net, a, t) or ()
-        if path:
+        if path := find_augmenting_path(net, a, t) or ():
+            net.augment(path)
             break
         cap_tie[a, t] -= 1
         t += 1
     net.curr[a] = t
-    if path:
-        net.augment(path)
     net.record.append((first, t, tuple(path) or None))
     if __debug__:  # the probed ties, then the ties and the courses on the path
-        net.check(ties=[(a, s) for s in range(first, t + bool(path))] + [u[1:] for u in path[4:-1:2]],
-                  courses=[u[1] for u in path[3:-1:2]])
+        net.check(a, range(first, t + bool(path)), path)
 
 
 @dataclass(frozen=True)
@@ -369,8 +371,7 @@ def run_gsdt(instance: Instance, ordering: Sequence[str],
     With no ``policy`` every probe takes the canonical path, the
     lexicographically least shortest one, so runs are reproducible. A
     ``GuidedToward`` target must be a feasible matching, or ``FlowNetwork``
-    raises ``FeasibilityError`` before any stage runs.
-    """
+    raises ``FeasibilityError`` before any stage runs."""
     validate_ordering(instance, ordering)
     net = FlowNetwork(instance, policy)
     serve(net, ordering)
@@ -381,8 +382,7 @@ def run_gsdt(instance: Instance, ordering: Sequence[str],
 def render_trace(result: GsdtResult) -> Iterator[str]:
     """Line-oriented stage trace, read off the compact record unchecked:
     one line per probed tie, 1-based, and ``tie=-`` for a stage that probes
-    none; the ordering gives each stage's applicant, a path the pair it adds.
-    """
+    none; the ordering gives each stage's applicant, a path the pair it adds."""
     for i, (a, (first, t, path)) in enumerate(zip(result.ordering, result.record), start=1):
         stage = f"stage={i} applicant={a}"
         if first == t and path is None:

@@ -266,15 +266,20 @@ def test_flow_network_check_catches_lost_holder(t1):
 def test_flow_network_check_counts_the_courses_each_tie_holds(t1):
     # The tie's capacity drops to 0 while a1's source capacity still admits
     # one unit, so only the count of courses the tie holds (c1) can catch
-    # the corruption.
+    # the corruption: the full check's count off ``holders``, or the stage
+    # check of the tie a1 probed.
+    path = [SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), SNK]
     net = FlowNetwork(t1)
     net.cap_src["a1"] = 1
     net.cap_tie[("a1", 0)] = 1
-    net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
-    net.check(courses=())
+    net.augment(path)
+    net.check()
+    net.check("a1", range(1), path)
     net.cap_tie[("a1", 0)] = 0
     with pytest.raises(AssertionError):
-        net.check(courses=())
+        net.check()
+    with pytest.raises(AssertionError):
+        net.check("a1", range(1), path)
 
 
 @pytest.mark.parametrize("capacity", [1, -1])
@@ -304,9 +309,14 @@ def test_scoped_check_catches_corruption_at_its_course(t1, corrupt):
     net.cap_tie[("a1", 0)] = 1
     net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
     corrupt(net)
-    net.check(ties=(), courses=("c2", "c3"))  # outside the scope
+
+    def through(c):  # a stage path whose one course is c; no tie is in scope
+        return [SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", c), SNK]
+
+    net.check("a1", range(0), through("c2"))  # outside the scope
+    net.check("a1", range(0), through("c3"))
     with pytest.raises(AssertionError):
-        net.check(ties=(), courses=("c1",))
+        net.check("a1", range(0), through("c1"))
 
 
 CHECK_REACHED = """
@@ -321,7 +331,7 @@ result = run_gsdt(inst, ordering)
 base = gsdt.FlowNetwork(inst)
 gsdt.serve(base, ordering[:ordering.index("a1")])
 
-def reached(self, ties=None, courses=None):
+def reached(self, a=None, probed=range(0), path=()):
     raise RuntimeError("check reached")
 
 gsdt.FlowNetwork.check = reached
@@ -425,6 +435,67 @@ def test_stage_check_covers_the_ties_on_its_path(monkeypatch):
     with pytest.raises(AssertionError):
         run_gsdt(inst, ("a1", "a2", "a3"))
     assert probes == [("a1", 0), ("a2", 0)]
+
+
+def test_stage_check_covers_the_probed_tie_that_took_the_seat(monkeypatch, t1):
+    # a1's first stage takes c1 through the tie it probes, the path's first;
+    # an augment that miscounts that tie's capacity must fail the check
+    # after that very stage, before the next probe, not a later stage's
+    # check or the full check at the end of the run.
+    from camatch import gsdt
+
+    augment = FlowNetwork.augment
+    search = gsdt.find_augmenting_path
+    probes = []
+
+    def augment_miscounting_the_probed_tie(self, path):
+        augment(self, path)
+        self.cap_tie[path[2][1], path[2][2]] += 1
+
+    def counted_search(*args, **kwargs):
+        probes.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "augment", augment_miscounting_the_probed_tie)
+    monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
+    with pytest.raises(AssertionError):
+        run_gsdt(t1, WALKTHROUGH_ORDERING)
+    assert probes == [("a1", 0)]
+
+
+def test_stage_check_covers_every_course_on_its_path(monkeypatch):
+    # a2's stage reroutes a1 from c1 to c2 along a 7-node path whose first
+    # course, c1 at path[3], is not its last; an augment that breaks
+    # conservation at c1 must fail the check after that very stage, before
+    # a3 is probed. No tie count reads the sink units, so only c1's own
+    # check can catch it.
+    from camatch import gsdt
+
+    inst = Instance.build(
+        [("c1", 1), ("c2", 1), ("c3", 1)],
+        [("a1", 1, [["c1", "c2"]]), ("a2", 1, [["c1"]]), ("a3", 1, [["c3"]])],
+    )
+    augment = FlowNetwork.augment
+    search = gsdt.find_augmenting_path
+    probes, paths = [], []
+
+    def augment_losing_the_first_course_unit(self, path):
+        augment(self, path)
+        paths.append(tuple(path))
+        if len(path) >= 7:
+            self.flow_snk[path[3][1]] -= 1
+
+    def counted_search(*args, **kwargs):
+        probes.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "augment", augment_losing_the_first_course_unit)
+    monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
+    with pytest.raises(AssertionError):
+        run_gsdt(inst, ("a1", "a2", "a3"))
+    assert probes == [("a1", 0), ("a2", 0)]
+    assert paths[-1] == (SRC, ("app", "a2"), ("tie", "a2", 0), ("crs", "c1"),
+                         ("tie", "a1", 0), ("crs", "c2"), SNK)
 
 
 def test_stages_check_the_whole_network_after_each_replayed_stage(monkeypatch):

@@ -9,8 +9,11 @@ network (served one stage at a time by ``gsdt.serve``) and the reference
 must agree on the probe records and the arc visits (the live compact record
 expanded, ``instances.probes``), the dead set, every
 ``cap_tie`` entry (zero entries included), the tie pointers, the holders and
-the free seats: on seeded 40x15 canonical runs and their guided replays, and
-on ``oracle.run_list`` runs of liar lists at 10x5."""
+the free seats: on seeded 40x15 canonical runs and their guided replays, the
+same on 20 popularity-correlated 40x60 instances, whose canonical runs take
+155 7-node paths, against 60 on uniform 40x60 ones, so their searches
+often expand past the first level, and on
+``oracle.run_list`` runs of liar lists at 10x5."""
 
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from camatch import GuidedToward, derive_ordering, generate_random_instance, gsd
 from camatch.gsdt import SNK, SRC, FlowNetwork, Node
 from camatch.instance import with_prefs
 from camatch.oracle import misreport_space, run_list
-from instances import ProbeRecord, probes
+from instances import ProbeRecord, correlated_instance, probes
 
 _FAILED: tuple[ProbeRecord, ...] = ()
 
@@ -173,8 +176,7 @@ def _stage(net: FlowNetwork, a: str,
             break
         net.cap_tie[a, t] -= 1
         net.curr[a] += 1
-    net.check(ties=[(a, p.tie) for p in probes] + [u[1:] for u in path[3:] if u[0] == "tie"],
-              courses=[u[1] for u in path if u[0] == "crs"])
+    net.check(a, range(first, first + len(probes)), path)
     return tuple(probes)
 
 
@@ -225,9 +227,12 @@ def shuffled_quota(instance, seed):
     return tuple(ordering)
 
 
-@pytest.mark.parametrize("seed", range(75))
-def test_canonical_and_guided_runs_match_the_frozen_loop(seed):
-    inst = generate_random_instance(40, 15, 3, 4, 0.4, seed=seed)
+@pytest.mark.parametrize("correlated, seed", [
+    *(pytest.param(False, seed, id=str(seed)) for seed in range(75)),
+    *(pytest.param(True, seed, id=f"correlated-40x60-{seed}") for seed in range(20))])
+def test_canonical_and_guided_runs_match_the_frozen_loop(correlated, seed):
+    inst = (correlated_instance(40, 60, 3, 4, 0.4, seed) if correlated
+            else generate_random_instance(40, 15, 3, 4, 0.4, seed=seed))
     ordering = shuffled_quota(inst, seed)
     ref = lockstep(inst, ordering)
     result = run_gsdt(inst, ordering)
