@@ -2,21 +2,16 @@
 
 The graph has one node per applicant, per course, and per matched pair.
 Exposed courses point at every non-course node with weight 0; exposed
-applicants point at acceptable unheld courses (and the pairs holding them)
-with weight -1; a pair node ac points at every course c' the applicant would
-weakly trade c for (and at the pairs holding c'), weight 0 on indifference
-and -1 on strict envy. The matching is Pareto optimal exactly when no
-negative-cost cycle exists.
+applicants at acceptable unheld courses (and the pairs holding them) with
+weight -1; a pair node ac at every course c' its applicant would weakly
+trade c for (and the pairs holding c'), weight 0 in c's tie and -1 above
+it. The matching is Pareto optimal exactly when no negative cycle exists.
 
 Nodes are numbered in the sort order of their tagged tuples, so comparing
-ids compares nodes. Every stored arc enters a hub: one per course lists the
-course and its holders, and one fan hub, shared by every exposed course,
-lists every applicant and pair. So |E| is C + A + 2P hub arcs, one arc per
-exposed course, per (exposed applicant, unheld acceptable course) and per
-(pair, weakly envied course), where the expanded graph repeats each arc into
-a hub once per node the hub lists. Only the fan lists applicants, and only
-exposed courses store an arc into it, so an applicant is on a cycle exactly
-when she reaches the fan.
+ids compares nodes. Every stored arc enters a hub (``EnvyGraph``). So |E| is
+C + A + 2P hub arcs, one arc per exposed course, per (exposed applicant,
+unheld acceptable course) and per (pair, weakly envied course), where the
+expanded graph repeats each arc into a hub once per node the hub lists.
 """
 
 from __future__ import annotations
@@ -58,11 +53,10 @@ class EnvyGraph:
     ``courses[k]`` and then its holders, ascending; ``hub_of[i]`` is the hub
     listing real node ``i`` (-1 for an applicant). The last hub, the fan,
     lists every applicant and pair. A real node's ``_out`` holds only hubs:
-    the fan for an exposed course, else the hubs it envies, unordered.
-    Arc ``i -> j`` weighs -1 if ``hub_of[j] in _strict[i]``, else 0.
-    ``out_of(i)`` builds ``_out[i]`` and ``_strict[i]`` on first read.
-    ``nodes`` and the expanded ``arcs`` are views derived on first read; the
-    verdict path reads neither."""
+    the fan for an exposed course, else the hubs it envies, unordered. Arc
+    ``i -> j`` weighs -1 if ``hub_of[j] in _strict[i]``, else 0; ``out_of(i)``
+    builds ``_out[i]`` and ``_strict[i]`` on first read. ``nodes`` and the
+    expanded ``arcs`` are views built on first read, which no verdict reads."""
 
     applicants: tuple[str, ...]
     courses: tuple[str, ...]
@@ -136,9 +130,11 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
                           if is_exposed_applicant(instance, matching, a) else ())
             else:  # a pair ac envies each course a weakly prefers: -1 above c's tie, 0 in it
                 a, c = pairs[k - first_pair]
-                envied = [(hub[c2], w) for c2, w in weakly_envied(instance, matching, a, c)]
-                out[k] = [h for h, _ in envied]
-                strict[k] = {h for h, w in envied if w}
+                out[k], strict[k] = hubs, above = [], set()
+                for c2, w in weakly_envied(instance, matching, a, c):
+                    hubs.append(h := hub[c2])
+                    if w:
+                        above.add(h)
 
     return EnvyGraph(applicants, courses, pairs, hub_of, out, strict, build)
 
@@ -174,39 +170,38 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     Arcs weigh 0 or -1, so a negative cycle exists exactly when such an arc
     does. An applicant's arcs all weigh -1, and she is on a cycle exactly
     when she reaches the fan, the only hub listing applicants, which only
-    exposed courses enter. So unless no course is exposed, each applicant
-    with arcs, in id order, tries her heads in ascending order. Every
-    search shares one ``parent`` and ``spent``: a failed one never read the
-    fan, so nothing it reached reaches an applicant, and a head it reached
-    is skipped. Else no applicant is on a cycle, as no arc enters the fan or
-    every applicant's search failed, so Tarjan runs on the stored graph with
-    the applicant lists left empty; hubs change no reachability between
-    real nodes. It finds the arc, closed on fresh state and not kept in the
-    component: a node the head reaches that reaches the tail is in it.
-    O(V + E) stored for the searches together.
+    exposed courses enter. So if a course is exposed, each applicant with
+    arcs, in id order, tries her heads in ascending order. The searches
+    share one ``parent`` and ``spent``: a failed one never read the fan, so
+    nothing it reached reaches an applicant, and a head it reached is
+    skipped. If none closes, no applicant is on a cycle, so Tarjan runs on
+    the stored lists (hubs change no reachability between real nodes) with
+    the applicants' left empty, and the fan's too if no arc enters it. The
+    arc it finds has a pair tail, the only -1 tails left, and is closed on
+    fresh state, not kept in the component: a node the head reaches that
+    reaches the tail is in it. O(V + E) stored for the searches together.
     """
-    a, parent, spent = len(graph.applicants), [-1] * len(graph.hub_of), set()
-    exposed = any(graph._out[a:a + len(graph.courses)])  # else no arc enters the fan
+    size, first_pair = len(graph.hub_of), len(graph.hub_of) - len(graph.pairs)
+    a, parent, spent = len(graph.applicants), [-1] * size, set()
+    exposed = any(graph._out[a:first_pair])  # else no arc enters the fan
     closed = (_close(graph, tail, head, parent, spent) for tail in range(a if exposed else 0)
               for head in _expanded(graph, tail) if parent[head] < 0)
     if (cycle := next(filter(None, closed), None)) is None:
-        first_pair = a + len(graph.courses)
-        graph._build([k for k in range(first_pair, len(graph.hub_of)) if graph._out[k] is None])
-        out, strict = [()] * a + graph._out[a:], [()] * a + graph._strict[a:]
+        graph._build([k for k in range(first_pair, size) if graph._out[k] is None])
+        out = [()] * a + graph._out[a:-1] + [graph._out[-1] if exposed else ()]
         components = strongly_connected_components(out)
         comp = {v: i for i, members in enumerate(components) for v in members}
-        for tail in range(len(strict)):  # the real nodes
-            # No arc is a loop, so a lone node closes no cycle; a hub in cc lists its head.
-            cc = comp[tail]
-            if strict[tail] and len(components[cc]) > 1:
-                heads = [next(v for v in out[h] if comp[v] == cc)
-                         for h in out[tail] if h in strict[tail] and comp[h] == cc]
+        for tail in range(first_pair, size):  # the pairs: other strict sets are empty here
+            cc, strict = comp[tail], graph._strict[tail]
+            if strict and len(components[cc]) > 1:  # no arc is a loop, so a lone node closes none
+                heads = [next(v for v in out[h] if comp[v] == cc)  # a hub in cc lists its head
+                         for h in out[tail] if h in strict and comp[h] == cc]
                 if heads:
                     break
         else:
             return None
         head = min(heads)
-        if (cycle := _close(graph, tail, head, [-1] * len(graph.hub_of), set())) is None:
+        if (cycle := _close(graph, tail, head, [-1] * size, set())) is None:
             raise AssertionError(f"head {head} does not reach tail {tail} of arc {tail} -> {head}")
     # Each strict set is built: _close dequeued all but the tail, an applicant or Tarjan's.
     total = -sum(graph.hub_of[v] in graph._strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
@@ -376,16 +371,15 @@ class ParetoCheck:
 
 def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
     """Decide Pareto optimality; on failure ship an improving coalition and
-    the strictly dominating matching obtained by satisfying it. The reduction
-    has checked the coalition, so the dominating matching is derived from
-    the input's maps without a second check. A positive verdict and its graph
-    are kept on the matching for this ``instance`` object (both immutable) and
-    returned again building nothing; a negative one never is."""
+    the strictly dominating matching obtained by satisfying it, derived from
+    the input's maps without a second check, as the reduction checked the
+    coalition. A positive verdict and its graph are kept on the matching for
+    this ``instance`` object (both immutable) and returned again building
+    nothing; a negative one never is."""
     if matching._optimal_in is instance:
         return ParetoCheck(True)
     graph = build_envy_graph(instance, matching)
-    witness = find_negative_cycle(graph)
-    if witness is None:
+    if (witness := find_negative_cycle(graph)) is None:
         matching._optimal_in, matching._graph = instance, graph
         return ParetoCheck(True)
     coalition = extract_improving_coalition(instance, matching, graph, witness)

@@ -413,11 +413,13 @@ def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
     ties, adj, lo = [instance.tie_of(a, c) for a, c in pairs], [], 0
     for i, (a, _) in enumerate(pairs):
         lo = lo if pairs[lo][0] == a else i  # her seats are one run of the sorted pairs
-        succ = [j for j in range(lo, lo + len(matching.of_applicant(a)))
-                if j != i and ties[j] <= ties[i]]
+        adj.append(succ := [])
+        for j in range(lo, lo + len(matching.of_applicant(a))):
+            if j != i and ties[j] <= ties[i]:
+                succ.append(j)
         for h in out[first + i]:
             succ += holders[h - size]
-        adj.append(sorted(succ))
+        succ.sort()
 
     components = strongly_connected_components(adj)
     return [pairs[i] for comp in components for i in sorted(comp)]
@@ -433,5 +435,6 @@ def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
             "cannot derive an ordering for a dominated matching", check.coalition)
     sigma = [a for a, _ in _pair_priority_order(instance, pom)]
     for a in sorted(instance.applicants):
-        sigma.extend([a] * (instance.quota[a] - len(pom.of_applicant(a))))
+        if left := instance.quota[a] - len(pom.of_applicant(a)):
+            sigma += [a] * left
     return tuple(sigma)

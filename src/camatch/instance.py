@@ -276,9 +276,10 @@ def serialize_ordering(ordering: PriorityOrdering) -> str:
 
 
 def check_ordering(instance: Instance, ordering: Sequence[str]) -> str | None:
-    """Return an error message unless each applicant a occurs exactly
-    quota(a) times in the ordering, else None."""
+    """None if each applicant a occurs exactly quota(a) times in the ordering, else the error."""
     counts = Counter(ordering)  # keys in order of first appearance
+    if counts == instance.quota:  # dict equality, in C: the usual case
+        return None
     for x in counts:
         if x not in instance.quota:
             return f"unknown applicant {x!r} in ordering"

@@ -1,10 +1,8 @@
 """Strongly connected components, shared by the verifier and gsdt.
 
-Nodes are ints only: callers number them 0..n-1 in the order they want them
-compared and pass int adjacency lists, so one iterative Tarjan (SIAM J.
-Comput. 1972) keeps ``index``, ``low``, the stack positions and the successor
-iterators in plain arrays, and a tree arc costs one append to the DFS path of
-nodes.
+Nodes are ints ``0..n-1``, numbered in the order callers want them compared,
+so one iterative Tarjan (SIAM J. Comput. 1972) keeps its state in plain arrays
+and a tree arc costs one append to the DFS path of nodes.
 """
 
 from __future__ import annotations
@@ -13,13 +11,13 @@ from typing import Sequence
 
 
 def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan on nodes ``0..len(succ)-1``; ``succ[v]`` is the
-    successor list of node ``v``.
+    """Iterative Tarjan; ``succ[v]`` is the successor list of node ``v``.
 
     A component completes only after everything it can reach, so components
-    come back in completion order, which is sinks first. Roots are tried in
-    ascending order and successors in list order, so the result is
-    deterministic.
+    come back in completion order, sinks first. Roots are tried in ascending
+    order and successors in list order, so the result is deterministic. A
+    root with an empty list closes at once, as its own component, with no
+    DFS frame; off the stack, its index only marks it visited.
     """
     index, low, stack_pos, outs = ([-1] * len(succ) for _ in range(4))  # -1: unset
     stack: list[int] = []
@@ -27,6 +25,10 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[in
     visits = 0
     for root in range(len(succ)):
         if index[root] >= 0:
+            continue
+        if not succ[root]:  # a lone root
+            index[root] = 0
+            components.append([root])
             continue
         path = [root]
         while path:

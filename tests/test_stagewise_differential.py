@@ -1,6 +1,8 @@
 """Every GSDT stage output is Pareto optimal for the quotas served so far,
 checked by the envy-graph verifier at sizes brute force cannot reach:
-20 instances at 40x15, 10 at 80x30 and 3 at 160x40. The runs rotate
+20 instances at 40x15, 10 at 80x30 and 3 at 160x40, where the courses
+fill early, and 9 at the seat-rich 40x60, where stage outputs leave courses
+exposed and so keep the arcs into the verifier's fan. The runs rotate
 through three kinds, so each kind meets each size: a canonical run under a
 shuffled ordering, the guided replay of that run's ``derive_ordering``, and
 a consecutive ordering (a shuffled applicant order, each applicant served
@@ -21,7 +23,7 @@ from camatch import (
 from instances import capacity_history, with_quotas
 
 KINDS = ("canonical", "guided", "consecutive")
-SIZES = [(40, 15, 20), (80, 30, 10), (160, 40, 3)]
+SIZES = [(40, 15, 20), (80, 30, 10), (160, 40, 3), (40, 60, 9)]
 
 
 def run(inst, kind, rng):
@@ -54,6 +56,6 @@ def stages_checked(n1, n2, count):
 
 
 @pytest.mark.parametrize("n1, n2, count, stages", [
-    (*size, stages) for size, stages in zip(SIZES, (1606, 1617, 964))])
+    (*size, stages) for size, stages in zip(SIZES, (1606, 1617, 964, 728))])
 def test_every_stage_output_is_pareto_optimal_for_its_quotas(n1, n2, count, stages):
     assert stages_checked(n1, n2, count) == stages
