@@ -384,3 +384,26 @@ def is_pareto_optimal(instance: Instance, matching: Matching) -> ParetoCheck:
         return ParetoCheck(True)
     coalition = extract_improving_coalition(instance, matching, graph, witness)
     return ParetoCheck(False, coalition, _traded(matching, coalition))
+
+
+def _pair_priority_order(instance: Instance, matching: Matching) -> list[tuple[str, str]]:
+    """Order the matched pairs so that each comes after every pair it weakly
+    envies and its applicant's other seats in a tie no worse (else a seat
+    served too early can absorb capacity an earlier pair still needs): the
+    strongly connected components, sinks first, each sorted. Envied seats are
+    read off the graph ``is_pareto_optimal(instance, matching)`` has just kept."""
+    graph = matching._graph
+    pairs, out, size = graph.pairs, graph._out, len(graph.hub_of)
+    first = size - len(pairs)
+    holders = [[v - first for v in hub[1:]] for hub in out[size:-1]]  # per course, by pair index
+    ties, adj, lo = [instance.tie_of(a, c) for a, c in pairs], [], 0
+    for i, (a, _) in enumerate(pairs):
+        lo = lo if pairs[lo][0] == a else i  # her seats are one run of the sorted pairs
+        adj.append(succ := [])
+        for j in range(lo, lo + len(matching.of_applicant(a))):
+            if j != i and ties[j] <= ties[i]:
+                succ.append(j)
+        for h in out[first + i]:
+            succ += holders[h - size]
+        succ.sort()
+    return [pairs[i] for comp in strongly_connected_components(adj) for i in sorted(comp)]

@@ -18,7 +18,6 @@ from . import envy
 from .errors import NotParetoOptimalError
 from .instance import Instance, PriorityOrdering, validate_ordering
 from .matching import Matching, Pair, require_feasible
-from .scc import strongly_connected_components
 
 SRC = ("src",)
 SNK = ("snk",)
@@ -398,33 +397,6 @@ def render_trace(result: GsdtResult) -> Iterator[str]:
 # Deriving a priority ordering that replays a given Pareto optimal matching.
 # ----------------------------------------------------------------------
 
-def _pair_priority_order(instance: Instance, matching: Matching) -> list[Pair]:
-    """Order the matched pairs so that each comes after every pair it weakly
-    envies and its applicant's other seats in a tie no worse (else a seat
-    served too early can absorb capacity an earlier pair still needs): the
-    strongly connected components, sinks first, each sorted. Envied seats
-    are read off the envy graph a positive verdict kept for ``instance``, else a new one."""
-    kept = matching._optimal_in is instance
-    graph = matching._graph if kept else envy.build_envy_graph(instance, matching)
-    pairs, out, size = graph.pairs, graph._out, len(graph.hub_of)
-    first = size - len(pairs)
-    graph._build([k for k in range(first, size) if out[k] is None])
-    holders = [[v - first for v in hub[1:]] for hub in out[size:-1]]  # per course, by pair index
-    ties, adj, lo = [instance.tie_of(a, c) for a, c in pairs], [], 0
-    for i, (a, _) in enumerate(pairs):
-        lo = lo if pairs[lo][0] == a else i  # her seats are one run of the sorted pairs
-        adj.append(succ := [])
-        for j in range(lo, lo + len(matching.of_applicant(a))):
-            if j != i and ties[j] <= ties[i]:
-                succ.append(j)
-        for h in out[first + i]:
-            succ += holders[h - size]
-        succ.sort()
-
-    components = strongly_connected_components(adj)
-    return [pairs[i] for comp in components for i in sorted(comp)]
-
-
 def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
     """A priority ordering under which the guided mechanism reproduces the
     Pareto optimal matching exactly: its pairs in pair-priority order, then
@@ -433,7 +405,7 @@ def derive_ordering(instance: Instance, pom: Matching) -> PriorityOrdering:
     if not check:
         raise NotParetoOptimalError(
             "cannot derive an ordering for a dominated matching", check.coalition)
-    sigma = [a for a, _ in _pair_priority_order(instance, pom)]
+    sigma = [a for a, _ in envy._pair_priority_order(instance, pom)]
     for a in sorted(instance.applicants):
         if left := instance.quota[a] - len(pom.of_applicant(a)):
             sigma += [a] * left

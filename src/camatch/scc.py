@@ -1,4 +1,4 @@
-"""Strongly connected components, shared by the verifier and gsdt.
+"""Strongly connected components, for envy's verifier and pair order.
 
 Nodes are ints ``0..n-1``, numbered in the order callers want them compared,
 so one iterative Tarjan (SIAM J. Comput. 1972) keeps its state in plain arrays

@@ -2,7 +2,9 @@
 copy), the deterministic fleets the sweep tests run over, the instance
 and ordering helpers only tests use, ``probes``, which expands a GSDT
 stage's compact record entry into one (tie, path) record per probe,
-``completed``, which builds every list of an envy graph, and
+``completed``, which builds every list of an envy graph,
+``reference_pair_priority_order``, the all-pairs construction of the order
+``envy._pair_priority_order`` reads off a verdict's kept graph, and
 ``correlated_instance``, where applicants agree on which courses are popular."""
 
 import dataclasses
@@ -15,6 +17,7 @@ from camatch import Instance, generate_random_instance, parse_instance
 from camatch import gsdt
 from camatch.envy import EnvyGraph
 from camatch.gsdt import Entry, FlowNetwork
+from camatch.scc import strongly_connected_components
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -146,3 +149,27 @@ def completed(graph: EnvyGraph) -> tuple[list, list]:
     built through ``graph._build``."""
     graph._build([k for k, built in enumerate(graph._out) if built is None])
     return graph._out, graph._strict
+
+
+def reference_pair_priority_order(instance: Instance, matching) -> list[tuple[str, str]]:
+    """All-pairs construction: an arc from ac to every other pair a'c' whose
+    course a weakly prefers to c, where a' is a herself or c' is a course
+    she finds acceptable and does not hold; the strongly connected
+    components, sinks first, each sorted. Reads no envy graph, so it takes
+    dominated matchings too."""
+    pairs = matching.canonical_pairs()
+    adj = {p: [] for p in pairs}
+    for a, c in pairs:
+        own_tie = instance.tie_of(a, c)
+        held = matching.of_applicant(a)
+        for a2, c2 in pairs:
+            if (a2, c2) == (a, c):
+                continue
+            if a2 != a and (c2 in held or c2 not in instance.acceptable(a)):
+                continue
+            if instance.tie_of(a, c2) <= own_tie:
+                adj[(a, c)].append((a2, c2))
+    number = {p: i for i, p in enumerate(pairs)}
+    succ = [[number[q] for q in adj[p]] for p in pairs]
+    components = strongly_connected_components(succ)
+    return [p for comp in components for p in sorted(pairs[i] for i in comp)]

@@ -326,7 +326,8 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
     positive verdict) builds every pair list but no applicant list that
     the applicant scan has not built, so with no course exposed a verdict
     builds no applicant list; a witness from an applicant builds about 4%
-    of the lists.
+    of the lists. A positive verdict keeps its graph on the matching with
+    every pair list built, all that ``envy._pair_priority_order`` reads.
     Completed afterwards, the lists and strict sets equal a fresh build's
     entry by entry, in order."""
     witnesses = []
@@ -349,6 +350,10 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
             done, lists = lists_built(graph)
             built[key] += done
             total[key] += lists
+            if witness is None:  # the kept graph, every pair list built for the pair order
+                first_pair = len(graph.applicants) + len(graph.courses)
+                assert matching._graph is graph
+                assert None not in graph._out[first_pair:len(graph.hub_of)]
             fresh = build_envy_graph(inst, matching)
             assert completed(graph) == completed(fresh)
             assert_real_hub_real(inst, matching, graph)

@@ -24,7 +24,8 @@ from camatch import (
     render_trace,
     run_gsdt,
 )
-from camatch.gsdt import SNK, SRC, FlowNetwork, _pair_priority_order
+from camatch.envy import _pair_priority_order
+from camatch.gsdt import SNK, SRC, FlowNetwork
 from camatch.oracle import distinct_orderings, enumerate_poms, is_pom_bruteforce
 from instances import ProbeRecord, capacity_history, probes
 

@@ -24,21 +24,24 @@ from camatch import (
     render_trace,
     run_gsdt,
 )
-from camatch.gsdt import (
-    FlowNetwork,
-    _pair_priority_order,
-    find_augmenting_path,
-    render_node,
-)
+from camatch.gsdt import FlowNetwork, find_augmenting_path, render_node
 from camatch.instance import validate_ordering
 from camatch.oracle import distinct_orderings
-from instances import ProbeRecord, capacity_history, fixture_instances, probes
+from instances import (
+    ProbeRecord,
+    capacity_history,
+    fixture_instances,
+    probes,
+    reference_pair_priority_order,
+)
 
 
 def guided_courses(instance, target, pair_priority):
     """Each applicant's target courses per tie of hers that lists them,
-    ascending or in pair-priority order."""
-    pairs = _pair_priority_order(instance, target) if pair_priority else target.canonical_pairs()
+    ascending or in pair-priority order, built by the all-pairs reference,
+    which takes dominated targets too."""
+    pairs = (reference_pair_priority_order(instance, target) if pair_priority
+             else target.canonical_pairs())
     order = {}
     for a, c in pairs:
         order.setdefault((a, instance.tie_of(a, c)), []).append(c)

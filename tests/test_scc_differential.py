@@ -1,7 +1,7 @@
 """`strongly_connected_components` against a frozen copy of the routine it
 replaced, which kept a work stack of (node, iterator) pairs: the components
 and the order of their members must come back identical, since
-`_pair_priority_order` and the verifier's witness both read that order."""
+`envy._pair_priority_order` and the verifier's witness both read that order."""
 
 import itertools
 import random

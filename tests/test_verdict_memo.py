@@ -19,7 +19,7 @@ from camatch import (
     satisfy_coalition,
 )
 from camatch import envy
-from camatch.gsdt import _pair_priority_order
+from camatch.envy import _pair_priority_order
 from camatch.instance import with_prefs
 from instances import correlated_instance
 
@@ -162,7 +162,9 @@ def test_a_verified_optimum_skips_the_pair_scan(monkeypatch):
 def test_derive_ordering_reads_the_verdicts_graph_computing_no_envy(builds, envied):
     inst = correlated_instance(40, 15, 3, 4, 0.4, 1)
     mu = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
-    order = _pair_priority_order(inst, Matching(mu.pairs))  # a copy builds a graph of its own
+    copy = Matching(mu.pairs)  # an equal copy, verified, keeps a graph of its own
+    assert is_pareto_optimal(inst, copy)
+    order = _pair_priority_order(inst, copy)
     del builds[:], envied[:]
     assert is_pareto_optimal(inst, mu)
     assert len(builds) == 1 and sorted(envied) == mu.canonical_pairs()
@@ -191,8 +193,8 @@ def test_the_pair_order_reads_no_graph_kept_for_another_instance():
     assert is_pareto_optimal(inst, mu)
     # Once both rank c2 first, a1's seat envies a2's and a2's envies none.
     flipped = with_prefs(with_prefs(inst, "a1", [["c2"], ["c1"]]), "a2", [["c2"], ["c1"]])
-    assert _pair_priority_order(flipped, mu) == [("a2", "c2"), ("a1", "c1")]
-    assert _pair_priority_order(inst, mu) == [("a1", "c1"), ("a2", "c2")]
+    assert derive_ordering(flipped, mu) == ("a2", "a1")
+    assert derive_ordering(inst, mu) == ("a1", "a2")
     assert mu._optimal_in is inst
 
 
