@@ -41,10 +41,10 @@ class FlowNetwork:
     ``curr``, the arc inspections of each probe that searched
     (``arc_visits``) and the compact ``record``, one entry per stage.
     Tie-to-course arcs have capacity 1, course-to-sink arcs q(c); ``cap_tie``
-    has entries only for probed ties. ``holders[c]`` is the one record of
-    tie-course flow: tie ``(a, t)`` sends ``c`` a unit exactly when ``(a,
-    t)`` is in it. ``flow_snk[c]`` counts the units on the sink arc of ``c`` and
-    ``free`` the seats left; once it is 0 every probe fails.
+    has entries only for probed ties. ``holders[c]`` is the only record of
+    flow: tie ``(a, t)`` sends ``c`` a unit exactly when ``(a, t)`` is in it,
+    and the sink arc of ``c`` carries ``len(holders[c])`` units. ``free``
+    counts the seats left; once it is 0 every probe fails.
     ``guided_order`` is the policy, and the search reads it only there.
 
     ``dead`` holds tie and course nodes known not to reach the sink; they
@@ -64,7 +64,6 @@ class FlowNetwork:
         self.cap_src = dict.fromkeys(instance.applicants, 0)
         self.cap_tie: defaultdict[tuple[str, int], int] = defaultdict(int)
         self.holders: dict[str, set[tuple[str, int]]] = {c: set() for c in instance.courses}
-        self.flow_snk = dict.fromkeys(instance.courses, 0)
         self.free = sum(instance.capacity.values())
         self.dead: set[Node] = set()
         self.arc_visits: list[int] = []
@@ -74,7 +73,7 @@ class FlowNetwork:
         """An independent copy of the state, read against ``instance``."""
         new = object.__new__(FlowNetwork)
         new.__dict__ = {name: getattr(self, name).copy() for name in (
-            "curr", "cap_src", "cap_tie", "flow_snk", "dead", "arc_visits", "record")}
+            "curr", "cap_src", "cap_tie", "dead", "arc_visits", "record")}
         new.instance, new.free, new.guided_order = instance, self.free, self.guided_order
         new.holders = {c: held.copy() for c, held in self.holders.items()}
         return new
@@ -92,7 +91,7 @@ class FlowNetwork:
                 for d in inst.prefs[a][t]:
                     if (a, t) not in holders[d]:
                         feeds[d].append(c)
-        live = {c for c in inst.courses if self.flow_snk[c] < inst.capacity[c]}
+        live = {c for c in inst.courses if len(holders[c]) < inst.capacity[c]}
         queue = list(live)
         for d in queue:  # the queue grows as the loop reads it
             fresh = set(feeds[d]) - live
@@ -113,7 +112,6 @@ class FlowNetwork:
             held.add((taker[1], taker[2]))
             if giver[0] == "tie":  # not the sink
                 held.remove((giver[1], giver[2]))
-        self.flow_snk[path[-2][1]] += 1
         self.free -= 1
         _, a, t = path[2]
         if self.cap_tie.get((a, t)) == len(self.instance.prefs[a][t]):
@@ -121,17 +119,18 @@ class FlowNetwork:
 
     def check(self, a: str | None = None, probed: range = range(0),
               path: Sequence[Node] = ()) -> None:
-        """Exact conservation and capacity bounds between stages, node by node.
-        A stage's check, ``check(a, probed, path)``, walks the courses on its
-        path, then the ties of ``a`` in ``probed`` and the path's other ties.
-        The full check reads every course, counts held units once off
-        ``holders`` against the nonzero ``cap_tie`` entries, and bounds each
-        applicant's out by ``cap_src``. No check adds an entry."""
+        """Capacity bounds between stages, node by node; ``holders`` is the
+        only record of flow, so every course conserves it. A stage's check,
+        ``check(a, probed, path)``, walks the courses on its path, then the
+        ties of ``a`` in ``probed`` and the path's other ties. The full check
+        reads every course, reconciles ``free`` with ``holders``, counts held
+        units once off them against the nonzero ``cap_tie`` entries, and
+        bounds each applicant's out by ``cap_src``. No check adds an entry."""
         inst, holders, cap_tie = self.instance, self.holders, self.cap_tie
         for k in inst.courses if a is None else range(3, len(path), 2):
             c = k if a is None else path[k][1]
             held = holders[c]
-            assert len(held) == self.flow_snk[c] <= inst.capacity[c]
+            assert len(held) <= inst.capacity[c]
             for b, s in held:
                 assert c in inst.prefs[b][s]
         # probed[j], j < 0, sits at position 4 + 2j, before the path's other ties at 4, 6, ...
@@ -142,7 +141,7 @@ class FlowNetwork:
                 held += key in holders[c]
             assert cap_tie.get(key, 0) == held
         if a is None:
-            assert self.free == sum(inst.capacity[c] - self.flow_snk[c] for c in inst.courses)
+            assert self.free == sum(inst.capacity[c] - len(holders[c]) for c in inst.courses)
             counted, out = {}, dict.fromkeys(inst.applicants, 0)
             for held in holders.values():
                 for key in held:
@@ -185,7 +184,7 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
         # Every candidate lies in the probed tie, so only that tie can hold it.
         for c in order.get(key, ()):
             visits += 1
-            if key not in holders[c] and net.flow_snk[c] < inst.capacity[c]:
+            if key not in holders[c] and len(holders[c]) < inst.capacity[c]:
                 net.arc_visits.append(visits)
                 return [SRC, ("app", applicant), start, ("crs", c), SNK]
 
@@ -202,8 +201,8 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
     level.sort()
     direct = visits
     for u in level:  # counted again below when none is free
-        direct += 1 + len(holders[u[1]])
-        if net.flow_snk[u[1]] < inst.capacity[u[1]]:
+        direct += 1 + (taken := len(holders[u[1]]))
+        if taken < inst.capacity[u[1]]:
             net.arc_visits.append(direct)
             return [SRC, ("app", applicant), start, u, SNK]
 
@@ -222,7 +221,7 @@ def find_augmenting_path(net: FlowNetwork, applicant: str, tie: int) -> list[Nod
         else:
             held = holders[u[1]]
             visits += 1 + len(held)
-            if net.flow_snk[u[1]] < inst.capacity[u[1]]:
+            if len(held) < inst.capacity[u[1]]:
                 break
             for a, t in held:
                 if (v := ("tie", a, t)) not in parent and v not in dead:

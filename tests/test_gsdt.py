@@ -248,20 +248,26 @@ def test_flow_network_check_catches_corruption(t1):
     net.cap_tie[("a1", 0)] = 1
     net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
     net.check()
-    net.flow_snk["c1"] = 0  # break conservation at c1
+    net.free += 1  # a seat the holders do not leave
     with pytest.raises(AssertionError):
         net.check()
 
 
 def test_flow_network_check_catches_lost_holder(t1):
+    # No course counts its units apart from its holders, so only the count
+    # of the tie that sent the unit can catch its loss: the full check's,
+    # or the stage check of the tie a1 probed.
+    path = [SRC, ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), SNK]
     net = FlowNetwork(t1)
     net.cap_src["a1"] = 1
     net.cap_tie[("a1", 0)] = 1
-    net.augment([("src",), ("app", "a1"), ("tie", "a1", 0), ("crs", "c1"), ("snk",)])
+    net.augment(path)
     net.check()
     net.holders["c1"].discard(("a1", 0))  # the unit at c1 no longer comes from a tie
     with pytest.raises(AssertionError):
         net.check()
+    with pytest.raises(AssertionError):
+        net.check("a1", range(1), path)
 
 
 def test_flow_network_check_counts_the_courses_each_tie_holds(t1):
@@ -301,9 +307,9 @@ def test_full_check_catches_capacity_at_a_tie_never_probed(t1, capacity):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda net: net.flow_snk.__setitem__("c1", 0),
-    lambda net: net.holders["c1"].discard(("a1", 0)),
-], ids=["conservation", "lost-holder"])
+    lambda net: net.holders["c1"].update({("a2", 1), ("a3", 2)}),  # 3 units, 2 seats
+    lambda net: net.holders["c1"].add(("a3", 0)),  # a tie that lists only c3
+], ids=["overfilled", "stray-holder"])
 def test_scoped_check_catches_corruption_at_its_course(t1, corrupt):
     net = FlowNetwork(t1)
     net.cap_src["a1"] = 1
@@ -362,24 +368,24 @@ def test_network_checks_run_unless_python_runs_with_O(flags, status):
 
 
 def test_stage_check_fires_without_reading_the_trace(monkeypatch, t1):
-    # An augment that loses the sink unit breaks conservation at the path's
-    # course; the check after that very stage must catch it, before the
-    # next probe and before anyone reads the stage trace.
+    # An augment that drops the holder it adds leaves the probed tie's
+    # capacity with no course held; the check after that very stage must
+    # catch it, before the next probe and before anyone reads the stage trace.
     from camatch import gsdt
 
     augment = FlowNetwork.augment
     search = gsdt.find_augmenting_path
     probes = []
 
-    def augment_losing_sink_unit(self, path):
+    def augment_dropping_its_new_holder(self, path):
         augment(self, path)
-        self.flow_snk[path[-2][1]] -= 1
+        self.holders[path[-2][1]].discard(path[-3][1:])
 
     def counted_search(*args, **kwargs):
         probes.append(args[1:3])
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(FlowNetwork, "augment", augment_losing_sink_unit)
+    monkeypatch.setattr(FlowNetwork, "augment", augment_dropping_its_new_holder)
     monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
     with pytest.raises(AssertionError):
         run_gsdt(t1, WALKTHROUGH_ORDERING)
@@ -466,10 +472,10 @@ def test_stage_check_covers_the_probed_tie_that_took_the_seat(monkeypatch, t1):
 
 def test_stage_check_covers_every_course_on_its_path(monkeypatch):
     # a2's stage reroutes a1 from c1 to c2 along a 7-node path whose first
-    # course, c1 at path[3], is not its last; an augment that breaks
-    # conservation at c1 must fail the check after that very stage, before
-    # a3 is probed. No tie count reads the sink units, so only c1's own
-    # check can catch it.
+    # course, c1 at path[3], is not its last; an augment that adds at c1 a
+    # holder of a3's, whose tie lists only c3, must fail the check after
+    # that very stage, before a3 is probed. No tie in the stage's scope
+    # counts that holder, so only c1's own check can catch it.
     from camatch import gsdt
 
     inst = Instance.build(
@@ -480,17 +486,17 @@ def test_stage_check_covers_every_course_on_its_path(monkeypatch):
     search = gsdt.find_augmenting_path
     probes, paths = [], []
 
-    def augment_losing_the_first_course_unit(self, path):
+    def augment_adding_a_stray_holder(self, path):
         augment(self, path)
         paths.append(tuple(path))
         if len(path) >= 7:
-            self.flow_snk[path[3][1]] -= 1
+            self.holders[path[3][1]].add(("a3", 0))
 
     def counted_search(*args, **kwargs):
         probes.append(args[1:3])
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(FlowNetwork, "augment", augment_losing_the_first_course_unit)
+    monkeypatch.setattr(FlowNetwork, "augment", augment_adding_a_stray_holder)
     monkeypatch.setattr(gsdt, "find_augmenting_path", counted_search)
     with pytest.raises(AssertionError):
         run_gsdt(inst, ("a1", "a2", "a3"))
@@ -500,32 +506,29 @@ def test_stage_check_covers_every_course_on_its_path(monkeypatch):
 
 
 def test_stages_check_the_whole_network_after_each_replayed_stage(monkeypatch):
-    # An augment that lends a sink unit to a course off its path with a free
-    # seat and takes it back at the next augmentation. No scoped check reads
-    # that course, and on this instance the last augmentation fills every
+    # An augment that takes back the seat it lent, augments, and lends one
+    # (``free`` one too many) while a seat is left. No scoped check reads
+    # ``free``, and a lent seat changes no probe, since it is lent only while
+    # a real one is free. On this instance the last augmentation fills every
     # seat, so it lends none and the run's final check passes. Only the
-    # full check after each stage the replay serves sees the lent unit; one
-    # check after the whole ordering would not. (On the walkthrough the last
-    # unit stays lent, and the run's final check catches it.)
+    # full check after each stage the replay serves sees the lent seat; one
+    # check after the whole ordering would not. (At seed 1 a seat is left at
+    # the end, and the run's final check catches it.)
     augment = FlowNetwork.augment
 
-    def augment_lending_a_sink_unit(self, path):
-        lent = vars(self).pop("lent", None)
-        if lent is not None:
-            self.flow_snk[lent] -= 1
+    def augment_lending_a_seat(self, path):
+        self.free -= vars(self).pop("lent", 0)
         augment(self, path)
-        on_path = {u[1] for u in path[3:-1:2]}
-        for c in self.instance.courses:
-            if c not in on_path and self.flow_snk[c] < self.instance.capacity[c]:
-                self.flow_snk[c] += 1
-                self.lent = c
-                break
+        self.lent = bool(self.free)
+        self.free += self.lent
 
-    inst = generate_random_instance(10, 5, 3, 4, 0.4, 1)
+    inst = generate_random_instance(10, 5, 3, 4, 0.4, 2)
     ordering = [a for a in sorted(inst.applicants) for _ in range(inst.quota[a])]
-    random.Random(1).shuffle(ordering)
-    monkeypatch.setattr(FlowNetwork, "augment", augment_lending_a_sink_unit)
+    random.Random(2).shuffle(ordering)
+    honest = run_gsdt(inst, ordering)
+    monkeypatch.setattr(FlowNetwork, "augment", augment_lending_a_seat)
     result = run_gsdt(inst, ordering)
+    assert (result.record, result.visits) == (honest.record, honest.visits)
     with pytest.raises(AssertionError) as refusal:
         result.stages
     assert refusal.traceback[-1].name == "check"

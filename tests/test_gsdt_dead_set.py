@@ -180,7 +180,7 @@ def test_live_courses_are_the_courses_that_reach_the_sink(monkeypatch):
         live, inst = net.live_courses(), net.instance
         assert live == {v[1] for v in sink_reachers(net) if v[0] == "crs"}
         assert not live & {v[1] for v in net.dead if v[0] == "crs"}
-        full_and_live += any(net.flow_snk[c] == inst.capacity[c] for c in live)
+        full_and_live += any(len(net.holders[c]) == inst.capacity[c] for c in live)
         cut_off += net.free > 0 and len(live) < len(inst.courses)
 
     def checked(net, a):

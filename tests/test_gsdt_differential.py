@@ -3,8 +3,10 @@ it, against the whole-network reference of ``test_gsdt_dead_set`` (and on
 seat-rich 40x60 instances, where the search mostly ends at the probed tie's
 own free course, against the arc visits and dead set of the frozen search of
 ``test_gsdt_stage_reference``), and GSDT properties on seeded random
-instances larger than brute force can reach."""
+instances larger than brute force can reach, popularity-correlated ones
+among them."""
 
+import itertools
 import random
 
 import pytest
@@ -17,16 +19,15 @@ from camatch import (
     run_gsdt,
 )
 from camatch import gsdt
-from instances import probes
+from instances import correlated_instance, probes
 from test_gsdt_dead_set import least_shortest_path
 from test_gsdt_stage_reference import find_augmenting_path as frozen_search
 
 
-def random_instances(count, n1_range, n2_range, seed):
+def random_instances(count, n1_range, n2_range, seed, family=generate_random_instance):
     rng = random.Random(seed)
     for k in range(count):
-        inst = generate_random_instance(
-            rng.randint(*n1_range), rng.randint(*n2_range), 3, 4, 0.4, seed * 1000 + k)
+        inst = family(rng.randint(*n1_range), rng.randint(*n2_range), 3, 4, 0.4, seed * 1000 + k)
         ordering = [a for a in inst.applicants for _ in range(inst.quota[a])]
         rng.shuffle(ordering)
         yield inst, ordering
@@ -74,7 +75,9 @@ def test_region_search_equals_whole_network_search(monkeypatch, k):
 
 
 def test_outputs_are_pareto_optimal_and_replay_beyond_brute_force():
-    for inst, ordering in random_instances(20, (20, 60), (5, 20), 2015):
+    for inst, ordering in itertools.chain(
+            random_instances(20, (20, 60), (5, 20), 2015),
+            random_instances(20, (20, 60), (5, 60), 2016, correlated_instance)):
         optimum = run_gsdt(inst, ordering).matching
         assert is_pareto_optimal(inst, optimum)
         replay = run_gsdt(inst, derive_ordering(inst, optimum), GuidedToward(optimum))
@@ -98,6 +101,7 @@ def test_region_search_equals_the_references_where_seats_abound(monkeypatch, k):
 
     def both(net, applicant, tie):
         ref = net.copy(net.instance)  # the frozen search reads the policy the copy carries
+        ref.flow_snk = {c: len(held) for c, held in ref.holders.items()}  # and a sink count
         expected = frozen_search(ref, applicant, tie, ref.guided_order)
         assert least_shortest_path(net, applicant, tie) == expected
         got = region_search(net, applicant, tie)

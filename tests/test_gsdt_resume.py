@@ -63,7 +63,7 @@ def reference_misreport(instance, ordering, applicant, search_limit=200_000):
 def state_key(state):
     """Everything a run state holds, copied into comparable values (the
     items of its containers are immutable)."""
-    return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.flow_snk, state.dead,
+    return (*(d.copy() for d in (state.cap_src, state.cap_tie, state.dead,
                                  state.curr, state.arc_visits, state.record)),
             {c: held.copy() for c, held in state.holders.items()})
 
@@ -398,7 +398,7 @@ def test_a_copy_shares_no_container_with_its_original():
     for held in copied.holders.values():
         held.add(("zz", 0))
     copied.holders["zz"] = set()
-    for counts in (copied.cap_src, copied.cap_tie, copied.flow_snk, copied.curr):
+    for counts in (copied.cap_src, copied.cap_tie, copied.curr):
         for key in counts:
             counts[key] += 1
     copied.dead.add(("tie", "zz", 0))

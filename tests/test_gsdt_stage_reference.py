@@ -8,8 +8,9 @@ so only this copy can catch a rewrite of them. After every stage the live
 network (served one stage at a time by ``gsdt.serve``) and the reference
 must agree on the probe records and the arc visits (the live compact record
 expanded, ``instances.probes``), the dead set, every
-``cap_tie`` entry (zero entries included), the tie pointers, the holders and
-the free seats: on seeded 40x15 canonical runs and their guided replays, the
+``cap_tie`` entry (zero entries included), the tie pointers, the holders,
+the free seats and each course's sink flow, which the reference counts apart
+from its holders: on seeded 40x15 canonical runs and their guided replays, the
 same on 20 popularity-correlated 40x60 instances, whose canonical runs take
 155 7-node paths, against 60 on uniform 40x60 ones, so their searches
 often expand past the first level, and on
@@ -34,12 +35,14 @@ _FAILED: tuple[ProbeRecord, ...] = ()
 
 class ReferenceNetwork(FlowNetwork):
     """The live network state with the frozen ``augment``, and the record
-    the frozen loop kept: every stage's probes, and one arc-visit entry per
-    probe, 0 for each probe of a full network."""
+    the frozen loop kept: every stage's probes, one arc-visit entry per
+    probe, 0 for each probe of a full network, and the units on each
+    course's sink arc, ``flow_snk``, counted apart from ``holders``."""
 
     def __init__(self, instance):
         super().__init__(instance)
         self.stage_probes: list[tuple[ProbeRecord, ...]] = []
+        self.flow_snk = dict.fromkeys(instance.courses, 0)
 
     def augment(self, path: Sequence[Node]) -> None:
         """Push one unit along a source-sink path; tie-course arcs on the
@@ -197,7 +200,8 @@ def assert_same(live: FlowNetwork, ref: ReferenceNetwork, where: str) -> None:
     assert live.curr == ref.curr, where
     assert live.holders == ref.holders, where
     assert live.free == ref.free, where
-    assert live.cap_src == ref.cap_src and live.flow_snk == ref.flow_snk, where
+    assert live.cap_src == ref.cap_src, where
+    assert ref.flow_snk == {c: len(held) for c, held in live.holders.items()}, where
 
 
 def guided_courses(instance, target):

@@ -2,7 +2,9 @@
 checked by the envy-graph verifier at sizes brute force cannot reach:
 20 instances at 40x15, 10 at 80x30 and 3 at 160x40, where the courses
 fill early, and 9 at the seat-rich 40x60, where stage outputs leave courses
-exposed and so keep the arcs into the verifier's fan. The runs rotate
+exposed and so keep the arcs into the verifier's fan; then popularity-
+correlated instances (``instances.correlated_instance``), 12 at 40x15 and
+9 at 40x60, where every applicant wants the same few courses. The runs rotate
 through three kinds, so each kind meets each size: a canonical run under a
 shuffled ordering, the guided replay of that run's ``derive_ordering``, and
 a consecutive ordering (a shuffled applicant order, each applicant served
@@ -20,10 +22,11 @@ from camatch import (
     is_pareto_optimal,
     run_gsdt,
 )
-from instances import capacity_history, with_quotas
+from instances import capacity_history, correlated_instance, with_quotas
 
 KINDS = ("canonical", "guided", "consecutive")
 SIZES = [(40, 15, 20), (80, 30, 10), (160, 40, 3), (40, 60, 9)]
+CORRELATED_SIZES = [(40, 15, 12), (40, 60, 9)]
 
 
 def run(inst, kind, rng):
@@ -39,12 +42,13 @@ def run(inst, kind, rng):
     return run_gsdt(inst, [a for a in applicants for _ in range(inst.quota[a])])
 
 
-def stages_checked(n1, n2, count):
-    """Verify every stage of ``count`` runs at ``n1 x n2``; return how many."""
-    rng = random.Random(f"stagewise:{n1}x{n2}")
+def stages_checked(n1, n2, count, family=generate_random_instance, name="stagewise"):
+    """Verify every stage of ``count`` runs of ``family`` at ``n1 x n2``;
+    return how many."""
+    rng = random.Random(f"{name}:{n1}x{n2}")
     checked = 0
     for k in range(count):
-        inst = generate_random_instance(n1, n2, 3, 4, 0.4, rng.randrange(2**31))
+        inst = family(n1, n2, 3, 4, 0.4, rng.randrange(2**31))
         result = run(inst, KINDS[k % len(KINDS)], rng)
         history = capacity_history(inst, result.ordering)
         for stage in result.stages:
@@ -59,3 +63,9 @@ def stages_checked(n1, n2, count):
     (*size, stages) for size, stages in zip(SIZES, (1606, 1617, 964, 728))])
 def test_every_stage_output_is_pareto_optimal_for_its_quotas(n1, n2, count, stages):
     assert stages_checked(n1, n2, count) == stages
+
+
+@pytest.mark.parametrize("n1, n2, count, stages", [
+    (*size, stages) for size, stages in zip(CORRELATED_SIZES, (999, 703))])
+def test_every_correlated_stage_output_is_pareto_optimal_for_its_quotas(n1, n2, count, stages):
+    assert stages_checked(n1, n2, count, correlated_instance, "stagewise-correlated") == stages
