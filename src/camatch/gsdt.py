@@ -279,14 +279,14 @@ def _stage(net: FlowNetwork, a: str) -> None:
 class StageRecord:
     """One stage as ``GsdtResult.stages`` served it again: its record
     ``entry``, its applicant's tie pointer ``curr`` after it and its
-    ``delta``, the pairs its path adds and removes. ``matching``
-    applies the deltas of every stage up to this one (``before`` links the
-    previous), built on first read."""
+    ``delta``, the pairs its path adds and removes. ``run`` is the list of
+    every record of the read, shared by them all; ``matching`` applies the
+    deltas of its records up to this one, built on first read."""
 
     stage: int
     applicant: str
     entry: Entry
-    before: StageRecord | None = field(default=None, repr=False, compare=False)
+    run: Sequence[StageRecord] = field(repr=False, compare=False)
 
     @property
     def curr(self) -> int:
@@ -300,11 +300,8 @@ class StageRecord:
 
     @cached_property
     def matching(self) -> Matching:
-        stages = [self]
-        while stages[-1].before is not None:
-            stages.append(stages[-1].before)
         pairs: set[Pair] = set()
-        for added, removed in (stage.delta for stage in reversed(stages)):
+        for added, removed in (stage.delta for stage in self.run[:self.stage]):
             pairs.difference_update(removed)  # a path adds no pair it removes
             pairs.update(added)
         return Matching(pairs)
@@ -338,18 +335,18 @@ class GsdtResult:
 
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
-        net, stages = FlowNetwork(self.instance, self.policy), [None]
+        net, stages = FlowNetwork(self.instance, self.policy), []
         for i, (a, entry) in enumerate(zip(self.ordering, self.record), start=1):
             serve(net, (a,))
             if net.record[-1] != entry:
                 raise AssertionError(f"stage {i}: the record breaks the stage rules")
-            stages.append(StageRecord(i, a, entry, stages[-1]))
+            stages.append(StageRecord(i, a, entry, stages))
         if len(self.record) != len(self.ordering):  # stage k is the first missing or extra
-            raise AssertionError(f"stage {len(stages)}: the record breaks the stage rules")
+            raise AssertionError(f"stage {len(stages) + 1}: the record breaks the stage rules")
         for name, served in ("matching", net.matching()), ("visits", tuple(net.arc_visits)):
             if getattr(self, name) != served:
                 raise AssertionError(f"{name}: not what the replay served")
-        return tuple(stages[1:])
+        return tuple(stages)
 
 
 def serve(net: FlowNetwork, stages: Sequence[str]) -> None:

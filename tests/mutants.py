@@ -55,9 +55,14 @@ MUTANTS = [
            ("tests/test_gsdt_differential.py::test_region_search_equals_the_references_where_seats_abound[0]",)),
     # The replay serves a guided run canonically.
     Mutant("stages-ignore-policy", "gsdt.py",
-           "net, stages = FlowNetwork(self.instance, self.policy), [None]",
-           "net, stages = FlowNetwork(self.instance), [None]",
+           "net, stages = FlowNetwork(self.instance, self.policy), []",
+           "net, stages = FlowNetwork(self.instance), []",
            ("tests/test_gsdt.py::test_stages_replay_under_the_results_own_policy",)),
+    # A stage's matching leaves out its own delta.
+    Mutant("stage-matching-one-short", "gsdt.py",
+           "self.run[:self.stage]", "self.run[:self.stage - 1]",
+           ("tests/test_gsdt.py::test_rerouting_chain_preserves_indifference",
+            "tests/test_gsdt.py::test_flow_matching_correspondence",)),
     # A dead probed tie is searched again.
     Mutant("no-dead-tie-exit", "gsdt.py",
            "    if start in dead or not net.free:",

@@ -1,8 +1,10 @@
 """The staged-flow mechanism: golden runs, flow/matching correspondence,
 tie-pointer monotonicity, ordering derivation."""
 
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -702,6 +704,37 @@ def test_stages_replay_under_the_results_own_policy():
         assert [s.entry for s in result.stages] == list(result.record)
         with pytest.raises(AssertionError, match=f"^{breaks(1)}$"):
             dataclasses.replace(result, policy=swapped).stages
+
+
+def test_the_last_stage_record_copies_and_pickles_at_640x100():
+    # The 640x100 run has 1,262 stages. Every record reads one run list that
+    # all records of the read share, so a deep copy or a pickle round trip of
+    # the last one holds no chain of records as long as the run. The copies
+    # are made before any ``matching`` is read, so each builds its own.
+    inst = generate_random_instance(640, 100, 3, 4, 0.4, 1)
+    ordering = [a for a in sorted(inst.applicants) for _ in range(inst.quota[a])]
+    random.Random(2).shuffle(ordering)
+    result = run_gsdt(inst, ordering)
+    last = result.stages[-1]
+    assert last.stage == len(ordering) == 1262
+    for dup in copy.deepcopy(last), pickle.loads(pickle.dumps(last)):
+        assert dup is not last
+        assert (dup, hash(dup)) == (last, hash(last))
+        assert dup.matching == last.matching == result.matching
+
+
+def test_stage_records_compare_hash_and_show_only_their_own_fields(t1):
+    # Two results built apart share no run list, yet their records compare
+    # and hash equal pairwise: the shared list stays out of equality (where
+    # it would recurse without end) and out of the repr.
+    first, second = (run_gsdt(t1, WALKTHROUGH_ORDERING).stages for _ in range(2))
+    assert len(first) == len(second) == len(WALKTHROUGH_ORDERING)
+    for rec, twin in zip(first, second):
+        assert rec is not twin
+        assert (rec, hash(rec)) == (twin, hash(twin))
+        assert repr(rec) == (f"StageRecord(stage={rec.stage}, "
+                             f"applicant={rec.applicant!r}, entry={rec.entry!r})")
+    assert repr(first[4]) == "StageRecord(stage=5, applicant='a3', entry=(0, 3, None))"
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from camatch import (
     serialize_matching_pairs,
     validate_ordering,
 )
-from camatch.instance import with_prefs
+from camatch.instance import MAX_QUOTA, with_prefs
 from camatch.oracle import impossibility_instance
 from instances import fixture_instances, random_small_instances
 
@@ -123,6 +123,7 @@ def test_the_parse_holds_only_the_current_lines_words():
         ("courses: c1=0\n", "out of range"),
         ("courses: c1=1\napplicant a1 quota=0 prefs:", "out of range"),
         (f"courses: c1={2**31}\n", "out of range"),
+        (f"courses: c1=1\napplicant a1 quota={MAX_QUOTA + 1} prefs:", "out of range"),
         ("courses: c1=1 c1=2\n", "duplicate course"),
         ("courses: c1=1\napplicant a1 quota=1 prefs:\n"
          "applicant a1 quota=1 prefs:", "duplicate id"),
@@ -134,6 +135,13 @@ def test_the_parse_holds_only_the_current_lines_words():
 def test_semantic_errors(text, match):
     with pytest.raises(InstanceSemanticError, match=match):
         parse_instance(text)
+
+
+def test_the_quota_bound_itself_is_accepted_for_a_course_and_an_applicant():
+    text = f"courses: c1={MAX_QUOTA}\napplicant a1 quota={MAX_QUOTA} prefs: ( c1 )\n"
+    inst = parse_instance(text)
+    assert (inst.capacity, inst.quota) == ({"c1": 2**31 - 1}, {"a1": 2**31 - 1})
+    assert serialize_instance(inst) == text
 
 
 @pytest.mark.parametrize("applicant, ties, match", [
