@@ -142,24 +142,25 @@ def build_envy_graph(instance: Instance, matching: Matching) -> EnvyGraph:
 def _close(graph: EnvyGraph, tail: int, head: int, parent: list[int],
            spent: set[int]) -> list[int] | None:
     """The cycle through arc ``tail -> head``: the tail, then the least
-    shortest path from the head back to it, or ``None`` if the head misses
-    the tail. Breadth-first, successors in ascending order, each hub in
-    ``spent`` once read: the first read gives every member a parent. Nodes
-    an earlier search gave a parent are skipped, which changes no path to a
-    tail they miss: a node that reaches the tail has only parents that do."""
-    parent[head], queue = head, [head]
+    shortest path from the head to its end, or ``None`` if none is found. A
+    pair's end is the tail, left off the path; an applicant's, the first
+    exposed course found, the head included, as the fan lists her. Breadth-
+    first, successors ascending, each hub in ``spent`` once read, which gives
+    each member a parent; the nodes an earlier search gave one reach no end."""
+    fan = [len(graph._out) - 1 if tail < len(graph.applicants) else -1]  # no list is [-1]
+    parent[head], queue, found = head, [head], [head]
     for x in queue:  # breadth-first: the loop also visits appended nodes
-        fresh = [h for h in graph.out_of(x) if h not in spent]
-        spent.update(fresh)
-        for y in sorted(v for h in fresh for v in graph._out[h]):  # type: ignore[union-attr]
-            if parent[y] < 0:
-                parent[y] = x
-                queue.append(y)
-        if parent[tail] >= 0:
-            back = [tail]  # the path read backwards, tail to head
-            while back[-1] != head:
-                back.append(parent[back[-1]])
-            return [tail] + back[:0:-1]
+        for y in found:  # the head, then the nodes the last read found, in order
+            if y == tail or graph._out[y] == fan:
+                back = [parent[y] if y == tail else y]  # the path read backwards, to the head
+                while back[-1] != head:
+                    back.append(parent[back[-1]])
+                return [tail] + back[::-1]
+        spent.update(fresh := [h for h in graph.out_of(x) if h not in spent])
+        found = sorted(v for h in fresh for v in graph.out_of(h) if parent[v] < 0)
+        for y in found:
+            parent[y] = x
+        queue += found
     return None
 
 
@@ -168,18 +169,16 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
     whose ends share a strongly connected component, closed by ``_close``.
 
     Arcs weigh 0 or -1, so a negative cycle exists exactly when such an arc
-    does. An applicant's arcs all weigh -1, and she is on a cycle exactly
-    when she reaches the fan, the only hub listing applicants, which only
-    exposed courses enter. So if a course is exposed, each applicant with
-    arcs, in id order, tries her heads in ascending order. The searches
-    share one ``parent`` and ``spent``: a failed one never read the fan, so
-    nothing it reached reaches an applicant, and a head it reached is
-    skipped. If none closes, no applicant is on a cycle, so Tarjan runs on
-    the stored lists (hubs change no reachability between real nodes) with
-    the applicants' left empty, and the fan's too if no arc enters it. The
-    arc it finds has a pair tail, the only -1 tails left, and is closed on
-    fresh state, not kept in the component: a node the head reaches that
-    reaches the tail is in it. O(V + E) stored for the searches together.
+    does. An applicant's arcs all weigh -1, and only the fan, entered only
+    from exposed courses, lists her: she is on a cycle exactly when a head
+    reaches one. So if one is exposed, each applicant with arcs, in id
+    order, tries her heads in ascending order, sharing ``parent`` and
+    ``spent``: nothing a failed search reached reaches an exposed course, so
+    a head it reached is skipped. If none closes, Tarjan runs on the stored
+    lists (hubs change no reachability between real nodes), the applicants'
+    left empty, and the fan's too if no arc enters it. The arc it finds,
+    from a pair, is closed on fresh state, not kept in the component: a node
+    the head reaches that reaches the tail is in it. O(V + E) stored in all.
     """
     size, first_pair = len(graph.hub_of), len(graph.hub_of) - len(graph.pairs)
     a, parent, spent = len(graph.applicants), [-1] * size, set()
@@ -203,7 +202,8 @@ def find_negative_cycle(graph: EnvyGraph) -> CycleWitness | None:
         head = min(heads)
         if (cycle := _close(graph, tail, head, [-1] * size, set())) is None:
             raise AssertionError(f"head {head} does not reach tail {tail} of arc {tail} -> {head}")
-    # Each strict set is built: _close dequeued all but the tail, an applicant or Tarjan's.
+    # Each strict set is built: _close dequeued all but the tail, an applicant or Tarjan's,
+    # and an applicant's end, an exposed course, whose list and set the graph built.
     total = -sum(graph.hub_of[v] in graph._strict[u] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
     return CycleWitness(tuple(map(graph.node, cycle)), total)
 

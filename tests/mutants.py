@@ -102,6 +102,19 @@ MUTANTS = [
            "[graph._out[-1] if exposed else ()]", "[()]",
            ("tests/test_climb_random_starts.py::test_climbed_optima_replay_exactly[40-60]",
             "tests/test_envy_hub_differential.py::test_hub_graph_equals_expanded_reference[0]",)),
+    # A pair tail's search also stops at an exposed course, as an applicant's does.
+    Mutant("pair-stops-at-exposed-course", "envy.py",
+           "fan = [len(graph._out) - 1 if tail < len(graph.applicants) else -1]",
+           "fan = [len(graph._out) - 1]",
+           ("tests/test_envy_hub_differential.py::test_hub_graph_equals_expanded_reference[2]",
+            "tests/test_envy_hub_differential.py::test_hub_graph_equals_expanded_reference[5]",
+            "tests/test_envy_hub_differential.py::test_hub_graph_equals_expanded_reference[14]",
+            "tests/test_dominating_derived.py::test_every_negative_verdict_derives_the_matching_a_build_gives[shape1-pinned1]",)),
+    # An exposed head is not checked before it is read, so it reads the fan.
+    Mutant("exposed-head-reads-fan", "envy.py",
+           "parent[head], queue, found = head, [head], [head]",
+           "parent[head], queue, found = head, [head], []",
+           ("tests/test_envy_hub_differential.py::test_an_exposed_head_closes_at_once",)),
     # A lone root is not marked visited.
     Mutant("lone-root-unmarked", "scc.py",
            "            index[root] = 0\n", "",

@@ -5,9 +5,10 @@ densities, plus 80x30 instances shaped like the benchmark's audit inputs.
 On the same cases the stored graph must keep its shape, real -> hub -> real
 with one fan hub, and its arc count is pinned at the 500x800 optimum. The
 cases reach every way the verifier decides: a witness from an applicant,
-found and closed by one breadth-first search per head tried, all sharing
-their parents, and Tarjan after those searches fail or when no course is
-exposed, for negative and positive verdicts. Applicant and pair lists are
+found and closed by one breadth-first search per head tried, each ending
+at the first exposed course it finds, all sharing their parents, and
+Tarjan after those searches fail or when no course is exposed, for
+negative and positive verdicts. Applicant and pair lists are
 built on first read, and Tarjan reads only the pair lists, as no applicant
 is on a cycle by then: each regime's count of lists built is pinned exactly,
 as the searches sort what they read and depend on no string hash, and the
@@ -325,7 +326,7 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
     """Each verdict's own graph, spied on: Tarjan (a pair witness, or a
     positive verdict) builds every pair list but no applicant list that
     the applicant scan has not built, so with no course exposed a verdict
-    builds no applicant list; a witness from an applicant builds about 4%
+    builds no applicant list; a witness from an applicant builds about 3%
     of the lists. A positive verdict keeps its graph on the matching with
     every pair list built, all that ``envy._pair_priority_order`` reads.
     Completed afterwards, the lists and strict sets equal a fresh build's
@@ -358,15 +359,15 @@ def test_a_verdict_builds_the_lists_it_reads_and_completes_them_exactly(built_gr
             assert completed(graph) == completed(fresh)
             assert_real_hub_real(inst, matching, graph)
     assert total == LISTS
-    assert built == {("a", True): 1_384, ("p", True): 1_749, ("p", False): 12_722,
+    assert built == {("a", True): 944, ("p", True): 1_749, ("p", False): 12_722,
                      ("positive", True): 2_819, ("positive", False): 10_178}
 
 
 def test_the_wide_half_verdict_builds_few_lists(built_graphs):
     """Every other pair of the 640x100 file-order optimum: the first
-    applicant's first head is an exposed course, which closes a 2-node
-    cycle through the fan, so the verdict builds 1 of its 772 applicant and
-    pair lists."""
+    applicant's first head is an exposed course, so her search stops at
+    once, without reading the fan, and closes a 2-node cycle: the verdict
+    builds 1 of its 772 applicant and pair lists, her own."""
     inst = generate_random_instance(640, 100, 3, 4, 0.4, 1)
     optimum = run_gsdt(inst, [a for a in inst.applicants for _ in range(inst.quota[a])]).matching
     half = Matching(optimum.canonical_pairs()[::2])
@@ -404,6 +405,52 @@ def test_a_head_that_misses_its_tail_moves_the_scan_to_the_next_head(monkeypatch
     witness = find_negative_cycle(build_envy_graph(inst, matching))
     assert calls == [(0, 2, None), (0, 3, [0, 3])]  # a1 = 0, c1 = 2, c2 = 3
     assert witness == CycleWitness((("a", "a1"), ("c", "c2")), -1)
+
+
+# a1 is exposed and lists only c1, held by a2, who prefers c2 and c3, held by
+# a3 and a4; a3 prefers the exposed c4. The search from a2:c1 finds c2, c3,
+# a3:c2 and a4:c3, and a3:c2 finds c4 while a4:c3 is still queued.
+QUEUED_PAIR = ("courses: c1=1 c2=1 c3=1 c4=1\n"
+               "applicant a1 quota=1 prefs: ( c1 )\n"
+               "applicant a2 quota=1 prefs: ( c2 c3 ) ( c1 )\n"
+               "applicant a3 quota=1 prefs: ( c4 ) ( c2 )\n"
+               "applicant a4 quota=1 prefs: ( c3 )\n")
+
+
+def test_an_applicant_search_stops_at_the_exposed_course_it_finds():
+    """The witness and certificate are the expanded reference's, and the
+    search ends when a3:c2's read finds c4, before the queued a4:c3 is read:
+    of the 7 applicant and pair lists only a1's, a2:c1's and a3:c2's are
+    built."""
+    inst = parse_instance(QUEUED_PAIR)
+    matching = Matching([("a2", "c1"), ("a3", "c2"), ("a4", "c3")])
+    graph = build_envy_graph(inst, matching)
+    witness = find_negative_cycle(graph)
+    assert witness == CycleWitness(
+        (("a", "a1"), ("p", "a2", "c1"), ("p", "a3", "c2"), ("c", "c4")), -3)
+    reference = reference_build_envy_graph(inst, matching)
+    assert witness == reference_find_negative_cycle(reference)
+    check = is_pareto_optimal(inst, matching)
+    assert (check.coalition, check.dominating) == reference_certificate(
+        inst, matching, reference, witness)
+    assert graph.node(10) == ("p", "a4", "c3") and graph._out[10] is None
+    assert lists_built(graph) == (3, 7)
+
+
+def test_an_exposed_head_closes_at_once():
+    """a1's head c2 is exposed: the search returns ``[tail, head]``, reading
+    no hub, the fan included, and builds no list beyond a1's own."""
+    inst = parse_instance("courses: c1=1 c2=2\n"
+                          "applicant a1 quota=1 prefs: ( c2 )\n"
+                          "applicant a2 quota=1 prefs: ( c1 ) ( c2 )\n")
+    matching = Matching([("a2", "c1")])
+    graph = build_envy_graph(inst, matching)
+    spent = set()
+    assert envy._close(graph, 0, 3, [-1] * len(graph.hub_of), spent) == [0, 3]  # a1 = 0, c2 = 3
+    assert not spent
+    assert lists_built(graph) == (0, 3)
+    assert find_negative_cycle(graph) == CycleWitness((("a", "a1"), ("c", "c2")), -1)
+    assert lists_built(graph) == (1, 3)
 
 
 # Pareto optimal: a1 strictly envies a2's c1, which a2 alone accepts, and
